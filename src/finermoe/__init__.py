@@ -12,7 +12,7 @@ from finermoe.checkpoint import read_model, write_model
 from finermoe.config import DerivedDims, FineRConfig, baseline_preset, derive, load_config, save_config, validate
 from finermoe.experts import DenseFfnWeights, ExpertWeights, SharedExpertWeights, expert_forward, shared_forward
 from finermoe.loss_grad import BalanceLossReport, LayerGradients, backward, balance_loss, fd_check
-from finermoe.moe_layer import DispatchPlan, LayerOutput, MoEModel, build_dispatch_plan, forward, forward_forced
+from finermoe.moe_layer import DispatchPlan, LayerOutput, MoEModel, build_dispatch_plan, decide, forward, forward_forced
 from finermoe.numerics import Matrix, Rng, matmul, set_num_threads, silu, softmax
 from finermoe.router import RouterState, RoutingDecision, route, route_separate, score
 from finermoe.upcycle import SliceAssignment, drop_upcycle, expert_slice_indices, random_dense, upcycle
@@ -25,7 +25,7 @@ __all__ = [
     "LayerOutput", "LoadReport", "Matrix", "MoEModel", "Rng", "RouterState",
     "RoutingDecision", "SharedExpertWeights", "SimilarityReport",
     "SliceAssignment", "available_backends", "backward", "balance_loss",
-    "baseline_preset", "build_dispatch_plan", "cost_report", "derive",
+    "baseline_preset", "build_dispatch_plan", "cost_report", "decide", "derive",
     "drop_upcycle", "expert_forward", "expert_similarity",
     "expert_slice_indices", "fd_check", "forward", "forward_forced",
     "kernel_backend", "load_config", "matmul", "random_dense", "read_model",

@@ -11,9 +11,9 @@ import numpy as np
 
 from finermoe import _backend
 from finermoe.config import FineRConfig, derive
-from finermoe.moe_layer import MoEModel, build_dispatch_plan, forward, sparse_experts_forward
+from finermoe.moe_layer import MoEModel, build_dispatch_plan, decide, forward, sparse_experts_forward
 from finermoe.numerics import Matrix, Rng
-from finermoe.router import RoutingDecision, route, score
+from finermoe.router import RoutingDecision
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -159,8 +159,7 @@ def time_sparse_path(model: MoEModel, x: Matrix, reps: int = 5) -> float:
     """Best-of-reps wall time of the dispatched sparse path alone (no
     router, no shared expert). Timing noise is one-sided, so the minimum
     is the least-noisy estimate."""
-    s = score(x, model.router)
-    decision = route(s, model.cfg)
+    decision = decide(x, model)
     plan = build_dispatch_plan(decision, model.dims.N)
     sparse_experts_forward(x, model, decision, plan=plan)  # warm up
     times = []

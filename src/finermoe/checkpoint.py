@@ -17,11 +17,13 @@ files (h/H only for dense), and one entry per tensor:
 Tensor names: ffn.w1|wg|w2 (dense file), shared.w1|wg|w2,
 expert.<k>.w1|wg|w2, router.w, router_cc.w (separate-router models only),
 concat_proj.w. Offsets ascend and entries never overlap, so write->read
-round-trips are bit-identical.
+round-trips are bit-identical. The file ends where the last tensor ends;
+bytes after it are an error.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -34,6 +36,7 @@ from finermoe.numerics import Matrix
 from finermoe.router import RouterState
 
 MAGIC = b"FRM1"
+_HEADER = len(MAGIC) + 8  # magic, u64 manifest length
 _ALIGN = 8
 
 
@@ -119,7 +122,7 @@ def write_model(model: DenseFfnWeights | MoEModel, path) -> None:
         offset += length
 
     manifest = _manifest_lines(kind, cfg_lines, entries).encode("utf-8")
-    header_len = len(MAGIC) + 8 + len(manifest)
+    header_len = _HEADER + len(manifest)
     pad = (-header_len) % _ALIGN
 
     with open(path, "wb") as fh:
@@ -153,6 +156,10 @@ def _parse_manifest(text: str) -> tuple[dict, list[TensorManifestEntry]]:
             length = int(kv[f"tensor.{n}.length"])
         except (KeyError, ValueError) as exc:
             raise CheckpointError(f"incomplete manifest entry for tensor {n}: {exc}")
+        if min(shape) < 1:
+            raise ShapeMismatchError(
+                f"tensor {kv[f'tensor.{n}.name']}: shape {shape} has a dim below 1"
+            )
         if dtype != "f32":
             raise UnknownDtypeError(f"tensor {kv[f'tensor.{n}.name']}: unknown dtype {dtype!r}")
         if length != shape[0] * shape[1] * 4:
@@ -170,9 +177,28 @@ def _parse_manifest(text: str) -> tuple[dict, list[TensorManifestEntry]]:
     return kv, entries
 
 
+def _read_payload(fh, n: int) -> np.ndarray:
+    """Read n bytes into one fresh buffer, tolerating short reads."""
+    payload = np.empty(n, np.uint8)
+    view = memoryview(payload)
+    got = 0
+    while got < n:
+        k = fh.readinto(view[got:])
+        if not k:
+            raise TruncatedPayloadError(f"file ends after {got} of {n} payload bytes")
+        got += k
+    return payload
+
+
 def read_model(path) -> DenseFfnWeights | MoEModel:
-    """Read an FRM1 file; the result validates against its embedded config."""
+    """Read an FRM1 file; the result validates against its embedded config.
+
+    The payload is read once into one buffer and every tensor is a view of
+    it, so the loaded model holds one copy of the weights, and they stay in
+    memory while any of its tensors is referenced.
+    """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != MAGIC:
             raise CheckpointError(f"bad magic {magic!r}, expected {MAGIC!r}")
@@ -180,26 +206,44 @@ def read_model(path) -> DenseFfnWeights | MoEModel:
         if len(mlen_bytes) != 8:
             raise TruncatedPayloadError("file ends inside the header")
         mlen = int.from_bytes(mlen_bytes, "little")
+        if mlen > size - _HEADER:
+            raise TruncatedPayloadError(
+                f"manifest length {mlen} exceeds the {size - _HEADER} bytes after the header"
+            )
         manifest = fh.read(mlen)
         if len(manifest) != mlen:
             raise TruncatedPayloadError("file ends inside the manifest")
-        pad = (-(4 + 8 + mlen)) % _ALIGN
-        fh.read(pad)
-        payload = fh.read()
+        try:
+            text = manifest.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"manifest is not UTF-8: {exc}")
+        kv, entries = _parse_manifest(text)
+        if kv.get("format") != "frm1":
+            raise CheckpointError("manifest missing 'format = frm1'")
 
-    kv, entries = _parse_manifest(manifest.decode("utf-8"))
-    if kv.get("format") != "frm1":
-        raise CheckpointError("manifest missing 'format = frm1'")
+        start = _HEADER + mlen + (-(_HEADER + mlen)) % _ALIGN
+        extent = max((e.offset + e.length for e in entries), default=0)
+        left = size - start
+        if left < 0:
+            raise TruncatedPayloadError("file ends inside the manifest padding")
+        if extent > left:
+            raise TruncatedPayloadError(f"payload has {left} bytes, tensors need {extent}")
+        if extent < left:
+            raise CheckpointError(f"{left - extent} bytes after the last tensor")
+        fh.seek(start)
+        payload = _read_payload(fh, extent)
 
-    mats: dict[str, Matrix] = {}
-    for e in entries:
-        end = e.offset + e.length
-        if end > len(payload):
-            raise TruncatedPayloadError(
-                f"tensor {e.name}: payload has {len(payload)} bytes, needs {end}"
-            )
-        arr = np.frombuffer(payload, dtype="<f4", count=e.shape[0] * e.shape[1], offset=e.offset)
-        mats[e.name] = Matrix.wrap(arr.reshape(e.shape).astype(np.float32))
+    # "<f4" is the native float32 on little-endian hosts, so astype returns
+    # the view itself; big-endian hosts get a converted copy.
+    mats = {
+        e.name: Matrix.wrap(
+            payload[e.offset : e.offset + e.length]
+            .view("<f4")
+            .reshape(e.shape)
+            .astype(np.float32, copy=False)
+        )
+        for e in entries
+    }
 
     kind = kv.get("kind")
     if kind == "dense":
@@ -210,7 +254,11 @@ def read_model(path) -> DenseFfnWeights | MoEModel:
             dense = DenseFfnWeights(mats["ffn.w1"], mats["ffn.wg"], mats["ffn.w2"])
         except ValueError as exc:
             raise ShapeMismatchError(str(exc))
-        if (dense.h, dense.H) != (int(kv.get("h", dense.h)), int(kv.get("H", dense.H))):
+        try:
+            manifest_dims = (int(kv.get("h", dense.h)), int(kv.get("H", dense.H)))
+        except ValueError as exc:
+            raise CheckpointError(f"bad manifest h/H: {exc}")
+        if (dense.h, dense.H) != manifest_dims:
             raise ShapeMismatchError(
                 f"tensor dims {(dense.h, dense.H)} do not match manifest h/H"
             )
@@ -237,6 +285,8 @@ def read_model(path) -> DenseFfnWeights | MoEModel:
         concat_proj = mats["concat_proj.w"] if cfg.concat_proj else None
     except KeyError as exc:
         raise CheckpointError(f"moe file missing tensor {exc.args[0]}")
+    except ValueError as exc:
+        raise ShapeMismatchError(str(exc))
 
     model = MoEModel(
         cfg=cfg, shared=shared, experts=experts, router=router,
@@ -246,4 +296,11 @@ def read_model(path) -> DenseFfnWeights | MoEModel:
         model.validate()
     except ValueError as exc:
         raise ShapeMismatchError(str(exc))
+    # Routing cannot decide on a non-finite score, so a non-finite router
+    # weight would fail every forward. The router is a tiny part of the
+    # payload; expert weights are not scanned, which would cost a pass over
+    # all of it.
+    for r in (router, router_cc):
+        if r is not None and not np.isfinite(r.w.a).all():
+            raise CheckpointError("router weights hold NaN or infinity")
     return model

@@ -24,9 +24,8 @@ from finermoe.loss_grad import (
     named_parameters,
     gradient_for,
 )
-from finermoe.moe_layer import MoEModel, forward
+from finermoe.moe_layer import MoEModel, decide, forward
 from finermoe.numerics import Matrix, Rng, matmul
-from finermoe.router import route, route_separate, score
 from finermoe.upcycle import drop_upcycle, random_dense, upcycle
 
 
@@ -38,9 +37,13 @@ def read_matrix(path) -> Matrix:
         if len(header) != 2:
             raise ValueError(f"{path}: expected header 'rows cols'")
         rows, cols = int(header[0]), int(header[1])
-        raw = fh.read(rows * cols * 4)
-    if len(raw) != rows * cols * 4:
-        raise ValueError(f"{path}: payload truncated ({len(raw)} of {rows * cols * 4} bytes)")
+        if rows < 1 or cols < 1:
+            raise ValueError(f"{path}: dims must be positive, got {rows} x {cols}")
+        need = rows * cols * 4
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if need > left:
+            raise ValueError(f"{path}: payload truncated ({left} of {need} bytes)")
+        raw = fh.read(need)
     return Matrix.wrap(np.frombuffer(raw, dtype="<f4").reshape(rows, cols).astype(np.float32))
 
 
@@ -111,12 +114,7 @@ def _cmd_forward(args) -> int:
 def _cmd_route_stats(args) -> int:
     model = _load_moe(args.model)
     cfg = model.cfg
-    x = Rng(args.seed).matrix(args.tokens, cfg.h)
-    s = score(x, model.router)
-    if cfg.router_mode == "separate":
-        decision = route_separate(s, score(x, model.router_cc), cfg)
-    else:
-        decision = route(s, cfg)
+    decision = decide(Rng(args.seed).matrix(args.tokens, cfg.h), model)
     rep = analysis.route_stats(decision, cfg)
     bal = balance_loss(decision, cfg, args.alpha)
     print(f"tokens = {rep.n_tokens}")

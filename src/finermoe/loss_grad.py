@@ -21,9 +21,9 @@ import numpy as np
 
 from finermoe.config import FineRConfig, derive
 from finermoe.experts import DenseFfnWeights, ExpertWeights
-from finermoe.moe_layer import MoEModel, build_dispatch_plan, forward, sparse_experts_forward
+from finermoe.moe_layer import MoEModel, build_dispatch_plan, decide, forward, sparse_experts_forward
 from finermoe.numerics import Matrix, Rng, dsilu, matmul, silu
-from finermoe.router import RoutingDecision, route, route_separate, score
+from finermoe.router import RoutingDecision
 
 
 @dataclass
@@ -206,17 +206,11 @@ def mean_squared_output_loss() -> LossFn:
 def balance_loss_fn(alpha: float = 0.001) -> LossFn:
     """The load-balancing loss alone, as a function of input and router."""
 
-    def _decide(x: Matrix, model: MoEModel) -> RoutingDecision:
-        s = score(x, model.router)
-        if model.cfg.router_mode == "separate":
-            return route_separate(s, score(x, model.router_cc), model.cfg)
-        return route(s, model.cfg)
-
     def value(x: Matrix, model: MoEModel) -> float:
-        return balance_loss(_decide(x, model), model.cfg, alpha).loss
+        return balance_loss(decide(x, model), model.cfg, alpha).loss
 
     def grads(x: Matrix, model: MoEModel) -> LayerGradients:
-        decision = _decide(x, model)
+        decision = decide(x, model)
         upstream = Matrix.zeros(x.rows, model.cfg.h, dtype=x.dtype)
         d_score = balance_loss_score_grad(decision, model.cfg, alpha)
         return backward(x, model, upstream, decision, d_score_extra=d_score)
@@ -271,12 +265,7 @@ class FdReport:
 
 
 def _routing_signature(x: Matrix, model: MoEModel) -> bytes:
-    s = score(x, model.router)
-    if model.cfg.router_mode == "separate":
-        d = route_separate(s, score(x, model.router_cc), model.cfg)
-    else:
-        d = route(s, model.cfg)
-    return d.indices.tobytes()
+    return decide(x, model).indices.tobytes()
 
 
 def fd_check(

@@ -176,19 +176,22 @@ def sparse_experts_forward(
     return out, (cand if keep_candidates else None)
 
 
+def decide(x: Matrix, model: MoEModel) -> RoutingDecision:
+    """Score x and route it as the model's router_mode says: the one routing
+    entry point for forward, timing, loss and CLI callers."""
+    s = score(x, model.router)
+    if model.cfg.router_mode == "separate":
+        return route_separate(s, score(x, model.router_cc), model.cfg)
+    return route(s, model.cfg)
+
+
 def forward(
     x: Matrix, model: MoEModel, keep_candidates: bool = False, acc64: bool = False
 ) -> LayerOutput:
     """Full layer: route, sparse path, optional projection, shared add."""
     if x.cols != model.cfg.h:
         raise ValueError(f"input width {x.cols} does not match hidden dim {model.cfg.h}")
-    s = score(x, model.router)
-    if model.cfg.router_mode == "separate":
-        s_cc = score(x, model.router_cc)
-        decision = route_separate(s, s_cc, model.cfg)
-    else:
-        decision = route(s, model.cfg)
-
+    decision = decide(x, model)
     sparse, cand = sparse_experts_forward(
         x, model, decision, keep_candidates=keep_candidates, acc64=acc64
     )

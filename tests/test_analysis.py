@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from finermoe import analysis
 from finermoe.analysis import (
     benchmark_backends,
     cosine,
@@ -13,7 +14,7 @@ from finermoe.analysis import (
 )
 from finermoe.config import FineRConfig, baseline_preset, derive, with_updates
 from finermoe.experts import ExpertWeights
-from finermoe.moe_layer import MoEModel
+from finermoe.moe_layer import MoEModel, forward
 from finermoe.numerics import Matrix, Rng
 from finermoe.router import RouterState, RoutingDecision, route, score
 from finermoe.upcycle import random_dense, upcycle
@@ -196,6 +197,24 @@ class TestTiming:
             if in_band:
                 break
         assert in_band, times
+
+    def test_separate_mode_times_the_forward_decision(self, monkeypatch):
+        cfg = FineRConfig(h=16, H=32, G_I=4, R_I=1, G_O=2, R_O=2, T_I=1, router_mode="separate")
+        model = upcycle(random_dense(16, 32, 12), cfg, 12)
+        x = Rng(13).matrix(32, 16)
+        seen = []
+        real = analysis.sparse_experts_forward
+
+        def spy(x_, model_, decision, **kw):
+            seen.append(decision.final_mask.copy())
+            return real(x_, model_, decision, **kw)
+
+        monkeypatch.setattr(analysis, "sparse_experts_forward", spy)
+        time_sparse_path(model, x, reps=2)
+        want = forward(x, model).decision.final_mask
+        # The single-router decision differs here, so timing it would be wrong.
+        assert not np.array_equal(route(score(x, model.router), cfg).final_mask, want)
+        assert len(seen) == 3 and all(np.array_equal(m, want) for m in seen)
 
     def test_backend_benchmark_reports_all_backends(self):
         from finermoe._backend import available_backends

@@ -1,5 +1,12 @@
+import contextlib
+import io
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from finermoe.checkpoint import (
     MAGIC,
@@ -10,15 +17,81 @@ from finermoe.checkpoint import (
     read_model,
     write_model,
 )
+from finermoe.cli import read_matrix, run, write_matrix
 from finermoe.config import ConfigError, FineRConfig, baseline_preset, with_updates
-from finermoe.moe_layer import forward
-from finermoe.numerics import Rng
+from finermoe.moe_layer import MoEModel, forward
+from finermoe.numerics import Rng, matmul
 from finermoe.upcycle import random_dense, upcycle
 
 
 def _base_toy_model(seed=0, **cfg_kw):
     cfg = with_updates(baseline_preset("FineRMoE-base", h=64, H=128), **cfg_kw)
     return upcycle(random_dense(64, 128, seed), cfg, seed)
+
+
+def _split(raw: bytes) -> tuple[str, bytes]:
+    """Manifest text and payload bytes of an FRM1 file."""
+    mlen = int.from_bytes(raw[4:12], "little")
+    start = 12 + mlen + (-(12 + mlen)) % 8
+    return raw[12 : 12 + mlen].decode("utf-8"), raw[start:]
+
+
+def _join(manifest: bytes, payload: bytes) -> bytes:
+    """An FRM1 file with this manifest and payload, padded as the writer pads."""
+    head = MAGIC + len(manifest).to_bytes(8, "little") + manifest
+    return head + b"\x00" * ((-len(head)) % 8) + payload
+
+
+def _zero_dim_expert(raw: bytes) -> bytes:
+    """Declare tensor 3 (expert.0.w1) as 0x0 with length 0; its old bytes
+    stay in the payload as a gap, so every other offset still holds."""
+    manifest, payload = _split(raw)
+    assert "tensor.3.name = expert.0.w1" in manifest
+    for key, value in (("shape", "0x0"), ("length", "0")):
+        manifest, n = re.subn(rf"tensor\.3\.{key} = \S+", f"tensor.3.{key} = {value}", manifest)
+        assert n == 1
+    return _join(manifest.encode("utf-8"), payload)
+
+
+# Damage to a small MoE file -> (spoil, error read_model raises, its message).
+_DAMAGE = {
+    "manifest_length_2_62": (
+        lambda raw: raw[:4] + (2**62).to_bytes(8, "little") + raw[12:],
+        TruncatedPayloadError,
+        "manifest length",
+    ),
+    "non_utf8_manifest": (
+        lambda raw: raw.replace(b"kind = moe", b"kind = m\xffe", 1), CheckpointError, "UTF-8"
+    ),
+    "zero_dim_shape": (_zero_dim_expert, ShapeMismatchError, "below 1"),
+    "trailing_bytes": (
+        lambda raw: raw + b"\x00" * 4, CheckpointError, "4 bytes after the last tensor"
+    ),
+    # router.w is the last tensor.
+    "nan_router_weight": (
+        lambda raw: raw[:-4] + np.array([np.nan], dtype="<f4").tobytes(),
+        CheckpointError,
+        "router weights",
+    ),
+    "truncated_payload": (lambda raw: raw[:-1], TruncatedPayloadError, "payload"),
+}
+
+
+def _run_cli(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue()
+
+
+def _forward_exit(model_path, tmp_dir):
+    """Exit code and stderr of `forward` on a 4-token input of width 16."""
+    x = tmp_dir / "x.mat"
+    if not x.exists():
+        write_matrix(Rng(1).matrix(4, 16), x)
+    return _run_cli(
+        ["forward", "--model", str(model_path), "--input", str(x), "--out", str(tmp_dir / "y.mat")]
+    )
 
 
 class TestRoundTrip:
@@ -136,6 +209,19 @@ class TestErrors:
         with pytest.raises(ShapeMismatchError):
             read_model(p)
 
+    @pytest.mark.parametrize("damage", sorted(_DAMAGE))
+    def test_damaged_file_exits_2_without_traceback(self, tmp_path, damage):
+        spoil, exc, match = _DAMAGE[damage]
+        cfg = FineRConfig(h=16, H=32, G_I=4, R_I=1, G_O=2, R_O=2, T_I=1)
+        p = tmp_path / "m.frm"
+        write_model(upcycle(random_dense(16, 32, 17), cfg, 17), p)
+        p.write_bytes(spoil(p.read_bytes()))
+        with pytest.raises(exc, match=match):
+            read_model(p)
+        code, err = _forward_exit(p, tmp_path)
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_wrong_kind_for_caller(self, tmp_path):
         # A dense file read back is a DenseFfnWeights, not silently a model.
         p = tmp_path / "d.frm"
@@ -143,3 +229,92 @@ class TestErrors:
         from finermoe.experts import DenseFfnWeights
 
         assert isinstance(read_model(p), DenseFfnWeights)
+
+
+class TestOneBuffer:
+    def test_tensors_are_views_of_one_buffer(self, tmp_path):
+        p = tmp_path / "m.frm"
+        write_model(_base_toy_model(seed=6), p)
+        model = read_model(p)
+        owner = model.shared.w1.a.base
+        assert owner is not None and owner.nbytes == len(_split(p.read_bytes())[1])
+        for m in (model.shared.w2, model.experts[7].w2, model.router.w):
+            assert m.a.base is owner
+        assert model.router.w.a.flags.writeable
+
+    def test_read_peak_is_one_payload(self, tmp_path):
+        # Few, large tensors, so the manifest is small beside the payload P.
+        cfg = FineRConfig(h=128, H=512, G_I=4, R_I=1, G_O=2, R_O=2, T_I=1)
+        p = tmp_path / "m.frm"
+        write_model(upcycle(random_dense(128, 512, 18), cfg, 18), p)
+        payload_bytes = len(_split(p.read_bytes())[1])
+        tracemalloc.start()
+        try:
+            model = read_model(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(model, MoEModel)
+        # Whole-file read plus a copy per tensor would peak near 2 P.
+        assert peak < 1.25 * payload_bytes + 256 * 1024
+
+
+def _mutate(raw: bytes, data) -> bytes:
+    """Truncate, overwrite bytes in, or insert bytes into raw."""
+    kind = data.draw(st.sampled_from(["truncate", "overwrite", "insert"]))
+    at = data.draw(st.integers(0, len(raw) - 1))
+    if kind == "truncate":
+        return raw[:at]
+    patch = data.draw(st.binary(min_size=1, max_size=8))
+    if kind == "overwrite":
+        return raw[:at] + patch + raw[at + len(patch) :]
+    return raw[:at] + patch + raw[at:]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A FineRMoE-base file at h=16, H=64 and a scratch directory beside it."""
+    d = tmp_path_factory.mktemp("fuzz")
+    cfg = baseline_preset("FineRMoE-base", h=16, H=64)
+    write_model(upcycle(random_dense(16, 64, 19), cfg, 19), d / "base.frm")
+    return d
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_read_model_returns_valid_model_or_checkpoint_error(self, fuzz_dir, data):
+        p = fuzz_dir / "read.frm"
+        p.write_bytes(_mutate((fuzz_dir / "base.frm").read_bytes(), data))
+        try:
+            model = read_model(p)
+        except (CheckpointError, ConfigError):
+            return
+        if isinstance(model, MoEModel):
+            model.validate()
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_cli_forward_exit_code_follows_the_file(self, fuzz_dir, data):
+        p = fuzz_dir / "cli.frm"
+        p.write_bytes(_mutate((fuzz_dir / "base.frm").read_bytes(), data))
+        code, err = _forward_exit(p, fuzz_dir)
+        try:
+            model = read_model(p)
+        except (CheckpointError, ConfigError):
+            assert code == 2 and err.startswith("error: "), err
+            return
+        x = read_matrix(fuzz_dir / "x.mat")
+        if np.isfinite(matmul(x, model.router.w).a).all():
+            assert code == 0, err
+        else:
+            # Finite router weights so large that x @ w overflows: the file is
+            # well formed, the forward fails on this input (exit 3).
+            assert code == 3 and "softmax input must be finite" in err, err
+
+    def test_cli_forward_router_overflow_exits_3(self, fuzz_dir):
+        raw = (fuzz_dir / "base.frm").read_bytes()
+        p = fuzz_dir / "overflow.frm"
+        p.write_bytes(raw[:-64] + np.full(16, 3e38, dtype="<f4").tobytes())
+        code, err = _forward_exit(p, fuzz_dir)
+        assert code == 3 and err == "error: softmax input must be finite\n"

@@ -8,13 +8,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import finermoe
 from finermoe.checkpoint import read_model
 from finermoe.cli import main, read_matrix, run, write_matrix
 from finermoe.config import load_config
 from finermoe.moe_layer import forward
-from finermoe.numerics import Rng
+from finermoe.numerics import Matrix, Rng
 
 
 def _run(argv):
@@ -159,6 +161,52 @@ class TestForward:
         )
         assert code != 0
         assert "truncated" in err
+
+
+@pytest.fixture(scope="module")
+def matrix_fuzz_dir(tmp_path_factory):
+    """A FineRMoE-base model at h=32, H=64 and a valid 3-token input for it."""
+    d = tmp_path_factory.mktemp("matfuzz")
+    cfg = finermoe.baseline_preset("FineRMoE-base", h=32, H=64)
+    finermoe.write_model(finermoe.upcycle(finermoe.random_dense(32, 64, 5), cfg, 5), d / "m.frm")
+    write_matrix(Rng(12).matrix(3, 32), d / "base.mat")
+    return d
+
+
+class TestMatrixFuzz:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_read_matrix_raises_only_value_error(self, matrix_fuzz_dir, data):
+        raw = (matrix_fuzz_dir / "base.mat").read_bytes()
+        kind = data.draw(st.sampled_from(["truncate", "overwrite", "insert", "header"]))
+        at = data.draw(st.integers(0, len(raw) - 1))
+        patch = data.draw(st.binary(min_size=1, max_size=8))
+        if kind == "truncate":
+            raw = raw[:at]
+        elif kind == "overwrite":
+            raw = raw[:at] + patch + raw[at + len(patch) :]
+        elif kind == "insert":
+            raw = raw[:at] + patch + raw[at:]
+        else:
+            # The header is a few bytes of the file; aim at it directly.
+            rows, cols = data.draw(st.tuples(st.integers(-2, 2**70), st.integers(-2, 2**70)))
+            raw = f"{rows} {cols}\n".encode("ascii") + raw.split(b"\n", 1)[1]
+        p = matrix_fuzz_dir / "x.mat"
+        p.write_bytes(raw)
+        try:
+            m = read_matrix(p)
+        except ValueError:
+            m = None
+        else:
+            assert isinstance(m, Matrix) and m.rows >= 1 and m.cols >= 1
+        code, _, err = _run(
+            ["forward", "--model", str(matrix_fuzz_dir / "m.frm"), "--input", str(p),
+             "--out", str(matrix_fuzz_dir / "y.mat")]
+        )
+        if m is None:
+            assert code == 3 and err.startswith("error: "), err
+        else:
+            assert code in (0, 3), err
 
 
 class TestRouteStats:
