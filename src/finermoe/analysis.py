@@ -40,10 +40,13 @@ def expert_similarity(model: MoEModel, keep_pairs: bool = False) -> SimilarityRe
     Each expert is flattened to one vector (w1, wg, w2 concatenated);
     shapes are uniform within a model, so the pairing is well-defined.
     """
-    n = len(model.experts)
+    stack = model.experts
+    n = len(stack)
     if n < 2:
         raise ValueError(f"similarity needs at least 2 experts, got {n}")
-    vecs = np.stack([e.flat().astype(np.float64) for e in model.experts])
+    vecs = np.concatenate(
+        [a.reshape(n, -1) for a in (stack.w1, stack.wg, stack.w2)], axis=1
+    ).astype(np.float64)
     ss = (vecs * vecs).sum(axis=1)
     sims = []
     for i in range(n - 1):

@@ -14,26 +14,26 @@ files (h/H only for dense), and one entry per tensor:
 
     tensor.<n>.name / .shape ("RxC") / .dtype ("f32") / .offset / .length
 
-Tensor names: ffn.w1|wg|w2 (dense file), shared.w1|wg|w2,
-expert.<k>.w1|wg|w2, router.w, router_cc.w (separate-router models only),
-concat_proj.w. Offsets ascend and entries never overlap, so write->read
-round-trips are bit-identical. The file ends where the last tensor ends;
+Tensor names and their order are those of ``moe_layer.named_parameters``.
+Offsets ascend and entries never overlap, so write->read round-trips are
+bit-identical. The file ends where the last tensor ends;
 bytes after it are an error.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from finermoe import config as config_mod
+from finermoe.analysis import cost_report
 from finermoe.config import FineRConfig
-from finermoe.experts import DenseFfnWeights, ExpertWeights
-from finermoe.moe_layer import MoEModel
+from finermoe.experts import DenseFfnWeights
+from finermoe.moe_layer import MoEModel, named_parameters
 from finermoe.numerics import Matrix
-from finermoe.router import RouterState
 
 MAGIC = b"FRM1"
 _HEADER = len(MAGIC) + 8  # magic, u64 manifest length
@@ -77,30 +77,6 @@ def _manifest_lines(kind: str, cfg_lines: list[str], entries: list[TensorManifes
     return "\n".join(lines) + "\n"
 
 
-def _model_tensors(model) -> list[tuple[str, Matrix]]:
-    if isinstance(model, DenseFfnWeights):
-        return [("ffn.w1", model.w1), ("ffn.wg", model.wg), ("ffn.w2", model.w2)]
-    tensors: list[tuple[str, Matrix]] = []
-    if model.shared is not None:
-        tensors += [
-            ("shared.w1", model.shared.w1),
-            ("shared.wg", model.shared.wg),
-            ("shared.w2", model.shared.w2),
-        ]
-    for k, e in enumerate(model.experts):
-        tensors += [
-            (f"expert.{k}.w1", e.w1),
-            (f"expert.{k}.wg", e.wg),
-            (f"expert.{k}.w2", e.w2),
-        ]
-    tensors.append(("router.w", model.router.w))
-    if model.router_cc is not None:
-        tensors.append(("router_cc.w", model.router_cc.w))
-    if model.concat_proj is not None:
-        tensors.append(("concat_proj.w", model.concat_proj))
-    return tensors
-
-
 def write_model(model: DenseFfnWeights | MoEModel, path) -> None:
     """Serialize a dense FFN or assembled MoE model to an FRM1 file."""
     if isinstance(model, MoEModel):
@@ -113,7 +89,7 @@ def write_model(model: DenseFfnWeights | MoEModel, path) -> None:
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
 
-    tensors = _model_tensors(model)
+    tensors = named_parameters(model)
     entries = []
     offset = 0
     for name, mat in tensors:
@@ -177,25 +153,54 @@ def _parse_manifest(text: str) -> tuple[dict, list[TensorManifestEntry]]:
     return kv, entries
 
 
-def _read_payload(fh, n: int) -> np.ndarray:
-    """Read n bytes into one fresh buffer, tolerating short reads."""
-    payload = np.empty(n, np.uint8)
-    view = memoryview(payload)
+def _read_into(fh, arr: np.ndarray) -> None:
+    """Fill a C-contiguous array from fh, tolerating short reads."""
+    view = memoryview(arr).cast("B")
     got = 0
-    while got < n:
+    while got < len(view):
         k = fh.readinto(view[got:])
         if not k:
-            raise TruncatedPayloadError(f"file ends after {got} of {n} payload bytes")
+            raise TruncatedPayloadError(f"file ends after {got} of {len(view)} tensor bytes")
         got += k
-    return payload
+
+
+def _zero_model(kv: dict, extent: int) -> DenseFfnWeights | MoEModel:
+    """The all-zero model the manifest's kind and dims describe. Its size is
+    checked against the payload extent first, so inflated dims fail before
+    anything is allocated."""
+    kind = kv.get("kind")
+    if kind == "dense":
+        try:
+            h, H = int(kv["h"]), int(kv["H"])
+        except (KeyError, ValueError) as exc:
+            raise CheckpointError(f"bad manifest h/H: {exc}")
+        if min(h, H) < 1:
+            raise ShapeMismatchError(f"manifest h/H {(h, H)} has a dim below 1")
+        n_params = 3 * h * H
+        make = lambda: DenseFfnWeights(Matrix.zeros(h, H), Matrix.zeros(h, H), Matrix.zeros(H, h))
+    elif kind == "moe":
+        cfg_text = "\n".join(
+            f"{name} = {kv[name]}" for name in (f.name for f in fields(FineRConfig)) if name in kv
+        )
+        cfg = config_mod.parse_config(cfg_text)  # surfaces ConfigError on bad configs
+        n_params = cost_report(cfg).total_params
+        make = lambda: MoEModel.zeros(cfg)
+    else:
+        raise CheckpointError(f"unknown kind {kind!r}")
+    if 4 * n_params > extent:
+        raise ShapeMismatchError(
+            f"{kind} dims need {4 * n_params} tensor bytes, the manifest declares {extent}"
+        )
+    return make()
 
 
 def read_model(path) -> DenseFfnWeights | MoEModel:
     """Read an FRM1 file; the result validates against its embedded config.
 
-    The payload is read once into one buffer and every tensor is a view of
-    it, so the loaded model holds one copy of the weights, and they stay in
-    memory while any of its tensors is referenced.
+    The model's tensors are allocated from the shapes its config derives,
+    and each manifest tensor is read straight into its named_parameters slot,
+    so loading holds one copy of the weights. A manifest name that is not a
+    slot, or is given twice, and a slot the manifest lacks are errors.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -230,77 +235,33 @@ def read_model(path) -> DenseFfnWeights | MoEModel:
             raise TruncatedPayloadError(f"payload has {left} bytes, tensors need {extent}")
         if extent < left:
             raise CheckpointError(f"{left - extent} bytes after the last tensor")
-        fh.seek(start)
-        payload = _read_payload(fh, extent)
 
-    # "<f4" is the native float32 on little-endian hosts, so astype returns
-    # the view itself; big-endian hosts get a converted copy.
-    mats = {
-        e.name: Matrix.wrap(
-            payload[e.offset : e.offset + e.length]
-            .view("<f4")
-            .reshape(e.shape)
-            .astype(np.float32, copy=False)
-        )
-        for e in entries
-    }
+        model = _zero_model(kv, extent)
+        slots = dict(named_parameters(model))
+        unread = dict(slots)
+        for e in entries:  # offsets ascend
+            mat = unread.pop(e.name, None)
+            if mat is None:
+                why = "appears twice" if e.name in slots else "is not a tensor of this model"
+                raise CheckpointError(f"manifest tensor {e.name!r} {why}")
+            if mat.shape != e.shape:
+                raise ShapeMismatchError(
+                    f"tensor {e.name}: shape {e.shape}, the config derives {mat.shape}"
+                )
+            fh.seek(start + e.offset)
+            _read_into(fh, mat.a)
+        if unread:
+            raise CheckpointError(f"{kv['kind']} file missing tensor {next(iter(unread))}")
 
-    kind = kv.get("kind")
-    if kind == "dense":
-        for name in ("ffn.w1", "ffn.wg", "ffn.w2"):
-            if name not in mats:
-                raise CheckpointError(f"dense file missing tensor {name}")
-        try:
-            dense = DenseFfnWeights(mats["ffn.w1"], mats["ffn.wg"], mats["ffn.w2"])
-        except ValueError as exc:
-            raise ShapeMismatchError(str(exc))
-        try:
-            manifest_dims = (int(kv.get("h", dense.h)), int(kv.get("H", dense.H)))
-        except ValueError as exc:
-            raise CheckpointError(f"bad manifest h/H: {exc}")
-        if (dense.h, dense.H) != manifest_dims:
-            raise ShapeMismatchError(
-                f"tensor dims {(dense.h, dense.H)} do not match manifest h/H"
-            )
-        return dense
-    if kind != "moe":
-        raise CheckpointError(f"unknown kind {kind!r}")
-
-    cfg_text = "\n".join(
-        f"{name} = {kv[name]}" for name in (f.name for f in fields(FineRConfig)) if name in kv
-    )
-    cfg = config_mod.parse_config(cfg_text)  # surfaces ConfigError on bad configs
-
-    dims = config_mod.derive(cfg)
-    try:
-        shared = None
-        if cfg.share_expert:
-            shared = DenseFfnWeights(mats["shared.w1"], mats["shared.wg"], mats["shared.w2"])
-        experts = [
-            ExpertWeights(mats[f"expert.{k}.w1"], mats[f"expert.{k}.wg"], mats[f"expert.{k}.w2"])
-            for k in range(dims.N)
-        ]
-        router = RouterState(mats["router.w"])
-        router_cc = RouterState(mats["router_cc.w"]) if cfg.router_mode == "separate" else None
-        concat_proj = mats["concat_proj.w"] if cfg.concat_proj else None
-    except KeyError as exc:
-        raise CheckpointError(f"moe file missing tensor {exc.args[0]}")
-    except ValueError as exc:
-        raise ShapeMismatchError(str(exc))
-
-    model = MoEModel(
-        cfg=cfg, shared=shared, experts=experts, router=router,
-        router_cc=router_cc, concat_proj=concat_proj,
-    )
-    try:
-        model.validate()
-    except ValueError as exc:
-        raise ShapeMismatchError(str(exc))
+    if sys.byteorder == "big":  # the payload is little-endian
+        for mat in slots.values():
+            mat.a.byteswap(inplace=True)
     # Routing cannot decide on a non-finite score, so a non-finite router
     # weight would fail every forward. The router is a tiny part of the
     # payload; expert weights are not scanned, which would cost a pass over
     # all of it.
-    for r in (router, router_cc):
-        if r is not None and not np.isfinite(r.w.a).all():
-            raise CheckpointError("router weights hold NaN or infinity")
+    if isinstance(model, MoEModel):
+        for r in (model.router, model.router_cc):
+            if r is not None and not np.isfinite(r.w.a).all():
+                raise CheckpointError("router weights hold NaN or infinity")
     return model

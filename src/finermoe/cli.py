@@ -17,14 +17,8 @@ import numpy as np
 from finermoe import analysis, checkpoint, numerics, verify
 from finermoe import config as config_mod
 from finermoe.config import ConfigError
-from finermoe.loss_grad import (
-    balance_loss,
-    balance_loss_score_grad,
-    backward,
-    named_parameters,
-    gradient_for,
-)
-from finermoe.moe_layer import MoEModel, decide, forward
+from finermoe.loss_grad import balance_loss, balance_loss_score_grad, backward
+from finermoe.moe_layer import MoEModel, decide, forward, named_parameters
 from finermoe.numerics import Matrix, Rng, matmul
 from finermoe.upcycle import drop_upcycle, random_dense, upcycle
 
@@ -106,6 +100,8 @@ def _cmd_forward(args) -> int:
     model = _load_moe(args.model)
     x = read_matrix(args.input)
     out = forward(x, model)
+    if not out.y.allfinite():
+        raise ValueError("forward output holds inf or NaN (inputs or weights overflow); wrote no file")
     write_matrix(out.y, args.out)
     print(f"wrote {args.out}: {out.y.rows} x {out.y.cols}")
     return 0
@@ -198,14 +194,15 @@ def _cmd_train_demo(args) -> int:
             x, model, upstream, out.decision,
             d_score_extra=balance_loss_score_grad(out.decision, cfg, args.alpha),
         )
-        # Clipped SGD keeps the toy run stable at demo learning rates.
+        # Clipped SGD keeps the toy run stable at demo learning rates. The
+        # norm sums per tensor in registry order, which fixes its rounding.
+        d_params = named_parameters(grads.d_model)
         sq = 0.0
-        for name, _ in named_parameters(model):
-            g = gradient_for(grads, name).a
-            sq += float((g.astype(np.float64) ** 2).sum())
+        for _, g in d_params:
+            sq += float((g.a.astype(np.float64) ** 2).sum())
         scale = args.lr * min(1.0, args.clip / max(np.sqrt(sq), 1e-12))
-        for name, param in named_parameters(model):
-            param.a -= scale * gradient_for(grads, name).a
+        for (_, param), (_, g) in zip(named_parameters(model), d_params):
+            param.a -= scale * g.a
         rows.append((step, task, bal.loss))
 
     if args.csv:

@@ -7,6 +7,7 @@ the activation is fixed to SiLU.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,13 +46,13 @@ class DenseFfnWeights:
         return DenseFfnWeights(self.w1.copy(), self.wg.copy(), self.w2.copy())
 
 
-# A shared expert is a full-size FFN; reuse the same container.
-SharedExpertWeights = DenseFfnWeights
-
-
 @dataclass
 class ExpertWeights:
-    """One sparse expert: W1, Wg of shape h x H_e; W2 of shape H_e x h_e."""
+    """One sparse expert: W1, Wg of shape h x H_e; W2 of shape H_e x h_e.
+
+    Models store their experts in an ExpertStack, whose ``[k]`` returns one
+    of these wrapping slice k of the stacks without copying.
+    """
 
     w1: Matrix
     wg: Matrix
@@ -65,19 +66,34 @@ class ExpertWeights:
                 f"w2 {self.w2.shape}"
             )
 
-    @property
-    def h_e(self) -> int:
-        return self.w2.cols
 
-    def astype(self, dtype) -> "ExpertWeights":
-        return ExpertWeights(self.w1.astype(dtype), self.wg.astype(dtype), self.w2.astype(dtype))
+@dataclass(eq=False)
+class ExpertStack(Sequence):
+    """All N sparse experts of a layer as three C-contiguous arrays:
+    w1, wg of shape N x h x H_e and w2 of shape N x H_e x h_e.
 
-    def copy(self) -> "ExpertWeights":
-        return ExpertWeights(self.w1.copy(), self.wg.copy(), self.w2.copy())
+    ``stack[k]`` is expert k as an ExpertWeights of views, so writing
+    through it writes the stack; ``len(stack)`` is N.
+    """
 
-    def flat(self) -> np.ndarray:
-        """All weights concatenated into one vector (w1, wg, w2 order)."""
-        return np.concatenate([self.w1.a.ravel(), self.wg.a.ravel(), self.w2.a.ravel()])
+    w1: np.ndarray
+    wg: np.ndarray
+    w2: np.ndarray
+
+    @classmethod
+    def zeros(cls, n: int, h: int, H_e: int, h_e: int, dtype=np.float32) -> "ExpertStack":
+        return cls(
+            np.zeros((n, h, H_e), dtype), np.zeros((n, h, H_e), dtype), np.zeros((n, H_e, h_e), dtype)
+        )
+
+    def __len__(self) -> int:
+        return self.w1.shape[0]
+
+    def __getitem__(self, k: int) -> ExpertWeights:
+        return ExpertWeights(Matrix.wrap(self.w1[k]), Matrix.wrap(self.wg[k]), Matrix.wrap(self.w2[k]))
+
+    def astype(self, dtype) -> "ExpertStack":
+        return ExpertStack(*(np.ascontiguousarray(a, dtype=dtype) for a in (self.w1, self.wg, self.w2)))
 
 
 def expert_forward(x: Matrix, w: ExpertWeights | DenseFfnWeights, acc64: bool = False) -> Matrix:

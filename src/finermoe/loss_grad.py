@@ -20,10 +20,12 @@ from typing import Callable
 import numpy as np
 
 from finermoe.config import FineRConfig, derive
-from finermoe.experts import DenseFfnWeights, ExpertWeights
-from finermoe.moe_layer import MoEModel, build_dispatch_plan, decide, forward, sparse_experts_forward
+from finermoe.experts import DenseFfnWeights, ExpertStack
+from finermoe.moe_layer import (
+    MoEModel, build_dispatch_plan, decide, forward, named_parameters, sparse_experts_forward,
+)
 from finermoe.numerics import Matrix, Rng, dsilu, matmul, silu
-from finermoe.router import RoutingDecision
+from finermoe.router import RouterState, RoutingDecision
 
 
 @dataclass
@@ -58,11 +60,10 @@ def balance_loss_score_grad(decision: RoutingDecision, cfg: FineRConfig, alpha: 
 
 @dataclass
 class LayerGradients:
-    d_shared: DenseFfnWeights | None
-    d_experts: list[ExpertWeights]
-    d_router: Matrix
-    d_router_cc: Matrix | None
-    d_concat_proj: Matrix | None
+    """Weight gradients in the model's own layout, so named_parameters pairs
+    d_model with the model name for name, plus the input gradient."""
+
+    d_model: MoEModel
     d_x: Matrix
 
 
@@ -127,19 +128,13 @@ def backward(
         d_shared = DenseFfnWeights(d_w1, d_wg, d_w2)
         d_x += d_x_s
 
-    # Sparse path, one activated expert batch at a time.
+    # Sparse path, one activated expert batch at a time; inactive experts
+    # keep a zero gradient.
     plan = build_dispatch_plan(decision, dims.N)
-    d_experts = []
+    d_experts = ExpertStack.zeros(dims.N, cfg.h, dims.H_e, dims.h_e, dtype)
     for k in range(dims.N):
         s, e = plan.offsets[k], plan.offsets[k + 1]
         if s == e:
-            d_experts.append(
-                ExpertWeights(
-                    Matrix.zeros(cfg.h, dims.H_e, dtype=dtype),
-                    Matrix.zeros(cfg.h, dims.H_e, dtype=dtype),
-                    Matrix.zeros(dims.H_e, dims.h_e, dtype=dtype),
-                )
-            )
             continue
         batch_tokens = plan.tokens_by_expert[s:e]
         comp = k // (dims.group_size * cfg.R_O)
@@ -150,7 +145,7 @@ def backward(
         d_w1, d_wg, d_w2, d_x_rows, out = _swiglu_backward(
             x_rows, model.experts[k], u_rows * w_rows[:, None], acc64
         )
-        d_experts.append(ExpertWeights(d_w1, d_wg, d_w2))
+        d_experts.w1[k], d_experts.wg[k], d_experts.w2[k] = d_w1.a, d_wg.a, d_w2.a
         d_x[batch_tokens] += d_x_rows
         # Weight gradient: d loss / d score[t, k] = u . E_k(x_t).
         d_score[batch_tokens, k] = (u_rows.astype(np.float64) * out.a.astype(np.float64)).sum(axis=1)
@@ -167,16 +162,13 @@ def backward(
 
     d_router_cc = None
     if model.router_cc is not None:
-        d_router_cc = Matrix.zeros(cfg.h, dims.n_groups, dtype=dtype)
+        d_router_cc = RouterState(Matrix.zeros(cfg.h, dims.n_groups, dtype=dtype))
 
-    return LayerGradients(
-        d_shared=d_shared,
-        d_experts=d_experts,
-        d_router=d_router,
-        d_router_cc=d_router_cc,
-        d_concat_proj=d_proj,
-        d_x=Matrix.wrap(d_x),
+    d_model = MoEModel(
+        cfg=cfg, shared=d_shared, experts=d_experts, router=RouterState(d_router),
+        router_cc=d_router_cc, concat_proj=d_proj,
     )
+    return LayerGradients(d_model=d_model, d_x=Matrix.wrap(d_x))
 
 
 @dataclass
@@ -223,39 +215,6 @@ def central_difference(f: Callable[[float], float], x0: float, eps: float) -> fl
     return (f(x0 + eps) - f(x0 - eps)) / (2.0 * eps)
 
 
-def named_parameters(model: MoEModel) -> list[tuple[str, Matrix]]:
-    params: list[tuple[str, Matrix]] = []
-    if model.shared is not None:
-        params += [
-            ("shared.w1", model.shared.w1),
-            ("shared.wg", model.shared.wg),
-            ("shared.w2", model.shared.w2),
-        ]
-    for k, e in enumerate(model.experts):
-        params += [(f"expert.{k}.w1", e.w1), (f"expert.{k}.wg", e.wg), (f"expert.{k}.w2", e.w2)]
-    params.append(("router.w", model.router.w))
-    if model.router_cc is not None:
-        params.append(("router_cc.w", model.router_cc.w))
-    if model.concat_proj is not None:
-        params.append(("concat_proj.w", model.concat_proj))
-    return params
-
-
-def gradient_for(grads: LayerGradients, name: str) -> Matrix:
-    if name.startswith("shared."):
-        return getattr(grads.d_shared, name.split(".")[1])
-    if name.startswith("expert."):
-        _, k, w = name.split(".")
-        return getattr(grads.d_experts[int(k)], w)
-    if name == "router.w":
-        return grads.d_router
-    if name == "router_cc.w":
-        return grads.d_router_cc
-    if name == "concat_proj.w":
-        return grads.d_concat_proj
-    raise KeyError(name)
-
-
 @dataclass
 class FdReport:
     max_rel_err: float
@@ -291,8 +250,8 @@ def fd_check(
     analytic = loss_fn.grads(x, model)
 
     groups: list[tuple[str, np.ndarray, np.ndarray]] = [
-        (name, mat.a.ravel(), gradient_for(analytic, name).a.ravel())
-        for name, mat in named_parameters(model)
+        (name, mat.a.ravel(), grad.a.ravel())
+        for (name, mat), (_, grad) in zip(named_parameters(model), named_parameters(analytic.d_model))
     ]
     groups.append(("x", x.a.ravel(), analytic.d_x.a.ravel()))
 

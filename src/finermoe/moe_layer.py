@@ -15,19 +15,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from finermoe.config import FineRConfig, DerivedDims, derive
-from finermoe.experts import DenseFfnWeights, ExpertWeights, expert_forward, shared_forward
+from finermoe.experts import DenseFfnWeights, ExpertStack, expert_forward, shared_forward
 from finermoe.numerics import Matrix, matmul
 from finermoe.router import RouterState, RoutingDecision, route, route_separate, score
+
+_SWIGLU = ("w1", "wg", "w2")
 
 
 @dataclass
 class MoEModel:
+    """One layer's weights; the sparse experts are stored stacked."""
+
     cfg: FineRConfig
     shared: DenseFfnWeights | None
-    experts: list[ExpertWeights]
+    experts: ExpertStack
     router: RouterState
     router_cc: RouterState | None = None  # second router, separate mode only
     concat_proj: Matrix | None = None  # optional h x h projection after concat
+
+    @classmethod
+    def zeros(cls, cfg: FineRConfig) -> "MoEModel":
+        """An all-zero f32 model of the shapes cfg derives."""
+        dims = derive(cfg)
+        h, H = cfg.h, cfg.H
+        return cls(
+            cfg=cfg,
+            shared=DenseFfnWeights(Matrix.zeros(h, H), Matrix.zeros(h, H), Matrix.zeros(H, h))
+            if cfg.share_expert else None,
+            experts=ExpertStack.zeros(dims.N, h, dims.H_e, dims.h_e),
+            router=RouterState(Matrix.zeros(h, dims.N)),
+            router_cc=RouterState(Matrix.zeros(h, dims.n_groups))
+            if cfg.router_mode == "separate" else None,
+            concat_proj=Matrix.zeros(h, h) if cfg.concat_proj else None,
+        )
 
     @property
     def dims(self) -> DerivedDims:
@@ -42,14 +62,11 @@ class MoEModel:
                 f"shared expert dims {(self.shared.h, self.shared.H)} do not match "
                 f"config {(cfg.h, cfg.H)}"
             )
-        if len(self.experts) != dims.N:
-            raise ValueError(f"model has {len(self.experts)} experts, config demands {dims.N}")
-        for k, e in enumerate(self.experts):
-            if e.w1.shape != (cfg.h, dims.H_e) or e.w2.shape != (dims.H_e, dims.h_e):
-                raise ValueError(
-                    f"expert {k} shapes {e.w1.shape}/{e.w2.shape} do not match "
-                    f"derived dims ({cfg.h}x{dims.H_e}, {dims.H_e}x{dims.h_e})"
-                )
+        stack = self.experts
+        shapes = (stack.w1.shape, stack.wg.shape, stack.w2.shape)
+        want = ((dims.N, cfg.h, dims.H_e),) * 2 + ((dims.N, dims.H_e, dims.h_e),)
+        if shapes != want:
+            raise ValueError(f"expert stacks {shapes} do not match derived dims {want}")
         if self.router.w.shape != (cfg.h, dims.N):
             raise ValueError(
                 f"router shape {self.router.w.shape} must be {(cfg.h, dims.N)}"
@@ -68,11 +85,33 @@ class MoEModel:
         return MoEModel(
             cfg=self.cfg,
             shared=None if self.shared is None else self.shared.astype(dtype),
-            experts=[e.astype(dtype) for e in self.experts],
+            experts=self.experts.astype(dtype),
             router=self.router.astype(dtype),
             router_cc=None if self.router_cc is None else self.router_cc.astype(dtype),
             concat_proj=None if self.concat_proj is None else self.concat_proj.astype(dtype),
         )
+
+
+def named_parameters(model: MoEModel | DenseFfnWeights) -> list[tuple[str, Matrix]]:
+    """The one tensor registry: every weight of a model, or of its gradients
+    (``LayerGradients.d_model``), by name in FRM1 file order.
+
+    Expert entries are views of the stacks, so writing through them writes
+    the model. A dense FFN lists ffn.w1, ffn.wg, ffn.w2.
+    """
+    if isinstance(model, DenseFfnWeights):
+        return [(f"ffn.{w}", getattr(model, w)) for w in _SWIGLU]
+    params = []
+    if model.shared is not None:
+        params += [(f"shared.{w}", getattr(model.shared, w)) for w in _SWIGLU]
+    for k, e in enumerate(model.experts):
+        params += [(f"expert.{k}.{w}", getattr(e, w)) for w in _SWIGLU]
+    params.append(("router.w", model.router.w))
+    if model.router_cc is not None:
+        params.append(("router_cc.w", model.router_cc.w))
+    if model.concat_proj is not None:
+        params.append(("concat_proj.w", model.concat_proj))
+    return params
 
 
 @dataclass

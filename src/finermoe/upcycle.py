@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from finermoe.config import FineRConfig, derive, validate
-from finermoe.experts import DenseFfnWeights, ExpertWeights
+from finermoe.experts import DenseFfnWeights, ExpertStack
 from finermoe.moe_layer import MoEModel
 from finermoe.numerics import Matrix, Rng
 from finermoe.router import RouterState
@@ -54,20 +54,6 @@ def expert_slice_indices(k: int, cfg: FineRConfig) -> SliceAssignment:
     return SliceAssignment(k=k, i_slice=i, j_slice=j)
 
 
-def _slice_expert(dense: DenseFfnWeights, cfg: FineRConfig, k: int) -> ExpertWeights:
-    dims = derive(cfg)
-    a = expert_slice_indices(k, cfg)
-    c0, c1 = a.i_slice * dims.H_e, (a.i_slice + 1) * dims.H_e
-    o0, o1 = a.j_slice * dims.h_e, (a.j_slice + 1) * dims.h_e
-    # .copy() rather than ascontiguousarray: full-width slices would alias
-    # the donor, and experts must own their storage.
-    return ExpertWeights(
-        w1=Matrix.wrap(dense.w1.a[:, c0:c1].copy()),
-        wg=Matrix.wrap(dense.wg.a[:, c0:c1].copy()),
-        w2=Matrix.wrap(dense.w2.a[c0:c1, o0:o1].copy()),
-    )
-
-
 def upcycle(dense: DenseFfnWeights, cfg: FineRConfig, seed: int) -> MoEModel:
     """Slice/replicate the dense FFN into a full MoE model."""
     validate(cfg)
@@ -77,7 +63,14 @@ def upcycle(dense: DenseFfnWeights, cfg: FineRConfig, seed: int) -> MoEModel:
             f"dense FFN dims {(dense.h, dense.H)} do not match config {(cfg.h, cfg.H)}"
         )
     rng = Rng(seed)
-    experts = [_slice_expert(dense, cfg, k) for k in range(dims.N)]
+    experts = ExpertStack.zeros(dims.N, cfg.h, dims.H_e, dims.h_e, dense.w1.dtype)
+    for k in range(dims.N):
+        a = expert_slice_indices(k, cfg)
+        c0, c1 = a.i_slice * dims.H_e, (a.i_slice + 1) * dims.H_e
+        o0, o1 = a.j_slice * dims.h_e, (a.j_slice + 1) * dims.h_e
+        experts.w1[k] = dense.w1.a[:, c0:c1]
+        experts.wg[k] = dense.wg.a[:, c0:c1]
+        experts.w2[k] = dense.w2.a[c0:c1, o0:o1]
     router = RouterState(
         rng.child(_STREAM_ROUTER).matrix(cfg.h, dims.N, std=ROUTER_INIT_STD)
     )

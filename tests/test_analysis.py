@@ -13,7 +13,7 @@ from finermoe.analysis import (
     time_sparse_path,
 )
 from finermoe.config import FineRConfig, baseline_preset, derive, with_updates
-from finermoe.experts import ExpertWeights
+from finermoe.experts import ExpertStack
 from finermoe.moe_layer import MoEModel, forward
 from finermoe.numerics import Matrix, Rng
 from finermoe.router import RouterState, RoutingDecision, route, score
@@ -52,20 +52,14 @@ class TestExpertSimilarity:
 
     def test_one_hot_experts_mean_zero(self):
         cfg = FineRConfig(h=2, H=8, G_I=4, R_I=1, G_O=1, R_O=1, T_I=1)
-        experts = []
+        pos = np.zeros((4, 2, 2), dtype=np.float32)
         for k in range(4):
-            w1 = np.zeros((2, 2), dtype=np.float32)
-            w1[0, 0] = 1.0 if k % 2 == 0 else 0.0
-            w1[1, 1] = 0.0 if k % 2 == 0 else 1.0
-            pos = np.zeros((2, 2), dtype=np.float32)
-            pos[k % 2, (k // 2) % 2] = 1.0
-            experts.append(
-                ExpertWeights(Matrix(pos), Matrix.zeros(2, 2), Matrix.zeros(2, 2))
-            )
+            pos[k, k % 2, (k // 2) % 2] = 1.0
+        zeros = np.zeros((4, 2, 2), dtype=np.float32)
         model = MoEModel(
             cfg=cfg,
             shared=random_dense(2, 8, 4),
-            experts=experts,
+            experts=ExpertStack(pos, zeros, zeros.copy()),
             router=RouterState(Matrix.zeros(2, 4)),
         )
         rep = expert_similarity(model)

@@ -53,6 +53,27 @@ def _zero_dim_expert(raw: bytes) -> bytes:
     return _join(manifest.encode("utf-8"), payload)
 
 
+def _edit_manifest(raw: bytes, old: str, new: str) -> bytes:
+    """Replace old by new in the manifest, keeping the payload."""
+    manifest, payload = _split(raw)
+    assert old in manifest
+    return _join(manifest.replace(old, new, 1).encode("utf-8"), payload)
+
+
+def _drop_tensor(raw: bytes, n: int) -> bytes:
+    """Delete tensor n's manifest entry and renumber the ones after it; its
+    bytes stay in the payload as a gap, so every other offset still holds."""
+    manifest, payload = _split(raw)
+
+    def renumber(m):
+        i = int(m.group(1))
+        return f"tensor.{i - 1 if i > n else i}."
+
+    lines = [l for l in manifest.splitlines() if not l.startswith(f"tensor.{n}.")]
+    text = "\n".join(re.sub(r"^tensor\.(\d+)\.", renumber, l) for l in lines) + "\n"
+    return _join(text.encode("utf-8"), payload)
+
+
 # Damage to a small MoE file -> (spoil, error read_model raises, its message).
 _DAMAGE = {
     "manifest_length_2_62": (
@@ -74,6 +95,23 @@ _DAMAGE = {
         "router weights",
     ),
     "truncated_payload": (lambda raw: raw[:-1], TruncatedPayloadError, "payload"),
+    "unknown_tensor_name": (
+        lambda raw: raw.replace(b"name = router.w", b"name = router.q", 1),
+        CheckpointError,
+        "'router.q' is not a tensor of this model",
+    ),
+    "duplicate_tensor_name": (
+        lambda raw: raw.replace(b"name = expert.1.w1", b"name = expert.0.w1", 1),
+        CheckpointError,
+        "'expert.0.w1' appears twice",
+    ),
+    "missing_tensor": (lambda raw: _drop_tensor(raw, 3), CheckpointError, "missing tensor expert.0.w1"),
+    # Dims the payload cannot hold fail before the model is allocated.
+    "inflated_dims": (
+        lambda raw: _edit_manifest(raw, "\nh = 16\n", "\nh = 16000000000000\n"),
+        ShapeMismatchError,
+        "moe dims need 27648000000000000 tensor bytes",
+    ),
 }
 
 
@@ -232,15 +270,17 @@ class TestErrors:
 
 
 class TestOneBuffer:
-    def test_tensors_are_views_of_one_buffer(self, tmp_path):
+    def test_expert_views_share_the_stacks(self, tmp_path):
         p = tmp_path / "m.frm"
         write_model(_base_toy_model(seed=6), p)
-        model = read_model(p)
-        owner = model.shared.w1.a.base
-        assert owner is not None and owner.nbytes == len(_split(p.read_bytes())[1])
-        for m in (model.shared.w2, model.experts[7].w2, model.router.w):
-            assert m.a.base is owner
-        assert model.router.w.a.flags.writeable
+        stack = read_model(p).experts
+        for k in (0, 7, len(stack) - 1):
+            e = stack[k]
+            for view, whole in ((e.w1, stack.w1), (e.wg, stack.wg), (e.w2, stack.w2)):
+                assert view.a.base is whole and np.shares_memory(view.a, whole[k])
+                assert view.a.tobytes() == whole[k].tobytes()
+        for whole in (stack.w1, stack.wg, stack.w2):
+            assert whole.flags.c_contiguous and whole.flags.writeable
 
     def test_read_peak_is_one_payload(self, tmp_path):
         # Few, large tensors, so the manifest is small beside the payload P.
@@ -305,12 +345,15 @@ class TestFuzz:
             assert code == 2 and err.startswith("error: "), err
             return
         x = read_matrix(fuzz_dir / "x.mat")
-        if np.isfinite(matmul(x, model.router.w).a).all():
-            assert code == 0, err
-        else:
+        if not np.isfinite(matmul(x, model.router.w).a).all():
             # Finite router weights so large that x @ w overflows: the file is
             # well formed, the forward fails on this input (exit 3).
             assert code == 3 and "softmax input must be finite" in err, err
+        elif not forward(x, model).y.allfinite():
+            # Expert or shared weights so large that the output overflows.
+            assert code == 3 and "forward output holds inf or NaN" in err, err
+        else:
+            assert code == 0, err
 
     def test_cli_forward_router_overflow_exits_3(self, fuzz_dir):
         raw = (fuzz_dir / "base.frm").read_bytes()
@@ -318,3 +361,14 @@ class TestFuzz:
         p.write_bytes(raw[:-64] + np.full(16, 3e38, dtype="<f4").tobytes())
         code, err = _forward_exit(p, fuzz_dir)
         assert code == 3 and err == "error: softmax input must be finite\n"
+
+    def test_cli_forward_refuses_non_finite_output(self, fuzz_dir, tmp_path):
+        x = Rng(1).matrix(4, 16)
+        x.a[2] = 3e38
+        write_matrix(x, tmp_path / "x.mat")
+        code, err = _forward_exit(fuzz_dir / "base.frm", tmp_path)
+        assert code == 3
+        assert err == (
+            "error: forward output holds inf or NaN (inputs or weights overflow); wrote no file\n"
+        )
+        assert not (tmp_path / "y.mat").exists()

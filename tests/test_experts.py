@@ -87,7 +87,3 @@ class TestWeightContainers:
     def test_expert_shape_check(self):
         with pytest.raises(ValueError, match="inconsistent"):
             ExpertWeights(Matrix.zeros(4, 6), Matrix.zeros(4, 5), Matrix.zeros(6, 2))
-
-    def test_flat_concatenates_in_order(self):
-        w = ExpertWeights(Matrix([[1.0, 2.0]]), Matrix([[3.0, 4.0]]), Matrix([[5.0], [6.0]]))
-        assert w.flat().tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]

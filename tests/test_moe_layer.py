@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from finermoe.config import FineRConfig, derive, with_updates
-from finermoe.experts import expert_forward
+from finermoe.experts import ExpertStack, expert_forward
 from finermoe.moe_layer import (
     MoEModel,
     build_dispatch_plan,
@@ -89,7 +89,7 @@ class TestSparseForward:
         zeroed = MoEModel(
             cfg=model.cfg,
             shared=model.shared,
-            experts=[e.copy() for e in model.experts],
+            experts=ExpertStack(*(a.copy() for a in (model.experts.w1, model.experts.wg, model.experts.w2))),
             router=model.router,
         )
         selected = set()
