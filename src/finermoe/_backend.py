@@ -1,45 +1,12 @@
-"""Kernel backend selection, resolved once at import.
+"""The active matmul kernel module, read by ``numerics.matmul``.
 
-The compiled extension is preferred; the NumPy fallback is bit-identical
-(see the module docstrings of both kernel modules). Set
-``FINERMOE_KERNELS=python`` to force the fallback, e.g. for benchmarking.
+There is one backend, the NumPy kernels of ``_kernels_py``.
 """
-
-import os
-from contextlib import contextmanager
 
 from finermoe import _kernels_py
 
-try:
-    from finermoe import _kernels
-except ImportError:
-    _kernels = None
-
-if _kernels is None or os.environ.get("FINERMOE_KERNELS") == "python":
-    active = _kernels_py
-else:
-    active = _kernels
+active = _kernels_py
 
 
 def backend_name() -> str:
     return active.BACKEND
-
-
-def available_backends() -> dict:
-    """Importable kernel modules keyed by backend name."""
-    out = {_kernels_py.BACKEND: _kernels_py}
-    if _kernels is not None:
-        out[_kernels.BACKEND] = _kernels
-    return out
-
-
-@contextmanager
-def use(name: str):
-    """Temporarily switch the active backend (benchmarking only)."""
-    global active
-    prev = active
-    active = available_backends()[name]
-    try:
-        yield
-    finally:
-        active = prev

@@ -1,10 +1,9 @@
-"""Pure-NumPy matrix-multiply kernels, used when the compiled extension is absent.
+"""Pure-NumPy matrix-multiply kernels, the library's one kernel backend.
 
-Accumulation runs over the inner index in ascending order, one rounded
-multiply and one rounded add per term, exactly like the compiled scalar
-loop. The two backends therefore produce bit-identical output. The
-``threads`` argument is accepted for interface parity and ignored; the
-loops here are sequential, so results cannot depend on it.
+Each entry writes ``a @ b`` into ``out``. Accumulation runs over the
+inner index in ascending order, one rounded multiply and one rounded add
+per term, so every output element has a fixed reduction order and the
+result depends on nothing but the inputs. The loops are sequential.
 """
 
 import numpy as np
@@ -12,20 +11,14 @@ import numpy as np
 BACKEND = "python"
 
 
-def matmul_f32(a, b, out, acc64, threads):
-    if acc64:
-        acc = np.zeros(out.shape, dtype=np.float64)
-        for p in range(a.shape[1]):
-            acc += a[:, p, None].astype(np.float64) * b[None, p, :].astype(np.float64)
-        np.copyto(out, acc.astype(np.float32))
-    else:
-        acc = np.zeros(out.shape, dtype=np.float32)
-        for p in range(a.shape[1]):
-            acc += a[:, p, None] * b[None, p, :]
-        np.copyto(out, acc)
+def matmul_f32(a, b, out):
+    acc = np.zeros(out.shape, dtype=np.float32)
+    for p in range(a.shape[1]):
+        acc += a[:, p, None] * b[None, p, :]
+    np.copyto(out, acc)
 
 
-def matmul_f64(a, b, out, threads):
+def matmul_f64(a, b, out):
     acc = np.zeros(out.shape, dtype=np.float64)
     for p in range(a.shape[1]):
         acc += a[:, p, None] * b[None, p, :]

@@ -9,7 +9,6 @@ from typing import Iterable
 
 import numpy as np
 
-from finermoe import _backend
 from finermoe.config import FineRConfig, derive
 from finermoe.moe_layer import MoEModel, build_dispatch_plan, decide, forward, sparse_experts_forward
 from finermoe.numerics import Matrix, Rng
@@ -172,21 +171,3 @@ def time_sparse_path(model: MoEModel, x: Matrix, reps: int = 5) -> float:
         times.append(time.perf_counter() - t0)
     return float(min(times))
 
-
-def benchmark_backends(cfg: FineRConfig, L: int = 64, seed: int = 0, reps: int = 5) -> dict[str, float]:
-    """Median seconds per full forward for every importable kernel backend."""
-    from finermoe.upcycle import random_dense, upcycle
-
-    model = upcycle(random_dense(cfg.h, cfg.H, seed), cfg, seed)
-    x = Rng(seed + 1).matrix(L, cfg.h)
-    out = {}
-    for name in sorted(_backend.available_backends()):
-        with _backend.use(name):
-            forward(x, model)  # warm up
-            times = []
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                forward(x, model)
-                times.append(time.perf_counter() - t0)
-        out[name] = float(np.median(times))
-    return out

@@ -2,8 +2,7 @@
 
 Subcommands: preset, upcycle, forward, route-stats, similarity, bench,
 check, train-demo. Every subcommand is deterministic given its inputs and
---seed (bench timings excepted, when requested with --timed); results do
-not depend on --threads.
+--seed (bench timings excepted, when requested with --timed).
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import sys
 
 import numpy as np
 
-from finermoe import analysis, checkpoint, numerics, verify
+from finermoe import analysis, checkpoint, verify
 from finermoe import config as config_mod
 from finermoe.config import ConfigError
 from finermoe.loss_grad import balance_loss, balance_loss_score_grad, backward
@@ -45,6 +44,14 @@ def write_matrix(m: Matrix, path) -> None:
     with open(path, "wb") as fh:
         fh.write(f"{m.rows} {m.cols}\n".encode("ascii"))
         fh.write(np.ascontiguousarray(m.a, dtype="<f4").tobytes())
+
+
+def _require_counts(args, *names) -> None:
+    """Count arguments (tokens, steps, batch rows) must be at least 1."""
+    for name in names:
+        n = getattr(args, name)
+        if n < 1:
+            raise ValueError(f"--{name} must be at least 1, got {n}")
 
 
 def _load_moe(path) -> MoEModel:
@@ -108,6 +115,7 @@ def _cmd_forward(args) -> int:
 
 
 def _cmd_route_stats(args) -> int:
+    _require_counts(args, "tokens")
     model = _load_moe(args.model)
     cfg = model.cfg
     decision = decide(Rng(args.seed).matrix(args.tokens, cfg.h), model)
@@ -146,6 +154,7 @@ def _cmd_similarity(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    _require_counts(args, "tokens")
     cfg = config_mod.load_config(args.config)
     rep = analysis.cost_report(cfg, L=args.tokens, timed=args.timed, seed=args.seed)
     print(f"total_params = {rep.total_params}")
@@ -156,8 +165,6 @@ def _cmd_bench(args) -> int:
     print(f"flops_per_token = {rep.flops_per_token}")
     if args.timed:
         print(f"wall_per_token_s = {rep.wall_per_token:.3e}")
-        for name, t in analysis.benchmark_backends(cfg, L=args.tokens, seed=args.seed).items():
-            print(f"backend_{name}_forward_s = {t:.3e}")
     return 0
 
 
@@ -174,6 +181,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_train_demo(args) -> int:
+    _require_counts(args, "steps", "batch")
     cfg = config_mod.load_config(args.config)
     rng = Rng(args.seed)
     dense = random_dense(cfg.h, cfg.H, args.seed)
@@ -219,10 +227,6 @@ def _cmd_train_demo(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="finermoe", description=__doc__)
-    p.add_argument(
-        "--threads", type=int, default=None,
-        help="kernel threads (default: FINERMOE_THREADS or 1); never changes results",
-    )
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("preset", help="emit a baseline config")
@@ -301,11 +305,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("FINERMOE_THREADS", "1"))
     try:
-        numerics.set_num_threads(threads)
         return args.fn(args)
     except (ConfigError, checkpoint.CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

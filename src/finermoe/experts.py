@@ -96,16 +96,16 @@ class ExpertStack(Sequence):
         return ExpertStack(*(np.ascontiguousarray(a, dtype=dtype) for a in (self.w1, self.wg, self.w2)))
 
 
-def expert_forward(x: Matrix, w: ExpertWeights | DenseFfnWeights, acc64: bool = False) -> Matrix:
+def expert_forward(x: Matrix, w: ExpertWeights | DenseFfnWeights) -> Matrix:
     """SwiGLU forward of a token batch; output is L x h_e (L x h for a dense FFN)."""
     if x.cols != w.w1.rows:
         raise ValueError(f"input width {x.cols} does not match expert input dim {w.w1.rows}")
-    up = matmul(x, w.w1, acc64=acc64)
-    gate = matmul(x, w.wg, acc64=acc64)
+    up = matmul(x, w.w1)
+    gate = matmul(x, w.wg)
     inner = Matrix.wrap(up.a * silu(gate.a))
-    return matmul(inner, w.w2, acc64=acc64)
+    return matmul(inner, w.w2)
 
 
-def shared_forward(x: Matrix, w: DenseFfnWeights, acc64: bool = False) -> Matrix:
+def shared_forward(x: Matrix, w: DenseFfnWeights) -> Matrix:
     """Full-size SwiGLU forward; identical computation at (H, h)."""
-    return expert_forward(x, w, acc64=acc64)
+    return expert_forward(x, w)

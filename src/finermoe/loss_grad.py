@@ -67,25 +67,23 @@ class LayerGradients:
     d_x: Matrix
 
 
-def _swiglu_backward(x_rows: Matrix, w, d_out: np.ndarray, acc64: bool):
+def _swiglu_backward(x_rows: Matrix, w, d_out: np.ndarray):
     """Shared SwiGLU chain rule. Returns (dW1, dWg, dW2, d_x_rows, out_rows)."""
-    up = matmul(x_rows, w.w1, acc64=acc64).a
-    gate = matmul(x_rows, w.wg, acc64=acc64).a
+    up = matmul(x_rows, w.w1).a
+    gate = matmul(x_rows, w.wg).a
     s_gate = silu(gate)
     inner = Matrix.wrap(up * s_gate)
-    out = matmul(inner, w.w2, acc64=acc64)
+    out = matmul(inner, w.w2)
 
     d_out_m = Matrix.wrap(np.ascontiguousarray(d_out))
-    d_w2 = matmul(inner.transpose(), d_out_m, acc64=acc64)
-    d_inner = matmul(d_out_m, w.w2.transpose(), acc64=acc64).a
+    d_w2 = matmul(inner.transpose(), d_out_m)
+    d_inner = matmul(d_out_m, w.w2.transpose()).a
     d_up = Matrix.wrap(d_inner * s_gate)
     d_gate = Matrix.wrap(d_inner * up * dsilu(gate))
     xt = x_rows.transpose()
-    d_w1 = matmul(xt, d_up, acc64=acc64)
-    d_wg = matmul(xt, d_gate, acc64=acc64)
-    d_x = matmul(d_up, w.w1.transpose(), acc64=acc64).a + matmul(
-        d_gate, w.wg.transpose(), acc64=acc64
-    ).a
+    d_w1 = matmul(xt, d_up)
+    d_wg = matmul(xt, d_gate)
+    d_x = matmul(d_up, w.w1.transpose()).a + matmul(d_gate, w.wg.transpose()).a
     return d_w1, d_wg, d_w2, d_x, out
 
 
@@ -95,7 +93,6 @@ def backward(
     upstream: Matrix,
     decision: RoutingDecision,
     d_score_extra: np.ndarray | None = None,
-    acc64: bool = False,
 ) -> LayerGradients:
     """Exact gradients of (upstream . y) plus any extra score-level term
     (e.g. the balance loss) with respect to every weight and the input.
@@ -115,16 +112,16 @@ def backward(
 
     # Projection (if any) sits between the concatenation and the output add.
     if model.concat_proj is not None:
-        y_cat, _ = sparse_experts_forward(x, model, decision, acc64=acc64)
-        d_proj = matmul(y_cat.transpose(), upstream, acc64=acc64)
-        d_cat = matmul(upstream, model.concat_proj.transpose(), acc64=acc64).a
+        y_cat, _ = sparse_experts_forward(x, model, decision)
+        d_proj = matmul(y_cat.transpose(), upstream)
+        d_cat = matmul(upstream, model.concat_proj.transpose()).a
     else:
         d_proj = None
         d_cat = upstream.a
 
     d_shared = None
     if model.shared is not None:
-        d_w1, d_wg, d_w2, d_x_s, _ = _swiglu_backward(x, model.shared, upstream.a, acc64)
+        d_w1, d_wg, d_w2, d_x_s, _ = _swiglu_backward(x, model.shared, upstream.a)
         d_shared = DenseFfnWeights(d_w1, d_wg, d_w2)
         d_x += d_x_s
 
@@ -142,9 +139,7 @@ def backward(
         u_rows = d_cat[batch_tokens, comp * dims.h_e : (comp + 1) * dims.h_e]
         w_rows = decision.score[batch_tokens, k].astype(dtype)
 
-        d_w1, d_wg, d_w2, d_x_rows, out = _swiglu_backward(
-            x_rows, model.experts[k], u_rows * w_rows[:, None], acc64
-        )
+        d_w1, d_wg, d_w2, d_x_rows, out = _swiglu_backward(x_rows, model.experts[k], u_rows * w_rows[:, None])
         d_experts.w1[k], d_experts.wg[k], d_experts.w2[k] = d_w1.a, d_wg.a, d_w2.a
         d_x[batch_tokens] += d_x_rows
         # Weight gradient: d loss / d score[t, k] = u . E_k(x_t).
@@ -157,8 +152,8 @@ def backward(
     s_full = decision.score.astype(np.float64)
     d_logits = s_full * (d_score - (d_score * s_full).sum(axis=1, keepdims=True))
     d_logits_m = Matrix.wrap(np.ascontiguousarray(d_logits.astype(dtype)))
-    d_router = matmul(x.transpose(), d_logits_m, acc64=acc64)
-    d_x += matmul(d_logits_m, model.router.w.transpose(), acc64=acc64).a
+    d_router = matmul(x.transpose(), d_logits_m)
+    d_x += matmul(d_logits_m, model.router.w.transpose()).a
 
     d_router_cc = None
     if model.router_cc is not None:

@@ -4,7 +4,7 @@ sums within groups, candidate concatenation, and the shared-expert add.
 Group layout: expert k belongs to group k // (G_I*R_I); group g feeds
 output component g // R_O as candidate g % R_O. Weighted sums accumulate
 in ascending expert index and components concatenate in order 0..G_O-1,
-so the output is bit-reproducible across thread counts and equals a naive
+so the output is bit-reproducible from run to run and equals a naive
 per-token loop exactly.
 """
 
@@ -172,7 +172,6 @@ def sparse_experts_forward(
     decision: RoutingDecision,
     plan: DispatchPlan | None = None,
     keep_candidates: bool = False,
-    acc64: bool = False,
 ):
     """Dispatch tokens to their activated experts and rebuild the L x h
     sparse output (weighted sums per selected group, then concatenation).
@@ -192,7 +191,7 @@ def sparse_experts_forward(
         if s == e:
             continue
         batch = Matrix.wrap(np.ascontiguousarray(x.a[plan.tokens_by_expert[s:e]]))
-        out_pairs[s:e] = expert_forward(batch, model.experts[k], acc64=acc64).a
+        out_pairs[s:e] = expert_forward(batch, model.experts[k]).a
 
     # Unpermute to token-major pair order (ascending expert id per token).
     out_slots = out_pairs[plan.inverse].reshape(L, dims.n_active, dims.h_e)
@@ -224,26 +223,22 @@ def decide(x: Matrix, model: MoEModel) -> RoutingDecision:
     return route(s, model.cfg)
 
 
-def forward(
-    x: Matrix, model: MoEModel, keep_candidates: bool = False, acc64: bool = False
-) -> LayerOutput:
+def forward(x: Matrix, model: MoEModel, keep_candidates: bool = False) -> LayerOutput:
     """Full layer: route, sparse path, optional projection, shared add."""
     if x.cols != model.cfg.h:
         raise ValueError(f"input width {x.cols} does not match hidden dim {model.cfg.h}")
     decision = decide(x, model)
-    sparse, cand = sparse_experts_forward(
-        x, model, decision, keep_candidates=keep_candidates, acc64=acc64
-    )
+    sparse, cand = sparse_experts_forward(x, model, decision, keep_candidates=keep_candidates)
     if model.concat_proj is not None:
-        sparse = matmul(sparse, model.concat_proj, acc64=acc64)
+        sparse = matmul(sparse, model.concat_proj)
     if model.shared is not None:
-        y = Matrix.wrap(shared_forward(x, model.shared, acc64=acc64).a + sparse.a)
+        y = Matrix.wrap(shared_forward(x, model.shared).a + sparse.a)
     else:
         y = sparse
     return LayerOutput(y=y, decision=decision, candidate_vectors=cand)
 
 
-def forward_forced(x: Matrix, model: MoEModel, acc64: bool = False) -> Matrix:
+def forward_forced(x: Matrix, model: MoEModel) -> Matrix:
     """Router bypass for reconstruction checks: in every component, run all
     experts of candidate 0 at weight 1, sum in ascending index order,
     concatenate, and add the shared expert if present.
@@ -257,9 +252,9 @@ def forward_forced(x: Matrix, model: MoEModel, acc64: bool = False) -> Matrix:
         g = i * cfg.R_O  # candidate 0 of component i
         acc = np.zeros((x.rows, dims.h_e), dtype=x.dtype)
         for k in range(g * dims.group_size, (g + 1) * dims.group_size):
-            acc += expert_forward(x, model.experts[k], acc64=acc64).a
+            acc += expert_forward(x, model.experts[k]).a
         parts.append(acc)
     out = np.concatenate(parts, axis=1)
     if model.shared is not None:
-        out = out + shared_forward(x, model.shared, acc64=acc64).a
+        out = out + shared_forward(x, model.shared).a
     return Matrix.wrap(np.ascontiguousarray(out))

@@ -3,11 +3,10 @@
 Design constraints that everything downstream leans on:
 
 * float32 storage by default; float64 matrices are supported end-to-end
-  for verification runs, and f32 matmuls can optionally accumulate in
-  float64 (``acc64``).
+  for verification runs.
 * Every matmul accumulates each dot product in ascending inner-index
-  order, so results are bit-identical regardless of backend (compiled vs
-  NumPy) and thread count.
+  order in one NumPy kernel (``_kernels_py``), so results are
+  bit-identical from run to run.
 * The RNG is SplitMix64, a counter-based 64-bit generator with published
   test vectors; identical seeds give identical streams on every platform.
 """
@@ -22,23 +21,10 @@ from finermoe import _backend
 
 _DTYPES = (np.float32, np.float64)
 
-_num_threads = 1
-
-
-def set_num_threads(n: int) -> None:
-    """Set the default thread count for compiled matmul kernels.
-
-    Results are bit-identical for every value of ``n``; this only trades
-    wall-clock time.
-    """
-    global _num_threads
-    if n < 1:
-        raise ValueError(f"thread count must be >= 1, got {n}")
-    _num_threads = n
-
 
 def get_num_threads() -> int:
-    return _num_threads
+    """Threads the matmul kernels use: always 1, they are single-threaded."""
+    return 1
 
 
 class Matrix:
@@ -142,29 +128,25 @@ def count_flops():
         _flop_counter = prev
 
 
-def matmul(a: Matrix, b: Matrix, acc64: bool = False, threads: int | None = None) -> Matrix:
+def matmul(a: Matrix, b: Matrix) -> Matrix:
     """Matrix product with a fixed ascending-index reduction order.
 
-    ``acc64`` accumulates f32 dot products in float64 before rounding the
-    result back to f32 (no effect on f64 inputs). Output dtype is f64 iff
-    either input is f64.
+    Output dtype is f64 iff either input is f64.
     """
     if a.cols != b.rows:
         raise ValueError(
             f"matmul dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}"
         )
-    if threads is None:
-        threads = _num_threads
     if _flop_counter is not None:
         _flop_counter.flops += 2 * a.rows * a.cols * b.cols
     if a.dtype == np.float64 or b.dtype == np.float64:
         aa = a.a if a.dtype == np.float64 else a.a.astype(np.float64)
         bb = b.a if b.dtype == np.float64 else b.a.astype(np.float64)
         out = np.empty((a.rows, b.cols), dtype=np.float64)
-        _backend.active.matmul_f64(aa, bb, out, threads)
+        _backend.active.matmul_f64(aa, bb, out)
     else:
         out = np.empty((a.rows, b.cols), dtype=np.float32)
-        _backend.active.matmul_f32(a.a, b.a, out, acc64, threads)
+        _backend.active.matmul_f32(a.a, b.a, out)
     return Matrix.wrap(out)
 
 

@@ -192,44 +192,40 @@ def test_10_cli_determinism(tmp_path):
     invoke(["preset", "FineRMoE-base", "--h", "32", "--H", "64", "--out", str(cfg_p)])
 
     artifacts: dict[str, list[bytes]] = {}
-    for variant, threads in (("a", "1"), ("b", "1"), ("c", "4")):
+    for variant in ("a", "b"):
         d = tmp_path / variant
         d.mkdir()
         stdout = []
-        stdout.append(invoke(["--threads", threads, "preset", "FineRMoE-base", "--h", "32", "--H", "64"]))
+        stdout.append(invoke(["preset", "FineRMoE-base", "--h", "32", "--H", "64"]))
         stdout.append(invoke([
-            "--threads", threads, "upcycle", "--config", str(cfg_p),
+            "upcycle", "--config", str(cfg_p),
             "--dense-seed", "5", "--out", str(d / "m.frm"), "--seed", "7",
         ]))
         from finermoe.cli import write_matrix
 
         write_matrix(Rng(9).matrix(4, 32), d / "x.mat")
         stdout.append(invoke([
-            "--threads", threads, "forward", "--model", str(d / "m.frm"),
+            "forward", "--model", str(d / "m.frm"),
             "--input", str(d / "x.mat"), "--out", str(d / "y.mat"),
         ]))
         stdout.append(invoke([
-            "--threads", threads, "route-stats", "--model", str(d / "m.frm"),
+            "route-stats", "--model", str(d / "m.frm"),
             "--tokens", "128", "--seed", "3", "--csv", str(d / "loads.csv"),
         ]))
-        stdout.append(invoke(["--threads", threads, "similarity", "--model", str(d / "m.frm")]))
-        stdout.append(invoke(["--threads", threads, "bench", "--config", str(cfg_p)]))
+        stdout.append(invoke(["similarity", "--model", str(d / "m.frm")]))
+        stdout.append(invoke(["bench", "--config", str(cfg_p)]))
         stdout.append(invoke([
-            "--threads", threads, "train-demo", "--config", str(cfg_p),
+            "train-demo", "--config", str(cfg_p),
             "--steps", "10", "--batch", "4", "--csv", str(d / "curve.csv"),
         ]))
-        stdout.append(invoke(["--threads", threads, "check", "--suite", "roundtrip", "--seed", "1"]))
+        stdout.append(invoke(["check", "--suite", "roundtrip", "--seed", "1"]))
         blobs = ["\n".join(stdout).replace(str(d), "DIR").encode()]
         for f in ("m.frm", "y.mat", "loads.csv", "curve.csv"):
             blobs.append((d / f).read_bytes())
         artifacts[variant] = blobs
 
     same_seed = artifacts["a"] == artifacts["b"]
-    across_threads = artifacts["a"] == artifacts["c"]
-    _report(
-        10, "cli-determinism", same_seed and across_threads,
-        f"8 subcommands, repeat-run identical: {same_seed}, threads 1 vs 4 identical: {across_threads}",
-    )
+    _report(10, "cli-determinism", same_seed, f"8 subcommands, repeat-run identical: {same_seed}")
 
 
 def test_11_separate_router_conflict():

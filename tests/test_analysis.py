@@ -3,7 +3,6 @@ import pytest
 
 from finermoe import analysis
 from finermoe.analysis import (
-    benchmark_backends,
     cosine,
     cost_report,
     expert_similarity,
@@ -209,11 +208,3 @@ class TestTiming:
         # The single-router decision differs here, so timing it would be wrong.
         assert not np.array_equal(route(score(x, model.router), cfg).final_mask, want)
         assert len(seen) == 3 and all(np.array_equal(m, want) for m in seen)
-
-    def test_backend_benchmark_reports_all_backends(self):
-        from finermoe._backend import available_backends
-
-        cfg = FineRConfig(h=16, H=32, G_I=4, R_I=1, G_O=2, R_O=2, T_I=1)
-        out = benchmark_backends(cfg, L=8, reps=2)
-        assert set(out) == set(available_backends())
-        assert all(t > 0 for t in out.values())

@@ -10,7 +10,7 @@ from finermoe.moe_layer import (
     forward_forced,
     sparse_experts_forward,
 )
-from finermoe.numerics import Matrix, Rng, set_num_threads, softmax
+from finermoe.numerics import Matrix, Rng, softmax
 from finermoe.router import route, score
 from finermoe.upcycle import random_dense, upcycle
 
@@ -172,18 +172,6 @@ class TestForward:
         )
         x = Rng(22).matrix(4, cfg.h)
         assert forward(x, model).y.a.tobytes() == forward(x, plain).y.a.tobytes()
-
-    def test_thread_count_does_not_change_output(self):
-        model = _model(seed=23)
-        x = Rng(24).matrix(6, TOY.h)
-        try:
-            set_num_threads(1)
-            y1 = forward(x, model).y.a.tobytes()
-            set_num_threads(4)
-            y4 = forward(x, model).y.a.tobytes()
-        finally:
-            set_num_threads(1)
-        assert y1 == y4
 
     def test_repeat_runs_bit_identical(self):
         model = _model(seed=25)

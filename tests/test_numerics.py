@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finermoe import _backend
 from finermoe.numerics import Matrix, Rng, count_flops, matmul, silu, softmax
 
 
@@ -23,38 +22,6 @@ class TestMatmul:
         b = Matrix.zeros(2, 2)
         with pytest.raises(ValueError, match="1x3.*2x2"):
             matmul(a, b)
-
-    def test_thread_count_is_immaterial(self):
-        rng = Rng(2)
-        a, b = rng.matrix(33, 17), rng.matrix(17, 29)
-        r1 = matmul(a, b, threads=1)
-        r4 = matmul(a, b, threads=4)
-        assert r1.a.tobytes() == r4.a.tobytes()
-
-    @pytest.mark.skipif(
-        len(_backend.available_backends()) < 2, reason="compiled backend not built"
-    )
-    def test_backends_bit_identical(self):
-        rng = Rng(3)
-        cases = [
-            (rng.matrix(19, 31), rng.matrix(31, 11)),
-            (rng.matrix(19, 31, dtype=np.float64), rng.matrix(31, 11, dtype=np.float64)),
-        ]
-        for a, b in cases:
-            for acc64 in (False, True):
-                results = []
-                for name in _backend.available_backends():
-                    with _backend.use(name):
-                        results.append(matmul(a, b, acc64=acc64).a.tobytes())
-                assert results[0] == results[1]
-
-    def test_acc64_tracks_f64_reference(self):
-        rng = Rng(4)
-        a, b = rng.matrix(40, 300), rng.matrix(300, 40)
-        exact = matmul(a.astype(np.float64), b.astype(np.float64)).a
-        err32 = np.abs(matmul(a, b).a - exact).max()
-        err64 = np.abs(matmul(a, b, acc64=True).a - exact).max()
-        assert err64 <= err32
 
     def test_f64_inputs_give_f64_output(self):
         a = Rng(5).matrix(3, 4, dtype=np.float64)
@@ -202,9 +169,3 @@ class TestMatrix:
         backing = Rng(14).matrix(4, 6).a
         with pytest.raises(ValueError, match="contiguous"):
             Matrix.wrap(backing[:, ::2])
-
-    def test_thread_setting_validated(self):
-        from finermoe.numerics import set_num_threads
-
-        with pytest.raises(ValueError, match=">= 1"):
-            set_num_threads(0)
