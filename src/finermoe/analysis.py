@@ -15,17 +15,6 @@ from finermoe.numerics import Matrix, Rng
 from finermoe.router import RoutingDecision
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity with a single square root of the norm product, so
-    cosine(v, v) == 1.0 and cosine(v, -v) == -1.0 exactly."""
-    u = u.astype(np.float64, copy=False)
-    v = v.astype(np.float64, copy=False)
-    uv = (u * v).sum()
-    uu = (u * u).sum()
-    vv = (v * v).sum()
-    return float(uv / np.sqrt(uu * vv))
-
-
 @dataclass
 class SimilarityReport:
     mean: float
@@ -38,6 +27,8 @@ def expert_similarity(model: MoEModel, keep_pairs: bool = False) -> SimilarityRe
 
     Each expert is flattened to one vector (w1, wg, w2 concatenated);
     shapes are uniform within a model, so the pairing is well-defined.
+    One square root of the norm product per pair makes identical experts
+    score exactly 1.0 and negated ones exactly -1.0.
     """
     stack = model.experts
     n = len(stack)

@@ -138,7 +138,7 @@ def format_config(cfg: FineRConfig) -> str:
 
 
 def parse_config(text: str) -> FineRConfig:
-    """Parse the `key = value` format; unknown keys and bad values raise."""
+    """Parse the `key = value` format; unknown, repeated keys and bad values raise."""
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -148,6 +148,8 @@ def parse_config(text: str) -> FineRConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        if key in values:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         if key in _INT_FIELDS:
             try:
                 values[key] = int(val)
@@ -170,8 +172,14 @@ def parse_config(text: str) -> FineRConfig:
 
 
 def load_config(path) -> FineRConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"line {lineno}: not valid UTF-8 (byte {exc.start})") from None
+    return parse_config(text)
 
 
 def save_config(cfg: FineRConfig, path) -> None:

@@ -19,11 +19,9 @@ from typing import Callable
 
 import numpy as np
 
-from finermoe.config import FineRConfig, derive
+from finermoe.config import FineRConfig, derive, expert_component
 from finermoe.experts import DenseFfnWeights, ExpertStack
-from finermoe.moe_layer import (
-    MoEModel, build_dispatch_plan, decide, forward, named_parameters, sparse_experts_forward,
-)
+from finermoe.moe_layer import MoEModel, build_dispatch_plan, combine, decide, forward, named_parameters
 from finermoe.numerics import Matrix, Rng, dsilu, matmul, silu
 from finermoe.router import RouterState, RoutingDecision
 
@@ -110,13 +108,10 @@ def backward(
     d_x = np.zeros((L, cfg.h), dtype=dtype)
     d_score = np.zeros((L, dims.N), dtype=np.float64)
 
-    # Projection (if any) sits between the concatenation and the output add.
+    # Projection (if any) sits between the combine and the output add.
     if model.concat_proj is not None:
-        y_cat, _ = sparse_experts_forward(x, model, decision)
-        d_proj = matmul(y_cat.transpose(), upstream)
         d_cat = matmul(upstream, model.concat_proj.transpose()).a
     else:
-        d_proj = None
         d_cat = upstream.a
 
     d_shared = None
@@ -126,15 +121,17 @@ def backward(
         d_x += d_x_s
 
     # Sparse path, one activated expert batch at a time; inactive experts
-    # keep a zero gradient.
+    # keep a zero gradient. out_pairs collects the expert outputs, from
+    # which combine rebuilds the sparse output for the projection gradient.
     plan = build_dispatch_plan(decision, dims.N)
+    out_pairs = np.zeros((plan.n_pairs, dims.h_e), dtype=dtype)
     d_experts = ExpertStack.zeros(dims.N, cfg.h, dims.H_e, dims.h_e, dtype)
     for k in range(dims.N):
         s, e = plan.offsets[k], plan.offsets[k + 1]
         if s == e:
             continue
         batch_tokens = plan.tokens_by_expert[s:e]
-        comp = k // (dims.group_size * cfg.R_O)
+        comp = expert_component(cfg, k)
         x_rows = Matrix.wrap(np.ascontiguousarray(x.a[batch_tokens]))
         u_rows = d_cat[batch_tokens, comp * dims.h_e : (comp + 1) * dims.h_e]
         w_rows = decision.score[batch_tokens, k].astype(dtype)
@@ -144,6 +141,11 @@ def backward(
         d_x[batch_tokens] += d_x_rows
         # Weight gradient: d loss / d score[t, k] = u . E_k(x_t).
         d_score[batch_tokens, k] = (u_rows.astype(np.float64) * out.a.astype(np.float64)).sum(axis=1)
+        out_pairs[s:e] = out.a
+
+    d_proj = None
+    if model.concat_proj is not None:
+        d_proj = matmul(combine(out_pairs, decision, plan, cfg).transpose(), upstream)
 
     if d_score_extra is not None:
         d_score = d_score + d_score_extra

@@ -1,9 +1,12 @@
-"""Full layer assembly: routing, token dispatch, expert forward, weighted
-sums within groups, candidate concatenation, and the shared-expert add.
+"""Full layer assembly: routing, token dispatch, expert forward, the
+per-component weighted sum, and the shared-expert add.
 
 Group layout: expert k belongs to group k // (G_I*R_I); group g feeds
-output component g // R_O as candidate g % R_O. Weighted sums accumulate
-in ascending expert index and components concatenate in order 0..G_O-1,
+output component g // R_O as candidate g % R_O. Routing activates T_I
+experts in the one selected group of each component and lists them in
+ascending order, so slot a of every token belongs to component a // T_I.
+The combine therefore sums each component's T_I expert outputs straight
+into its h_e columns, slot by slot in ascending expert index from zero,
 so the output is bit-reproducible from run to run and equals a naive
 per-token loop exactly.
 """
@@ -163,28 +166,39 @@ def build_dispatch_plan(decision: RoutingDecision, n_experts: int | None = None)
 class LayerOutput:
     y: Matrix  # L x h
     decision: RoutingDecision
-    candidate_vectors: np.ndarray | None = None  # L x n_groups x h_e, verification only
+
+
+def combine(out_pairs: np.ndarray, decision: RoutingDecision, plan: DispatchPlan, cfg: FineRConfig) -> Matrix:
+    """Weight the expert-major outputs and sum each component's T_I slots
+    into its h_e columns, in slot (ascending expert) order from zero.
+
+    Relies on slot a of every token belonging to component a // T_I.
+    """
+    L = decision.n_tokens
+    h_e = out_pairs.shape[1]
+    out = out_pairs[plan.inverse].reshape(L, cfg.G_O, cfg.T_I, h_e)
+    probs = decision.probs.reshape(L, cfg.G_O, cfg.T_I, 1).astype(out_pairs.dtype)
+    acc = np.zeros((L, cfg.G_O, h_e), dtype=out_pairs.dtype)
+    for t in range(cfg.T_I):
+        acc += probs[:, :, t] * out[:, :, t]
+    return Matrix.wrap(acc.reshape(L, cfg.G_O * h_e))
 
 
 def sparse_experts_forward(
-    x: Matrix,
-    model: MoEModel,
-    decision: RoutingDecision,
-    plan: DispatchPlan | None = None,
-    keep_candidates: bool = False,
-):
+    x: Matrix, model: MoEModel, decision: RoutingDecision, plan: DispatchPlan | None = None
+) -> Matrix:
     """Dispatch tokens to their activated experts and rebuild the L x h
-    sparse output (weighted sums per selected group, then concatenation).
+    sparse output.
 
-    Returns (output Matrix, candidate array or None). Candidate vectors of
-    unselected groups stay zero; they are never computed.
+    Routing keeps indices ascending with exactly T_I of them in each
+    component's selected group, so slot a of every token feeds component
+    a // T_I and ``combine`` sums straight into that component's columns.
     """
-    cfg, dims = model.cfg, model.dims
-    L = x.rows
+    dims = model.dims
     if plan is None:
         plan = build_dispatch_plan(decision, dims.N)
 
-    # Permute: pull each expert's token batch together, run it, weight it.
+    # Permute: pull each expert's token batch together and run it.
     out_pairs = np.zeros((plan.n_pairs, dims.h_e), dtype=x.dtype)
     for k in range(dims.N):
         s, e = plan.offsets[k], plan.offsets[k + 1]
@@ -192,26 +206,7 @@ def sparse_experts_forward(
             continue
         batch = Matrix.wrap(np.ascontiguousarray(x.a[plan.tokens_by_expert[s:e]]))
         out_pairs[s:e] = expert_forward(batch, model.experts[k]).a
-
-    # Unpermute to token-major pair order (ascending expert id per token).
-    out_slots = out_pairs[plan.inverse].reshape(L, dims.n_active, dims.h_e)
-
-    # Weighted sum into each pair's group, slot by slot so every candidate
-    # accumulates its experts in ascending index order.
-    cand = np.zeros((L, dims.n_groups, dims.h_e), dtype=x.dtype)
-    token_ids = np.arange(L)
-    for a in range(dims.n_active):
-        g = decision.indices[:, a] // dims.group_size
-        cand[token_ids, g] += decision.probs[:, a, None].astype(x.dtype) * out_slots[:, a]
-
-    # Concatenate each component's selected candidate, in component order.
-    parts = []
-    for i in range(cfg.G_O):
-        g_sel = i * cfg.R_O + decision.cc_act[:, i]
-        parts.append(cand[token_ids, g_sel])
-    out = Matrix.wrap(np.ascontiguousarray(np.concatenate(parts, axis=1)))
-
-    return out, (cand if keep_candidates else None)
+    return combine(out_pairs, decision, plan, model.cfg)
 
 
 def decide(x: Matrix, model: MoEModel) -> RoutingDecision:
@@ -223,19 +218,19 @@ def decide(x: Matrix, model: MoEModel) -> RoutingDecision:
     return route(s, model.cfg)
 
 
-def forward(x: Matrix, model: MoEModel, keep_candidates: bool = False) -> LayerOutput:
+def forward(x: Matrix, model: MoEModel) -> LayerOutput:
     """Full layer: route, sparse path, optional projection, shared add."""
     if x.cols != model.cfg.h:
         raise ValueError(f"input width {x.cols} does not match hidden dim {model.cfg.h}")
     decision = decide(x, model)
-    sparse, cand = sparse_experts_forward(x, model, decision, keep_candidates=keep_candidates)
+    sparse = sparse_experts_forward(x, model, decision)
     if model.concat_proj is not None:
         sparse = matmul(sparse, model.concat_proj)
     if model.shared is not None:
         y = Matrix.wrap(shared_forward(x, model.shared).a + sparse.a)
     else:
         y = sparse
-    return LayerOutput(y=y, decision=decision, candidate_vectors=cand)
+    return LayerOutput(y=y, decision=decision)
 
 
 def forward_forced(x: Matrix, model: MoEModel) -> Matrix:

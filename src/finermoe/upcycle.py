@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from finermoe.config import FineRConfig, derive, validate
+from finermoe.config import FineRConfig, derive, expert_component, validate
 from finermoe.experts import DenseFfnWeights, ExpertStack
 from finermoe.moe_layer import MoEModel
 from finermoe.numerics import Matrix, Rng
@@ -50,7 +50,7 @@ def expert_slice_indices(k: int, cfg: FineRConfig) -> SliceAssignment:
     if not 0 <= k < dims.N:
         raise ValueError(f"expert index {k} out of range [0, {dims.N})")
     i = (k % (cfg.G_I * cfg.R_I)) % cfg.G_I
-    j = k // (cfg.R_O * cfg.G_I * cfg.R_I)
+    j = expert_component(cfg, k)
     return SliceAssignment(k=k, i_slice=i, j_slice=j)
 
 

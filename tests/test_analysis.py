@@ -3,7 +3,6 @@ import pytest
 
 from finermoe import analysis
 from finermoe.analysis import (
-    cosine,
     cost_report,
     expert_similarity,
     non_ffn_params,
@@ -28,17 +27,36 @@ PARAM_TABLE_B = {
 }
 
 
-class TestCosine:
-    def test_self_similarity_is_exactly_one(self):
-        v = Rng(1).normal(257)
-        assert cosine(v, v) == 1.0
+def _two_expert_model(u: np.ndarray, v: np.ndarray) -> MoEModel:
+    """A 2-expert model whose flattened experts are exactly u and v
+    (each of length 2 * h * H_e + H_e * h_e at h=2, H_e=h_e=2: 12)."""
+    cfg = FineRConfig(h=2, H=4, G_I=2, R_I=1, G_O=1, R_O=1, T_I=1)
+    w = np.stack([u, v]).astype(np.float32)
+    return MoEModel(
+        cfg=cfg,
+        shared=random_dense(2, 4, 1),
+        experts=ExpertStack(
+            w[:, 0:4].reshape(2, 2, 2).copy(),
+            w[:, 4:8].reshape(2, 2, 2).copy(),
+            w[:, 8:12].reshape(2, 2, 2).copy(),
+        ),
+        router=RouterState(Matrix.zeros(2, 2)),
+    )
 
-    def test_negation_is_exactly_minus_one(self):
-        v = Rng(2).normal(257)
-        assert cosine(v, -v) == -1.0
+
+class TestCosine:
+    """The pairwise cosine inside expert_similarity, on one pair."""
+
+    def test_self_similarity_is_exactly_one(self):
+        v = Rng(1).normal(12).astype(np.float32)
+        rep = expert_similarity(_two_expert_model(v, v))
+        assert rep.n_pairs == 1
+        assert rep.mean == 1.0
 
     def test_orthogonal_vectors(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        u, v = np.zeros(12), np.zeros(12)
+        u[0], v[11] = 1.0, 1.0
+        assert expert_similarity(_two_expert_model(u, v)).mean == 0.0
 
 
 class TestExpertSimilarity:
@@ -48,6 +66,15 @@ class TestExpertSimilarity:
         rep = expert_similarity(model)
         assert rep.mean == 1.0
         assert rep.n_pairs == 32 * 31 // 2
+
+    def test_negated_expert_gives_exactly_minus_one(self):
+        cfg = FineRConfig(h=16, H=32, G_I=2, R_I=1, G_O=1, R_O=1, T_I=1)
+        model = upcycle(random_dense(16, 32, 7), cfg, 7)
+        for a in (model.experts.w1, model.experts.wg, model.experts.w2):
+            a[1] = -a[0]
+        rep = expert_similarity(model)
+        assert rep.n_pairs == 1
+        assert rep.mean == -1.0
 
     def test_one_hot_experts_mean_zero(self):
         cfg = FineRConfig(h=2, H=8, G_I=4, R_I=1, G_O=1, R_O=1, T_I=1)

@@ -329,6 +329,21 @@ class TestErrorsAndEntryPoint:
         assert "G_I must divide H" in err
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b"h = 8\nH = 8\nG_I = 2\nG_I = 4\n", "line 4: duplicate key 'G_I'"),
+            (b"h = 8\n\xff\xfe = 8\n", "line 2: not valid UTF-8"),
+        ],
+        ids=["duplicate-key", "non-utf8"],
+    )
+    def test_malformed_config_file_exits_2_naming_line(self, tmp_path, text, message):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(text)
+        code, _, err = _run(["bench", "--config", str(bad)])
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
         "argv, name",
         [
             (["train-demo", "--config", "{cfg}", "--steps", "0"], "--steps"),

@@ -9,6 +9,7 @@ from finermoe.config import (
     expert_component,
     expert_group,
     format_config,
+    load_config,
     parse_config,
     preset_names,
     validate,
@@ -140,6 +141,16 @@ class TestConfigFile:
     def test_missing_required(self):
         with pytest.raises(ConfigError, match="missing required"):
             parse_config("G_I = 2\n")
+
+    def test_duplicate_key_names_its_line(self):
+        with pytest.raises(ConfigError, match=r"line 4: duplicate key 'G_I'"):
+            parse_config("h = 8\nH = 8\nG_I = 2\nG_I = 4\n")
+
+    def test_non_utf8_file_names_its_line(self, tmp_path):
+        p = tmp_path / "bad.cfg"
+        p.write_bytes(b"h = 8\nH = 8\n# caf\xe9\n")
+        with pytest.raises(ConfigError, match=r"line 3: not valid UTF-8"):
+            load_config(p)
 
     def test_comments_and_blanks_ignored(self):
         assert parse_config("# cfg\n\nh = 8\nH = 8\n") == FineRConfig(h=8, H=8)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from finermoe import loss_grad, moe_layer
 from finermoe.config import FineRConfig, derive, with_updates
 from finermoe.loss_grad import (
     backward,
@@ -11,8 +12,8 @@ from finermoe.loss_grad import (
     fd_check,
     mean_squared_output_loss,
 )
-from finermoe.moe_layer import forward, named_parameters
-from finermoe.numerics import Matrix, Rng
+from finermoe.moe_layer import decide, forward, named_parameters, sparse_experts_forward
+from finermoe.numerics import Matrix, Rng, matmul
 from finermoe.router import RoutingDecision, route, score
 from finermoe.upcycle import random_dense, upcycle
 
@@ -150,6 +151,34 @@ class TestBackward:
         out = forward(x, model)
         with pytest.raises(ValueError, match="upstream"):
             backward(x, model, Matrix.zeros(4, 3), out.decision)
+
+
+class TestConcatProjBackward:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["single", "separate"])
+    def test_projection_gradient_without_rerunning_the_sparse_path(self, mode, dtype, monkeypatch):
+        # d concat_proj = (sparse output)^T upstream, rebuilt from the expert
+        # outputs backward already computes, byte for byte.
+        cfg = FineRConfig(h=8, H=16, G_I=4, R_I=2, G_O=2, R_O=2, T_I=3, router_mode=mode, concat_proj=True)
+        model = _model(cfg, seed=18)
+        model.concat_proj.a[:] = Rng(19).matrix(cfg.h, cfg.h).a
+        model = model.astype(dtype)
+        x = Rng(20).matrix(6, cfg.h, dtype=dtype)
+        upstream = Rng(21).matrix(6, cfg.h, dtype=dtype)
+        d = decide(x, model)
+        want = matmul(sparse_experts_forward(x, model, d).transpose(), upstream)
+
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return sparse_experts_forward(*args, **kwargs)
+
+        monkeypatch.setattr(moe_layer, "sparse_experts_forward", spy)
+        monkeypatch.setattr(loss_grad, "sparse_experts_forward", spy, raising=False)
+        g = backward(x, model, upstream, d)
+        assert not calls
+        assert g.d_model.concat_proj.a.tobytes() == want.a.tobytes()
 
 
 class TestFiniteDifferences:

@@ -69,7 +69,7 @@ class TestSparseForward:
         model = _model(seed=7)
         x = Rng(8).matrix(4, TOY.h)
         d = _decision(x, model)
-        out, _ = sparse_experts_forward(x, model, d)
+        out = sparse_experts_forward(x, model, d)
         dims = model.dims
         for t in range(4):
             row = Matrix.wrap(x.a[t : t + 1].copy())
@@ -84,7 +84,7 @@ class TestSparseForward:
         model = _model(seed=9)
         x = Rng(10).matrix(6, TOY.h)
         d = _decision(x, model)
-        base, _ = sparse_experts_forward(x, model, d)
+        base = sparse_experts_forward(x, model, d)
         dims = model.dims
         zeroed = MoEModel(
             cfg=model.cfg,
@@ -101,7 +101,7 @@ class TestSparseForward:
                 zeroed.experts[k].w1.a[:] = 0
                 zeroed.experts[k].wg.a[:] = 0
                 zeroed.experts[k].w2.a[:] = 0
-        again, _ = sparse_experts_forward(x, zeroed, d)
+        again = sparse_experts_forward(x, zeroed, d)
         assert base.a.tobytes() == again.a.tobytes()
 
     def test_matches_naive_token_loop_bitwise(self):
@@ -110,7 +110,7 @@ class TestSparseForward:
         dims = model.dims
         x = Rng(12).matrix(8, cfg.h)
         d = _decision(x, model)
-        got, _ = sparse_experts_forward(x, model, d)
+        got = sparse_experts_forward(x, model, d)
 
         naive = np.zeros((8, cfg.h), dtype=np.float32)
         for t in range(8):
@@ -123,15 +123,6 @@ class TestSparseForward:
                 g = i * cfg.R_O + int(d.cc_act[t, i])
                 naive[t, i * dims.h_e : (i + 1) * dims.h_e] = cand[g]
         assert got.a.tobytes() == naive.tobytes()
-
-    def test_candidate_vectors_only_in_verification_mode(self):
-        model = _model(seed=13)
-        x = Rng(14).matrix(2, TOY.h)
-        d = _decision(x, model)
-        _, none_cand = sparse_experts_forward(x, model, d)
-        assert none_cand is None
-        _, cand = sparse_experts_forward(x, model, d, keep_candidates=True)
-        assert cand.shape == (2, model.dims.n_groups, model.dims.h_e)
 
 
 class TestForward:

@@ -41,6 +41,31 @@ class TestMatmul:
             matmul(Matrix.zeros(3, 4), Matrix.zeros(4, 5))
         assert c.flops == 2 * 3 * 4 * 5
 
+    # Shapes on both sides of the kernel's blocked schedule: small K x m
+    # blocks, one column (always the rank-1 loop; a 1 x 1 block would be
+    # summed pairwise) and K x m past the tile.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "n,k,m", [(9, 40, 5), (70, 33, 2), (1, 600, 1), (3, 600, 1), (4, 300, 500)]
+    )
+    def test_sums_each_element_in_ascending_order(self, n, k, m, dtype):
+        rng = np.random.default_rng(n * k + m)
+        # Magnitudes over many decades make any other summation order
+        # round differently. The last row times column 0 is all -0.0
+        # terms, whose sum from +0.0 is +0.0.
+        a = (rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-6, 6, (n, k))).astype(dtype)
+        b = (rng.standard_normal((k, m)) * 10.0 ** rng.uniform(-6, 6, (k, m))).astype(dtype)
+        if n > 1:
+            a[n - 1] = -0.0
+            b[:, 0] = np.abs(b[:, 0])
+        out = matmul(Matrix.wrap(a), Matrix.wrap(b)).a
+        for j in sorted({0, m // 2, m - 1}):
+            for i in range(n):
+                s = dtype(0.0)
+                for p in range(k):
+                    s = s + a[i, p] * b[p, j]
+                assert out[i, j].tobytes() == s.tobytes(), (i, j)
+
 
 class TestSilu:
     def test_fixed_points(self):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finermoe.config import FineRConfig, derive
+from finermoe.config import FineRConfig, baseline_preset, derive, preset_names, with_updates
 from finermoe.numerics import Matrix, Rng
 from finermoe.oracle import route_reference
 from finermoe.router import RouterState, route, route_separate, score
@@ -120,6 +120,44 @@ class TestRouteProperties:
     def test_width_mismatch(self):
         with pytest.raises(ValueError, match="does not match expert count"):
             route(np.zeros((1, 3), dtype=np.float32), _cfg(2, 1, 1, 2, 1))
+
+
+def _cfg_id(cfg):
+    return f"G{cfg.G_I}x{cfg.R_I}_{cfg.G_O}x{cfg.R_O}_T{cfg.T_I}"
+
+
+class TestSlotToComponent:
+    """Slot a of every token lies in component a // T_I; the sparse combine
+    sums each slot straight into that component's columns on this basis."""
+
+    CONFIGS = [baseline_preset(name, h=16, H=64) for name in preset_names()] + [_cfg(2, 2, 2, 3, 3)]
+
+    @staticmethod
+    def _assert_slots_in_order(d, cfg):
+        dims = derive(cfg)
+        want = np.arange(dims.n_active) // cfg.T_I
+        got = d.indices // (dims.group_size * cfg.R_O)
+        assert (got == want).all(), (cfg, got)
+
+    @pytest.mark.parametrize("mode", ["single", "separate"])
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=_cfg_id)
+    def test_router_keeps_slots_in_component_order(self, cfg, mode):
+        cfg = with_updates(cfg, router_mode=mode)
+        dims = derive(cfg)
+        rng = Rng(10)
+        for _ in range(10):
+            s = dyadic_scores(rng, 8, dims.N)
+            if mode == "separate":
+                d = route_separate(s, dyadic_scores(rng, 8, dims.n_groups), cfg)
+            else:
+                d = route(s, cfg)
+            self._assert_slots_in_order(d, cfg)
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=_cfg_id)
+    def test_reference_router_keeps_slots_in_component_order(self, cfg):
+        rng = Rng(11)
+        for _ in range(5):
+            self._assert_slots_in_order(route_reference(dyadic_scores(rng, 4, derive(cfg).N), cfg), cfg)
 
 
 class TestRouteSeparate:
