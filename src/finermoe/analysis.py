@@ -1,17 +1,15 @@
-"""Model analysis: expert similarity, routing-load statistics, parameter
-and FLOP accounting, and a small wall-clock benchmark."""
+"""Model analysis: expert similarity, routing-load statistics, and
+parameter and FLOP accounting. Timing lives in perfbench/, not here."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from finermoe.config import FineRConfig, derive
-from finermoe.moe_layer import MoEModel, build_dispatch_plan, decide, forward, sparse_experts_forward
-from finermoe.numerics import Matrix, Rng
+from finermoe.moe_layer import MoEModel
 from finermoe.router import RoutingDecision
 
 
@@ -19,10 +17,10 @@ from finermoe.router import RoutingDecision
 class SimilarityReport:
     mean: float
     n_pairs: int
-    per_pair: np.ndarray | None = None
+    per_pair: np.ndarray  # pairs (i, j), i < j, in row-major order
 
 
-def expert_similarity(model: MoEModel, keep_pairs: bool = False) -> SimilarityReport:
+def expert_similarity(model: MoEModel) -> SimilarityReport:
     """Mean pairwise cosine similarity over all unordered expert pairs.
 
     Each expert is flattened to one vector (w1, wg, w2 concatenated);
@@ -47,7 +45,7 @@ def expert_similarity(model: MoEModel, keep_pairs: bool = False) -> SimilarityRe
     return SimilarityReport(
         mean=float(per_pair.mean()),
         n_pairs=per_pair.shape[0],
-        per_pair=per_pair if keep_pairs else None,
+        per_pair=per_pair,
     )
 
 
@@ -84,8 +82,8 @@ REF_DENSE_TOTAL = 1_543_714_304
 REF_VOCAB = 151_936
 
 
-def non_ffn_params(h: int = 1536, H: int = 8960, n_layers: int = REF_LAYERS) -> int:
-    return REF_DENSE_TOTAL - n_layers * 3 * h * H + REF_VOCAB * h
+def non_ffn_params(h: int = 1536, H: int = 8960) -> int:
+    return REF_DENSE_TOTAL - REF_LAYERS * 3 * h * H + REF_VOCAB * h
 
 
 @dataclass
@@ -95,14 +93,13 @@ class CostReport:
     flops_sparse: int  # per token; includes the concat projection if present
     flops_shared: int  # per token
     flops_router: int  # per token
-    wall_per_token: float | None = None  # seconds, only when timed
 
     @property
     def flops_per_token(self) -> int:
         return self.flops_sparse + self.flops_shared + self.flops_router
 
 
-def cost_report(cfg: FineRConfig, L: int = 64, timed: bool = False, seed: int = 0) -> CostReport:
+def cost_report(cfg: FineRConfig) -> CostReport:
     """Parameter and FLOP accounting for one layer; FLOPs count 2 per
     weight entry touched by a matmul (elementwise work excluded)."""
     dims = derive(cfg)
@@ -114,51 +111,22 @@ def cost_report(cfg: FineRConfig, L: int = 64, timed: bool = False, seed: int = 
     total = shared + dims.N * per_expert + router + proj
     activated = shared + dims.n_active * per_expert + router + proj
 
-    report = CostReport(
+    return CostReport(
         total_params=total,
         activated_params=activated,
         flops_sparse=2 * (dims.n_active * per_expert + proj),
         flops_shared=2 * shared,
         flops_router=2 * router,
     )
-    if timed:
-        from finermoe.upcycle import random_dense, upcycle
-
-        model = upcycle(random_dense(cfg.h, cfg.H, seed), cfg, seed)
-        x = Rng(seed + 1).matrix(L, cfg.h)
-        forward(x, model)  # warm up
-        times = []
-        for _ in range(5):
-            t0 = time.perf_counter()
-            forward(x, model)
-            times.append(time.perf_counter() - t0)
-        report.wall_per_token = float(np.median(times)) / L
-    return report
 
 
-def scaled_params(cfg: FineRConfig, n_layers: int = REF_LAYERS, non_ffn: int | None = None) -> tuple[int, int]:
+def scaled_params(cfg: FineRConfig) -> tuple[int, int]:
     """(total, activated) parameters of a full model built from cfg: per-layer
-    costs times n_layers plus the documented non-FFN constant."""
-    if non_ffn is None:
-        non_ffn = non_ffn_params(cfg.h, cfg.H, n_layers)
+    costs times REF_LAYERS plus the documented non-FFN constant."""
+    non_ffn = non_ffn_params(cfg.h, cfg.H)
     rep = cost_report(cfg)
     return (
-        n_layers * rep.total_params + non_ffn,
-        n_layers * rep.activated_params + non_ffn,
+        REF_LAYERS * rep.total_params + non_ffn,
+        REF_LAYERS * rep.activated_params + non_ffn,
     )
-
-
-def time_sparse_path(model: MoEModel, x: Matrix, reps: int = 5) -> float:
-    """Best-of-reps wall time of the dispatched sparse path alone (no
-    router, no shared expert). Timing noise is one-sided, so the minimum
-    is the least-noisy estimate."""
-    decision = decide(x, model)
-    plan = build_dispatch_plan(decision, model.dims.N)
-    sparse_experts_forward(x, model, decision, plan=plan)  # warm up
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        sparse_experts_forward(x, model, decision, plan=plan)
-        times.append(time.perf_counter() - t0)
-    return float(min(times))
 

@@ -4,7 +4,7 @@ Layout, bit-exact:
 
     bytes 0..3    magic "FRM1"
     bytes 4..11   u64 little-endian manifest byte length
-    manifest      UTF-8 `key = value` lines
+    manifest      UTF-8 `key = value` lines, each key at most once
     padding       zero bytes to the next 8-byte file offset
     payload       raw little-endian IEEE-754 f32, row-major, one tensor
                   after another at the offsets the manifest declares
@@ -119,7 +119,10 @@ def _parse_manifest(text: str) -> tuple[dict, list[TensorManifestEntry]]:
         if "=" not in line:
             raise CheckpointError(f"bad manifest line: {raw!r}")
         key, _, val = line.partition("=")
-        kv[key.strip()] = val.strip()
+        key = key.strip()
+        if key in kv:
+            raise CheckpointError(f"manifest key {key!r} appears twice")
+        kv[key] = val.strip()
 
     entries = []
     n = 0

@@ -2,7 +2,7 @@
 
 Subcommands: preset, upcycle, forward, route-stats, similarity, bench,
 check, train-demo. Every subcommand is deterministic given its inputs and
---seed (bench timings excepted, when requested with --timed).
+--seed. Timings come from perfbench/, not from this CLI.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def _cmd_route_stats(args) -> int:
 
 def _cmd_similarity(args) -> int:
     model = _load_moe(args.model)
-    rep = analysis.expert_similarity(model, keep_pairs=bool(args.csv))
+    rep = analysis.expert_similarity(model)
     print(f"experts = {len(model.experts)}")
     print(f"pairs = {rep.n_pairs}")
     print(f"mean_cosine = {rep.mean:.10g}")
@@ -154,17 +154,14 @@ def _cmd_similarity(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    _require_counts(args, "tokens")
     cfg = config_mod.load_config(args.config)
-    rep = analysis.cost_report(cfg, L=args.tokens, timed=args.timed, seed=args.seed)
+    rep = analysis.cost_report(cfg)
     print(f"total_params = {rep.total_params}")
     print(f"activated_params = {rep.activated_params}")
     print(f"flops_sparse = {rep.flops_sparse}")
     print(f"flops_shared = {rep.flops_shared}")
     print(f"flops_router = {rep.flops_router}")
     print(f"flops_per_token = {rep.flops_per_token}")
-    if args.timed:
-        print(f"wall_per_token_s = {rep.wall_per_token:.3e}")
     return 0
 
 
@@ -270,12 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--csv", help="per-pair values to CSV (expert_a,expert_b,cosine)")
     sp.set_defaults(fn=_cmd_similarity)
 
-    sp = sub.add_parser("bench", help="parameter/FLOP report and optional timings")
+    sp = sub.add_parser("bench", help="parameter/FLOP report of one layer")
     sp.add_argument("--config", required=True)
-    sp.add_argument("--tokens", type=int, default=64)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--timed", action="store_true",
-                    help="measure wall time (output no longer run-to-run identical)")
     sp.set_defaults(fn=_cmd_bench)
 
     sp = sub.add_parser("check", help="run verification suites against the oracles")

@@ -71,19 +71,9 @@ def derive(cfg: FineRConfig) -> DerivedDims:
     )
 
 
-def expert_group(cfg: FineRConfig, k: int) -> int:
-    """Index of the group expert k belongs to (one group per candidate)."""
-    return k // (cfg.G_I * cfg.R_I)
-
-
 def expert_component(cfg: FineRConfig, k: int) -> int:
     """Output component the expert's group feeds."""
     return k // (cfg.G_I * cfg.R_I * cfg.R_O)
-
-
-def expert_candidate(cfg: FineRConfig, k: int) -> int:
-    """Candidate slot (0..R_O-1) of the expert's group within its component."""
-    return (k % (cfg.G_I * cfg.R_I * cfg.R_O)) // (cfg.G_I * cfg.R_I)
 
 
 # Reference dense dims (Qwen2.5-1.5B FFN) used when a preset is requested

@@ -19,7 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from finermoe.config import FineRConfig, derive, expert_component
+from finermoe.analysis import route_stats
+from finermoe.config import FineRConfig, expert_component
 from finermoe.experts import DenseFfnWeights, ExpertStack
 from finermoe.moe_layer import MoEModel, build_dispatch_plan, combine, decide, forward, named_parameters
 from finermoe.numerics import Matrix, Rng, dsilu, matmul, silu
@@ -35,15 +36,9 @@ class BalanceLossReport:
 
 
 def balance_loss(decision: RoutingDecision, cfg: FineRConfig, alpha: float = 0.001) -> BalanceLossReport:
-    """alpha * sum_i f_i P_i with f_i = N/(A*L) * activation count of expert i
-    and P_i the mean (pre-mask) softmax score of expert i."""
-    dims = derive(cfg)
-    L = decision.n_tokens
-    if L < 1:
-        raise ValueError("balance_loss needs at least one token")
-    counts = np.bincount(decision.indices.ravel(), minlength=dims.N)
-    # counts * N stays integral, so the division is the only rounding step.
-    f = (counts * dims.N).astype(np.float64) / (dims.n_active * L)
+    """alpha * sum_i f_i P_i with f_i the load factor of expert i from
+    ``route_stats`` and P_i the mean (pre-mask) softmax score of expert i."""
+    f = route_stats(decision, cfg).f
     P = decision.score.astype(np.float64).mean(axis=0)
     loss = alpha * float((f * P).sum())
     return BalanceLossReport(f=f, P=P, loss=loss, alpha=alpha)
@@ -123,7 +118,7 @@ def backward(
     # Sparse path, one activated expert batch at a time; inactive experts
     # keep a zero gradient. out_pairs collects the expert outputs, from
     # which combine rebuilds the sparse output for the projection gradient.
-    plan = build_dispatch_plan(decision, dims.N)
+    plan = build_dispatch_plan(decision)
     out_pairs = np.zeros((plan.n_pairs, dims.h_e), dtype=dtype)
     d_experts = ExpertStack.zeros(dims.N, cfg.h, dims.H_e, dims.h_e, dtype)
     for k in range(dims.N):
@@ -224,23 +219,19 @@ def _routing_signature(x: Matrix, model: MoEModel) -> bytes:
     return decide(x, model).indices.tobytes()
 
 
-def fd_check(
-    x: Matrix,
-    model: MoEModel,
-    loss_fn: LossFn,
-    epsilon: float = 1e-5,
-    margin: float = 10.0,
-    n_coords: int = 24,
-    seed: int = 0,
-    rel_floor: float = 1e-6,
-) -> FdReport:
+FD_EPSILON = 1e-5  # central-difference step
+FD_MARGIN = 10.0  # routing must survive a +-FD_MARGIN*FD_EPSILON nudge
+FD_REL_FLOOR = 1e-6  # smallest relative-error denominator
+
+
+def fd_check(x: Matrix, model: MoEModel, loss_fn: LossFn, n_coords: int = 24, seed: int = 0) -> FdReport:
     """Compare analytic gradients against central differences on a random
     coordinate subsample.
 
     A coordinate is checked only if the routing decision survives a
-    +-margin*epsilon perturbation (only router-weight and input coordinates
-    can flip it). Relative error uses max(|fd|, |analytic|, rel_floor) as
-    the denominator so exact-zero gradients compare cleanly.
+    +-FD_MARGIN*FD_EPSILON perturbation (only router-weight and input
+    coordinates can flip it). Relative error uses max(|fd|, |analytic|,
+    FD_REL_FLOOR) as the denominator so exact-zero gradients compare cleanly.
     """
     model = model.astype(np.float64)
     x = x.astype(np.float64)
@@ -272,7 +263,7 @@ def fd_check(
 
         if name == "x" or name.startswith("router"):
             stable = True
-            for delta in (margin * epsilon, -margin * epsilon):
+            for delta in (FD_MARGIN * FD_EPSILON, -FD_MARGIN * FD_EPSILON):
                 theta[idx] = old + delta
                 if _routing_signature(x, model) != base_signature:
                     stable = False
@@ -281,9 +272,9 @@ def fd_check(
                 skipped.append((name, idx))
                 continue
 
-        fd = central_difference(loss_at, old, epsilon)
+        fd = central_difference(loss_at, old, FD_EPSILON)
         an = grad[idx]
-        rel = abs(fd - an) / max(abs(fd), abs(an), rel_floor)
+        rel = abs(fd - an) / max(abs(fd), abs(an), FD_REL_FLOOR)
         max_rel = max(max_rel, rel)
         checked += 1
 

@@ -136,15 +136,11 @@ class DispatchPlan:
     def n_pairs(self) -> int:
         return self.perm.shape[0]
 
-    def batch_of(self, k: int) -> np.ndarray:
-        return self.tokens_by_expert[self.offsets[k] : self.offsets[k + 1]]
 
-
-def build_dispatch_plan(decision: RoutingDecision, n_experts: int | None = None) -> DispatchPlan:
+def build_dispatch_plan(decision: RoutingDecision) -> DispatchPlan:
     """Group the (token, activated-expert) pairs into per-expert batches."""
     L, A = decision.indices.shape
-    if n_experts is None:
-        n_experts = decision.n_experts
+    n_experts = decision.n_experts
     experts_flat = decision.indices.ravel()
     tokens_flat = np.repeat(np.arange(L, dtype=np.int64), A)
     # Stable sort by expert id keeps tokens ascending within each batch.
@@ -184,19 +180,16 @@ def combine(out_pairs: np.ndarray, decision: RoutingDecision, plan: DispatchPlan
     return Matrix.wrap(acc.reshape(L, cfg.G_O * h_e))
 
 
-def sparse_experts_forward(
-    x: Matrix, model: MoEModel, decision: RoutingDecision, plan: DispatchPlan | None = None
-) -> Matrix:
-    """Dispatch tokens to their activated experts and rebuild the L x h
-    sparse output.
+def sparse_experts_forward(x: Matrix, model: MoEModel, decision: RoutingDecision) -> Matrix:
+    """Build the dispatch plan, run each activated expert on its token
+    batch and rebuild the L x h sparse output.
 
     Routing keeps indices ascending with exactly T_I of them in each
     component's selected group, so slot a of every token feeds component
     a // T_I and ``combine`` sums straight into that component's columns.
     """
     dims = model.dims
-    if plan is None:
-        plan = build_dispatch_plan(decision, dims.N)
+    plan = build_dispatch_plan(decision)
 
     # Permute: pull each expert's token batch together and run it.
     out_pairs = np.zeros((plan.n_pairs, dims.h_e), dtype=x.dtype)
@@ -211,7 +204,7 @@ def sparse_experts_forward(
 
 def decide(x: Matrix, model: MoEModel) -> RoutingDecision:
     """Score x and route it as the model's router_mode says: the one routing
-    entry point for forward, timing, loss and CLI callers."""
+    entry point for forward, loss and CLI callers."""
     s = score(x, model.router)
     if model.cfg.router_mode == "separate":
         return route_separate(s, score(x, model.router_cc), model.cfg)

@@ -97,19 +97,16 @@ def drop_upcycle(
     drop_ratio: float,
     n_active: int,
     seed: int,
-    share_expert: bool = True,
 ) -> MoEModel:
     """Replication upcycling with partial re-initialization: each expert is
     a copy of the dense FFN in which an independently seeded random subset
     (fraction drop_ratio, per entry) of every weight matrix is re-drawn
-    from a zero-mean normal matching that matrix's empirical std.
+    from a zero-mean normal matching that matrix's empirical std. The dense
+    FFN is also kept verbatim as the shared expert.
     """
     if not 0.0 <= drop_ratio <= 1.0:
         raise ValueError(f"drop_ratio must be in [0, 1], got {drop_ratio}")
-    cfg = FineRConfig(
-        h=dense.h, H=dense.H, G_I=1, R_I=n_experts, G_O=1, R_O=1,
-        T_I=n_active, share_expert=share_expert,
-    )
+    cfg = FineRConfig(h=dense.h, H=dense.H, G_I=1, R_I=n_experts, G_O=1, R_O=1, T_I=n_active)
     model = upcycle(dense, cfg, seed)
     rng = Rng(seed)
     for k, ex in enumerate(model.experts):

@@ -48,12 +48,13 @@ def dyadic_scores(rng: Rng, rows: int, cols: int) -> np.ndarray:
 RECON_GRID_G_I = (1, 2, 4, 8, 16, 32)
 RECON_GRID_G_O = (1, 2, 4, 8)
 RECON_GRID_R_O = (1, 2)
+RECON_H = 64  # dense dims of every grid config
+RECON_INTERMEDIATE = 128
+RECON_INPUTS = 100  # tokens per config
+RECON_TOL = 1e-5
 
 
-def reconstruction_suite(
-    seed: int, cfg: FineRConfig | None = None, h: int = 64, H: int = 128,
-    n_inputs: int = 100, tol: float = 1e-5,
-) -> SuiteResult:
+def reconstruction_suite(seed: int, cfg: FineRConfig | None = None) -> SuiteResult:
     """Upcycle a random dense FFN and check that the forced sparse path
     (all experts of candidate 0, weight 1) reproduces R_I times the dense
     oracle output."""
@@ -61,7 +62,10 @@ def reconstruction_suite(
         grid = [with_updates(cfg, share_expert=False, concat_proj=False)]
     else:
         grid = [
-            FineRConfig(h=h, H=H, G_I=g_i, R_I=1, G_O=g_o, R_O=r_o, T_I=1, share_expert=False)
+            FineRConfig(
+                h=RECON_H, H=RECON_INTERMEDIATE, G_I=g_i, R_I=1, G_O=g_o, R_O=r_o, T_I=1,
+                share_expert=False,
+            )
             for g_i in RECON_GRID_G_I
             for g_o in RECON_GRID_G_O
             for r_o in RECON_GRID_R_O
@@ -71,14 +75,14 @@ def reconstruction_suite(
     for i, c in enumerate(grid):
         dense = random_dense(c.h, c.H, seed + i).astype(np.float64)
         model = upcycle(dense, c, seed + i).astype(np.float64)
-        x = rng.matrix(n_inputs, c.h, dtype=np.float64)
+        x = rng.matrix(RECON_INPUTS, c.h, dtype=np.float64)
         got = forward_forced(x, model)
         want = c.R_I * oracle.dense_ffn_forward(x, dense).a
         worst = max(worst, rel_err(got.a, want))
-    passed = worst < tol
+    passed = worst < RECON_TOL
     return SuiteResult(
         "reconstruction", passed,
-        f"{len(grid)} configs, max relative error {worst:.3e} (tolerance {tol:g})",
+        f"{len(grid)} configs, max relative error {worst:.3e} (tolerance {RECON_TOL:g})",
     )
 
 
@@ -115,7 +119,11 @@ HAND_TRACES = (
 )
 
 
-def router_suite(seed: int, n_matrices: int = 1000, tokens: int = 4) -> SuiteResult:
+ROUTER_MATRICES = 1000  # random score matrices per config
+ROUTER_TOKENS = 4  # rows per score matrix
+
+
+def router_suite(seed: int) -> SuiteResult:
     """route() against the exhaustive-enumeration reference on random
     (dyadic-grid) score matrices across all tiny configs, plus the two
     worked single-token traces."""
@@ -132,8 +140,8 @@ def router_suite(seed: int, n_matrices: int = 1000, tokens: int = 4) -> SuiteRes
     for g_i, r_i, g_o, r_o, t_i in ROUTER_SUITE_CONFIGS:
         cfg = FineRConfig(h=8, H=8, G_I=g_i, R_I=r_i, G_O=g_o, R_O=r_o, T_I=t_i)
         n = g_o * r_o * g_i * r_i
-        for _ in range(n_matrices):
-            s = dyadic_scores(rng, tokens, n)
+        for _ in range(ROUTER_MATRICES):
+            s = dyadic_scores(rng, ROUTER_TOKENS, n)
             if not decisions_equal(route(s, cfg), oracle.route_reference(s, cfg)):
                 mismatches += 1
             total += 1
@@ -145,7 +153,10 @@ def router_suite(seed: int, n_matrices: int = 1000, tokens: int = 4) -> SuiteRes
     )
 
 
-def roundtrip_suite(seed: int, n_models: int = 10) -> SuiteResult:
+ROUNDTRIP_MODELS = 10
+
+
+def roundtrip_suite(seed: int) -> SuiteResult:
     """FRM1 write -> read -> write bit-identity plus forward equality."""
     shapes = [
         FineRConfig(h=16, H=32, G_I=4, R_I=1, G_O=2, R_O=2, T_I=1),
@@ -156,7 +167,7 @@ def roundtrip_suite(seed: int, n_models: int = 10) -> SuiteResult:
     ]
     failures = []
     rng = Rng(seed)
-    for i in range(n_models):
+    for i in range(ROUNDTRIP_MODELS):
         cfg = shapes[i % len(shapes)]
         model = upcycle(random_dense(cfg.h, cfg.H, seed + i), cfg, seed + i)
         x = rng.matrix(5, cfg.h)
@@ -176,11 +187,15 @@ def roundtrip_suite(seed: int, n_models: int = 10) -> SuiteResult:
     passed = not failures
     return SuiteResult(
         "serialization-roundtrip", passed,
-        f"{n_models} models, {len(failures)} failures",
+        f"{ROUNDTRIP_MODELS} models, {len(failures)} failures",
     )
 
 
-def gradient_suite(seed: int, n_instances: int = 20, tol: float = 1e-4) -> SuiteResult:
+GRAD_INSTANCES = 20
+GRAD_TOL = 1e-4
+
+
+def gradient_suite(seed: int) -> SuiteResult:
     """Analytic vs central-difference gradients on toy layers in float64."""
     variants = [
         FineRConfig(h=8, H=16, G_I=4, R_I=1, G_O=2, R_O=2, T_I=1),
@@ -192,7 +207,7 @@ def gradient_suite(seed: int, n_instances: int = 20, tol: float = 1e-4) -> Suite
     worst = 0.0
     checked = skipped = 0
     rng = Rng(seed)
-    for i in range(n_instances):
+    for i in range(GRAD_INSTANCES):
         cfg = variants[i % len(variants)]
         model = upcycle(random_dense(cfg.h, cfg.H, seed + i, std=0.3), cfg, seed + i)
         x = rng.matrix(4, cfg.h)
@@ -202,10 +217,10 @@ def gradient_suite(seed: int, n_instances: int = 20, tol: float = 1e-4) -> Suite
         checked += rep.n_checked
         skipped += rep.n_skipped
     stable_frac = checked / max(checked + skipped, 1)
-    passed = worst < tol and stable_frac >= 0.95
+    passed = worst < GRAD_TOL and stable_frac >= 0.95
     return SuiteResult(
         "gradient-fd", passed,
-        f"{n_instances} instances, max relative error {worst:.3e} (tolerance {tol:g}), "
+        f"{GRAD_INSTANCES} instances, max relative error {worst:.3e} (tolerance {GRAD_TOL:g}), "
         f"{checked} coords checked, {skipped} unstable skipped "
         f"({100 * stable_frac:.1f}% stable)",
     )

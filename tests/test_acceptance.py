@@ -42,7 +42,7 @@ def test_01_reconstruction_oracle():
 
 def test_02_router_equivalence():
     t0 = time.perf_counter()
-    res = router_suite(seed=102, n_matrices=1000)
+    res = router_suite(seed=102)
     elapsed = time.perf_counter() - t0
     ok = res.passed and elapsed < 10.0
     _report(2, "router-equivalence", ok, f"{res.detail}, {elapsed:.1f}s")
@@ -135,7 +135,7 @@ def test_06_balance_loss_fixtures():
 
 def test_07_gradient_checks():
     t0 = time.perf_counter()
-    res = gradient_suite(seed=107, n_instances=20)
+    res = gradient_suite(seed=107)
     elapsed = time.perf_counter() - t0
     ok = res.passed and elapsed < 60.0
     _report(7, "gradient-fd", ok, f"{res.detail}, {elapsed:.1f}s")
@@ -176,7 +176,7 @@ def test_08_upcycling_structure():
 
 
 def test_09_serialization():
-    res = roundtrip_suite(seed=111, n_models=10)
+    res = roundtrip_suite(seed=111)
     _report(9, "serialization-roundtrip", res.passed, res.detail)
 
 

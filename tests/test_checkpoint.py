@@ -106,6 +106,19 @@ _DAMAGE = {
         "'expert.0.w1' appears twice",
     ),
     "missing_tensor": (lambda raw: _drop_tensor(raw, 3), CheckpointError, "missing tensor expert.0.w1"),
+    # A repeated manifest key is an error, not a silent last-one-wins.
+    "duplicate_config_key": (
+        lambda raw: _edit_manifest(raw, "\nT_I = 1\n", "\nT_I = 2\nT_I = 1\n"),
+        CheckpointError,
+        "manifest key 'T_I' appears twice",
+    ),
+    "duplicate_tensor_field": (
+        lambda raw: _edit_manifest(
+            raw, "\ntensor.0.offset = 0\n", "\ntensor.0.offset = 4\ntensor.0.offset = 0\n"
+        ),
+        CheckpointError,
+        "manifest key 'tensor.0.offset' appears twice",
+    ),
     # Dims the payload cannot hold fail before the model is allocated.
     "inflated_dims": (
         lambda raw: _edit_manifest(raw, "\nh = 16\n", "\nh = 16000000000000\n"),

@@ -241,10 +241,11 @@ class TestBench:
         assert a == b and a[0] == 0
         assert "total_params" in a[1]
 
-    def test_timed_report_includes_wall_time(self, base_cfg):
-        code, text, _ = _run(["bench", "--config", str(base_cfg), "--timed", "--tokens", "4"])
-        assert code == 0
-        assert "wall_per_token_s" in text
+    def test_timing_flag_is_gone(self, base_cfg):
+        # Wall-clock timing lives in perfbench/; argparse rejects the old flag.
+        code, _, err = _run(["bench", "--config", str(base_cfg), "--timed"])
+        assert code == 2
+        assert "--timed" in err
 
 
 class TestCheck:
@@ -349,7 +350,6 @@ class TestErrorsAndEntryPoint:
             (["train-demo", "--config", "{cfg}", "--steps", "0"], "--steps"),
             (["train-demo", "--config", "{cfg}", "--steps", "-1"], "--steps"),
             (["train-demo", "--config", "{cfg}", "--steps", "2", "--batch", "0"], "--batch"),
-            (["bench", "--config", "{cfg}", "--tokens", "0", "--timed"], "--tokens"),
             (["route-stats", "--model", "{model}", "--tokens", "0"], "--tokens"),
         ],
     )

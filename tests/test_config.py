@@ -5,9 +5,7 @@ from finermoe.config import (
     FineRConfig,
     baseline_preset,
     derive,
-    expert_candidate,
     expert_component,
-    expert_group,
     format_config,
     load_config,
     parse_config,
@@ -53,10 +51,7 @@ class TestDerive:
         assert d.n_groups * d.group_size == d.N
         assert d.n_active <= d.N
         for k in range(d.N):
-            assert expert_group(cfg, k) == k // d.group_size
             assert expert_component(cfg, k) == k // (d.group_size * cfg.R_O)
-            assert 0 <= expert_candidate(cfg, k) < cfg.R_O
-            assert expert_group(cfg, k) == expert_component(cfg, k) * cfg.R_O + expert_candidate(cfg, k)
 
 
 class TestValidate:

@@ -30,14 +30,14 @@ class TestDispatchPlan:
         model = _model()
         x = Rng(1).matrix(1, TOY.h)
         d = _decision(x, model)
-        plan = build_dispatch_plan(d, model.dims.N)
+        plan = build_dispatch_plan(d)
         assert plan.n_pairs == model.dims.n_active
         assert sorted(plan.tokens_by_expert.tolist()) == [0] * model.dims.n_active
 
     def test_inverse_composes_to_identity(self):
         model = _model(seed=3)
         x = Rng(2).matrix(9, TOY.h)
-        plan = build_dispatch_plan(_decision(x, model), model.dims.N)
+        plan = build_dispatch_plan(_decision(x, model))
         assert np.array_equal(plan.inverse[plan.perm], np.arange(plan.n_pairs))
         assert np.array_equal(plan.perm[plan.inverse], np.arange(plan.n_pairs))
         assert plan.n_pairs == 9 * model.dims.n_active
@@ -51,14 +51,14 @@ class TestDispatchPlan:
         s[:, 5] = 0.5
         s[:, 6] = 0.4
         d = route(s, cfg)
-        plan = build_dispatch_plan(d, dims.N)
-        assert plan.batch_of(5).tolist() == [0, 1]
-        assert plan.batch_of(6).tolist() == [0, 1]
+        plan = build_dispatch_plan(d)
+        for k in (5, 6):
+            assert plan.tokens_by_expert[plan.offsets[k] : plan.offsets[k + 1]].tolist() == [0, 1]
 
     def test_permutation_round_trips_payload(self):
         model = _model(seed=4)
         x = Rng(5).matrix(7, TOY.h)
-        plan = build_dispatch_plan(_decision(x, model), model.dims.N)
+        plan = build_dispatch_plan(_decision(x, model))
         payload = Rng(6).matrix(plan.n_pairs, 3).a
         assert np.array_equal(payload[plan.perm][plan.inverse], payload)
 
