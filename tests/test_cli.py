@@ -351,6 +351,7 @@ class TestErrorsAndEntryPoint:
             (["train-demo", "--config", "{cfg}", "--steps", "-1"], "--steps"),
             (["train-demo", "--config", "{cfg}", "--steps", "2", "--batch", "0"], "--batch"),
             (["route-stats", "--model", "{model}", "--tokens", "0"], "--tokens"),
+            (["route-stats", "--model", "{model}", "--tokens", "-1"], "--tokens"),
         ],
     )
     def test_count_below_one_exits_3_naming_it(self, model_file, base_cfg, argv, name):
