@@ -17,7 +17,8 @@ from finermoe.router import RoutingDecision
 class SimilarityReport:
     mean: float
     n_pairs: int
-    per_pair: np.ndarray  # pairs (i, j), i < j, in row-major order
+    pairs: tuple[np.ndarray, np.ndarray]  # experts (i, j) of each pair: np.triu_indices(N, 1)
+    per_pair: np.ndarray  # cosine of pair p, experts (pairs[0][p], pairs[1][p])
 
 
 def expert_similarity(model: MoEModel) -> SimilarityReport:
@@ -36,15 +37,13 @@ def expert_similarity(model: MoEModel) -> SimilarityReport:
         [a.reshape(n, -1) for a in (stack.w1, stack.wg, stack.w2)], axis=1
     ).astype(np.float64)
     ss = (vecs * vecs).sum(axis=1)
-    sims = []
-    for i in range(n - 1):
-        cross = (vecs[i] * vecs[i + 1 :]).sum(axis=1)
-        sims.append(cross / np.sqrt(ss[i] * ss[i + 1 :]))
-    per_pair = np.concatenate(sims)
-    assert per_pair.shape[0] == n * (n - 1) // 2
+    i, j = np.triu_indices(n, 1)
+    cross = np.array([(vecs[a] * vecs[b]).sum() for a, b in zip(i, j)])
+    per_pair = cross / np.sqrt(ss[i] * ss[j])
     return SimilarityReport(
         mean=float(per_pair.mean()),
         n_pairs=per_pair.shape[0],
+        pairs=(i, j),
         per_pair=per_pair,
     )
 
@@ -82,7 +81,7 @@ REF_DENSE_TOTAL = 1_543_714_304
 REF_VOCAB = 151_936
 
 
-def non_ffn_params(h: int = 1536, H: int = 8960) -> int:
+def non_ffn_params(h: int, H: int) -> int:
     return REF_DENSE_TOTAL - REF_LAYERS * 3 * h * H + REF_VOCAB * h
 
 

@@ -141,14 +141,10 @@ def _cmd_similarity(args) -> int:
     print(f"pairs = {rep.n_pairs}")
     print(f"mean_cosine = {rep.mean:.10g}")
     if args.csv:
-        n = len(model.experts)
         with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("expert_a,expert_b,cosine\n")
-            p = 0
-            for i in range(n - 1):
-                for j in range(i + 1, n):
-                    fh.write(f"{i},{j},{rep.per_pair[p]:.10g}\n")
-                    p += 1
+            for i, j, cos in zip(*rep.pairs, rep.per_pair):
+                fh.write(f"{i},{j},{cos:.10g}\n")
         print(f"wrote {args.csv}")
     return 0
 
@@ -196,8 +192,7 @@ def _cmd_train_demo(args) -> int:
         bal = balance_loss(out.decision, cfg, args.alpha)
         upstream = Matrix.wrap(np.ascontiguousarray((2.0 / err.size) * err, dtype=np.float32))
         grads = backward(
-            x, model, upstream, out.decision,
-            d_score_extra=balance_loss_score_grad(out.decision, cfg, args.alpha),
+            model, upstream, out, d_score_extra=balance_loss_score_grad(out.decision, cfg, args.alpha),
         )
         # Clipped SGD keeps the toy run stable at demo learning rates. The
         # norm sums per tensor in registry order, which fixes its rounding.

@@ -96,16 +96,33 @@ class ExpertStack(Sequence):
         return ExpertStack(*(np.ascontiguousarray(a, dtype=dtype) for a in (self.w1, self.wg, self.w2)))
 
 
-def expert_forward(x: Matrix, w: ExpertWeights | DenseFfnWeights) -> Matrix:
-    """SwiGLU forward of a token batch; output is L x h_e (L x h for a dense FFN)."""
+@dataclass
+class SwiGLUTape:
+    """One SwiGLU forward, kept so the backward pass need not rerun it:
+    up = x W1, gate = x Wg, inner = up * silu(gate), out = inner W2."""
+
+    up: np.ndarray
+    gate: np.ndarray
+    inner: Matrix
+    out: Matrix
+
+
+def swiglu(x: Matrix, w: ExpertWeights | DenseFfnWeights) -> SwiGLUTape:
+    """SwiGLU forward of a token batch with its intermediates."""
     if x.cols != w.w1.rows:
         raise ValueError(f"input width {x.cols} does not match expert input dim {w.w1.rows}")
-    up = matmul(x, w.w1)
-    gate = matmul(x, w.wg)
-    inner = Matrix.wrap(up.a * silu(gate.a))
-    return matmul(inner, w.w2)
+    up = matmul(x, w.w1).a
+    gate = matmul(x, w.wg).a
+    inner = Matrix.wrap(up * silu(gate))
+    return SwiGLUTape(up, gate, inner, matmul(inner, w.w2))
 
 
-def shared_forward(x: Matrix, w: DenseFfnWeights) -> Matrix:
-    """Full-size SwiGLU forward; identical computation at (H, h)."""
-    return expert_forward(x, w)
+def expert_forward(x: Matrix, w: ExpertWeights | DenseFfnWeights) -> Matrix:
+    """SwiGLU forward of a token batch; output is L x h_e (L x h for a dense FFN)."""
+    return swiglu(x, w).out
+
+
+def shared_forward(x: Matrix, w: DenseFfnWeights) -> SwiGLUTape:
+    """Full-size SwiGLU forward; identical computation at (H, h). The
+    output is ``.out``, the rest is the tape ``backward`` reads."""
+    return swiglu(x, w)

@@ -21,8 +21,8 @@ import numpy as np
 
 from finermoe.analysis import route_stats
 from finermoe.config import FineRConfig, expert_component
-from finermoe.experts import DenseFfnWeights, ExpertStack
-from finermoe.moe_layer import MoEModel, build_dispatch_plan, combine, decide, forward, named_parameters
+from finermoe.experts import DenseFfnWeights, ExpertStack, SwiGLUTape
+from finermoe.moe_layer import LayerOutput, MoEModel, decide, forward, named_parameters
 from finermoe.numerics import Matrix, Rng, dsilu, matmul, silu
 from finermoe.router import RouterState, RoutingDecision
 
@@ -60,41 +60,39 @@ class LayerGradients:
     d_x: Matrix
 
 
-def _swiglu_backward(x_rows: Matrix, w, d_out: np.ndarray):
-    """Shared SwiGLU chain rule. Returns (dW1, dWg, dW2, d_x_rows, out_rows)."""
-    up = matmul(x_rows, w.w1).a
-    gate = matmul(x_rows, w.wg).a
-    s_gate = silu(gate)
-    inner = Matrix.wrap(up * s_gate)
-    out = matmul(inner, w.w2)
-
+def _swiglu_backward(x_rows: Matrix, w, t: SwiGLUTape, d_out: np.ndarray):
+    """SwiGLU chain rule on a forward tape. Returns (dW1, dWg, dW2, d_x_rows)."""
     d_out_m = Matrix.wrap(np.ascontiguousarray(d_out))
-    d_w2 = matmul(inner.transpose(), d_out_m)
+    d_w2 = matmul(t.inner.transpose(), d_out_m)
     d_inner = matmul(d_out_m, w.w2.transpose()).a
-    d_up = Matrix.wrap(d_inner * s_gate)
-    d_gate = Matrix.wrap(d_inner * up * dsilu(gate))
+    d_up = Matrix.wrap(d_inner * silu(t.gate))
+    d_gate = Matrix.wrap(d_inner * t.up * dsilu(t.gate))
     xt = x_rows.transpose()
     d_w1 = matmul(xt, d_up)
     d_wg = matmul(xt, d_gate)
     d_x = matmul(d_up, w.w1.transpose()).a + matmul(d_gate, w.wg.transpose()).a
-    return d_w1, d_wg, d_w2, d_x, out
+    return d_w1, d_wg, d_w2, d_x
 
 
 def backward(
-    x: Matrix,
     model: MoEModel,
     upstream: Matrix,
-    decision: RoutingDecision,
+    out: LayerOutput,
     d_score_extra: np.ndarray | None = None,
 ) -> LayerGradients:
     """Exact gradients of (upstream . y) plus any extra score-level term
-    (e.g. the balance loss) with respect to every weight and the input.
+    (e.g. the balance loss) with respect to every weight and the input,
+    for ``out = forward(x, model)`` taken before the weights last changed.
 
-    Discrete selections are constants; non-activated experts get zero
-    gradient, and in separate-router mode the candidate router is
-    selection-only, so its gradient is identically zero.
+    The input, the dispatch plan and every expert's intermediates come from
+    ``out.tape``, so only the gradient matmuls run. Discrete selections are
+    constants; non-activated experts get zero gradient, and in
+    separate-router mode the candidate router is selection-only, so its
+    gradient is identically zero.
     """
     cfg, dims = model.cfg, model.dims
+    tape, decision = out.tape, out.decision
+    x = tape.x
     dtype = x.dtype
     L = x.rows
     if upstream.shape != (L, cfg.h):
@@ -104,43 +102,38 @@ def backward(
     d_score = np.zeros((L, dims.N), dtype=np.float64)
 
     # Projection (if any) sits between the combine and the output add.
+    d_proj = None
     if model.concat_proj is not None:
         d_cat = matmul(upstream, model.concat_proj.transpose()).a
+        d_proj = matmul(tape.sparse.out.transpose(), upstream)
     else:
         d_cat = upstream.a
 
     d_shared = None
     if model.shared is not None:
-        d_w1, d_wg, d_w2, d_x_s, _ = _swiglu_backward(x, model.shared, upstream.a)
+        d_w1, d_wg, d_w2, d_x_s = _swiglu_backward(x, model.shared, tape.shared, upstream.a)
         d_shared = DenseFfnWeights(d_w1, d_wg, d_w2)
         d_x += d_x_s
 
     # Sparse path, one activated expert batch at a time; inactive experts
-    # keep a zero gradient. out_pairs collects the expert outputs, from
-    # which combine rebuilds the sparse output for the projection gradient.
-    plan = build_dispatch_plan(decision)
-    out_pairs = np.zeros((plan.n_pairs, dims.h_e), dtype=dtype)
+    # keep a zero gradient.
+    plan = tape.sparse.plan
     d_experts = ExpertStack.zeros(dims.N, cfg.h, dims.H_e, dims.h_e, dtype)
-    for k in range(dims.N):
-        s, e = plan.offsets[k], plan.offsets[k + 1]
-        if s == e:
+    for k, t in enumerate(tape.sparse.experts):
+        if t is None:
             continue
+        s, e = plan.offsets[k], plan.offsets[k + 1]
         batch_tokens = plan.tokens_by_expert[s:e]
         comp = expert_component(cfg, k)
-        x_rows = Matrix.wrap(np.ascontiguousarray(x.a[batch_tokens]))
+        x_rows = Matrix.wrap(tape.sparse.x_rows[s:e])
         u_rows = d_cat[batch_tokens, comp * dims.h_e : (comp + 1) * dims.h_e]
         w_rows = decision.score[batch_tokens, k].astype(dtype)
 
-        d_w1, d_wg, d_w2, d_x_rows, out = _swiglu_backward(x_rows, model.experts[k], u_rows * w_rows[:, None])
+        d_w1, d_wg, d_w2, d_x_rows = _swiglu_backward(x_rows, model.experts[k], t, u_rows * w_rows[:, None])
         d_experts.w1[k], d_experts.wg[k], d_experts.w2[k] = d_w1.a, d_wg.a, d_w2.a
         d_x[batch_tokens] += d_x_rows
         # Weight gradient: d loss / d score[t, k] = u . E_k(x_t).
-        d_score[batch_tokens, k] = (u_rows.astype(np.float64) * out.a.astype(np.float64)).sum(axis=1)
-        out_pairs[s:e] = out.a
-
-    d_proj = None
-    if model.concat_proj is not None:
-        d_proj = matmul(combine(out_pairs, decision, plan, cfg).transpose(), upstream)
+        d_score[batch_tokens, k] = (u_rows.astype(np.float64) * t.out.a.astype(np.float64)).sum(axis=1)
 
     if d_score_extra is not None:
         d_score = d_score + d_score_extra
@@ -182,7 +175,7 @@ def mean_squared_output_loss() -> LossFn:
         out = forward(x, model)
         y = out.y.a
         upstream = Matrix.wrap(np.ascontiguousarray((2.0 / y.size) * y, dtype=x.dtype))
-        return backward(x, model, upstream, out.decision)
+        return backward(model, upstream, out)
 
     return LossFn(value=value, grads=grads)
 
@@ -194,10 +187,10 @@ def balance_loss_fn(alpha: float = 0.001) -> LossFn:
         return balance_loss(decide(x, model), model.cfg, alpha).loss
 
     def grads(x: Matrix, model: MoEModel) -> LayerGradients:
-        decision = decide(x, model)
+        out = forward(x, model)
         upstream = Matrix.zeros(x.rows, model.cfg.h, dtype=x.dtype)
-        d_score = balance_loss_score_grad(decision, model.cfg, alpha)
-        return backward(x, model, upstream, decision, d_score_extra=d_score)
+        d_score = balance_loss_score_grad(out.decision, model.cfg, alpha)
+        return backward(model, upstream, out, d_score_extra=d_score)
 
     return LossFn(value=value, grads=grads)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from finermoe.config import FineRConfig, DerivedDims, derive
-from finermoe.experts import DenseFfnWeights, ExpertStack, expert_forward, shared_forward
+from finermoe.experts import DenseFfnWeights, ExpertStack, SwiGLUTape, expert_forward, shared_forward, swiglu
 from finermoe.numerics import Matrix, matmul
 from finermoe.router import RouterState, RoutingDecision, route, route_separate, score
 
@@ -159,9 +159,29 @@ def build_dispatch_plan(decision: RoutingDecision) -> DispatchPlan:
 
 
 @dataclass
+class SparseTape:
+    """The sparse path of one forward, as ``backward`` reads it."""
+
+    plan: DispatchPlan
+    x_rows: np.ndarray  # n_pairs x h: the input rows, expert-major
+    experts: list[SwiGLUTape | None]  # per expert; None if it got no token
+    out: Matrix  # L x h: the combined sparse output, before any projection
+
+
+@dataclass
+class ForwardTape:
+    """What ``backward`` needs from a forward, so it recomputes none of it."""
+
+    x: Matrix
+    sparse: SparseTape
+    shared: SwiGLUTape | None
+
+
+@dataclass
 class LayerOutput:
     y: Matrix  # L x h
     decision: RoutingDecision
+    tape: ForwardTape
 
 
 def combine(out_pairs: np.ndarray, decision: RoutingDecision, plan: DispatchPlan, cfg: FineRConfig) -> Matrix:
@@ -180,9 +200,10 @@ def combine(out_pairs: np.ndarray, decision: RoutingDecision, plan: DispatchPlan
     return Matrix.wrap(acc.reshape(L, cfg.G_O * h_e))
 
 
-def sparse_experts_forward(x: Matrix, model: MoEModel, decision: RoutingDecision) -> Matrix:
+def sparse_experts_forward(x: Matrix, model: MoEModel, decision: RoutingDecision) -> SparseTape:
     """Build the dispatch plan, run each activated expert on its token
-    batch and rebuild the L x h sparse output.
+    batch and rebuild the L x h sparse output (``.out``), keeping every
+    expert's intermediates for the backward pass.
 
     Routing keeps indices ascending with exactly T_I of them in each
     component's selected group, so slot a of every token feeds component
@@ -192,14 +213,16 @@ def sparse_experts_forward(x: Matrix, model: MoEModel, decision: RoutingDecision
     plan = build_dispatch_plan(decision)
 
     # Permute: pull each expert's token batch together and run it.
+    x_rows = x.a[plan.tokens_by_expert]
+    tapes: list[SwiGLUTape | None] = [None] * dims.N
     out_pairs = np.zeros((plan.n_pairs, dims.h_e), dtype=x.dtype)
     for k in range(dims.N):
         s, e = plan.offsets[k], plan.offsets[k + 1]
         if s == e:
             continue
-        batch = Matrix.wrap(np.ascontiguousarray(x.a[plan.tokens_by_expert[s:e]]))
-        out_pairs[s:e] = expert_forward(batch, model.experts[k]).a
-    return combine(out_pairs, decision, plan, model.cfg)
+        tapes[k] = swiglu(Matrix.wrap(x_rows[s:e]), model.experts[k])
+        out_pairs[s:e] = tapes[k].out.a
+    return SparseTape(plan, x_rows, tapes, combine(out_pairs, decision, plan, model.cfg))
 
 
 def decide(x: Matrix, model: MoEModel) -> RoutingDecision:
@@ -212,18 +235,24 @@ def decide(x: Matrix, model: MoEModel) -> RoutingDecision:
 
 
 def forward(x: Matrix, model: MoEModel) -> LayerOutput:
-    """Full layer: route, sparse path, optional projection, shared add."""
+    """Full layer: route, sparse path, optional projection, shared add.
+
+    The output carries the forward's tape; ``backward`` takes it from there.
+    """
     if x.cols != model.cfg.h:
         raise ValueError(f"input width {x.cols} does not match hidden dim {model.cfg.h}")
     decision = decide(x, model)
-    sparse = sparse_experts_forward(x, model, decision)
+    sparse_tape = sparse_experts_forward(x, model, decision)
+    sparse = sparse_tape.out
     if model.concat_proj is not None:
         sparse = matmul(sparse, model.concat_proj)
+    shared_tape = None
     if model.shared is not None:
-        y = Matrix.wrap(shared_forward(x, model.shared).a + sparse.a)
+        shared_tape = shared_forward(x, model.shared)
+        y = Matrix.wrap(shared_tape.out.a + sparse.a)
     else:
         y = sparse
-    return LayerOutput(y=y, decision=decision)
+    return LayerOutput(y=y, decision=decision, tape=ForwardTape(x, sparse_tape, shared_tape))
 
 
 def forward_forced(x: Matrix, model: MoEModel) -> Matrix:
@@ -244,5 +273,5 @@ def forward_forced(x: Matrix, model: MoEModel) -> Matrix:
         parts.append(acc)
     out = np.concatenate(parts, axis=1)
     if model.shared is not None:
-        out = out + shared_forward(x, model.shared).a
+        out = out + shared_forward(x, model.shared).out.a
     return Matrix.wrap(np.ascontiguousarray(out))

@@ -192,7 +192,7 @@ class TestCostReport:
 
     def test_non_ffn_constant_definition(self):
         # dense total - FFN stack + untied output embedding
-        assert non_ffn_params() == 1_543_714_304 - 28 * 3 * 1536 * 8960 + 151_936 * 1536
+        assert non_ffn_params(1536, 8960) == 1_543_714_304 - 28 * 3 * 1536 * 8960 + 151_936 * 1536
 
 
 def _sparse_path_seconds(x: Matrix, model: MoEModel, reps: int) -> float:

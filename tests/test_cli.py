@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -232,6 +233,30 @@ class TestSimilarity:
         lines = csv_p.read_text().splitlines()
         assert lines[0] == "expert_a,expert_b,cosine"
         assert len(lines) == 1 + 8128
+
+    def test_csv_row_is_the_cosine_of_its_experts(self, tmp_path, model_file):
+        # Distinct experts, so a row labelled with the wrong pair shows.
+        model = read_model(model_file)
+        rng = Rng(3)
+        for a in (model.experts.w1, model.experts.wg, model.experts.w2):
+            a += rng.normal(a.size).reshape(a.shape).astype(a.dtype)
+        finermoe.write_model(model, model_file)
+        csv_p = tmp_path / "sim.csv"
+        assert _run(["similarity", "--model", str(model_file), "--csv", str(csv_p)])[0] == 0
+        n = len(model.experts)
+        vecs = np.concatenate(
+            [a.reshape(n, -1) for a in (model.experts.w1, model.experts.wg, model.experts.w2)], axis=1
+        ).astype(np.float64)
+        rows = csv_p.read_text().splitlines()[1:]
+        assert len(rows) == n * (n - 1) // 2
+        seen = set()
+        for row in rows:
+            i, j, cos = row.split(",")
+            i, j = int(i), int(j)
+            want = vecs[i] @ vecs[j] / np.sqrt((vecs[i] @ vecs[i]) * (vecs[j] @ vecs[j]))
+            assert abs(float(cos) - want) < 1e-9, row
+            seen.add((i, j))
+        assert seen == {(i, j) for i in range(n) for j in range(i + 1, n)}
 
 
 class TestBench:

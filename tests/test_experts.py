@@ -63,20 +63,20 @@ class TestExpertForward:
 class TestSharedForward:
     def test_zero_input(self):
         w = DenseFfnWeights(Rng(1).matrix(4, 8), Rng(2).matrix(4, 8), Rng(3).matrix(8, 4))
-        assert not shared_forward(Matrix.zeros(2, 4), w).a.any()
+        assert not shared_forward(Matrix.zeros(2, 4), w).out.a.any()
 
     def test_batch_row_decomposition(self):
         w = DenseFfnWeights(Rng(4).matrix(4, 8), Rng(5).matrix(4, 8), Rng(6).matrix(8, 4))
         x = Rng(7).matrix(3, 4)
-        whole = shared_forward(x, w).a
+        whole = shared_forward(x, w).out.a
         rows = np.vstack(
-            [shared_forward(Matrix.wrap(x.a[i : i + 1].copy()), w).a for i in range(3)]
+            [shared_forward(Matrix.wrap(x.a[i : i + 1].copy()), w).out.a for i in range(3)]
         )
         assert whole.tobytes() == rows.tobytes()
 
     def test_output_is_full_width(self):
         w = DenseFfnWeights(Rng(8).matrix(4, 8), Rng(9).matrix(4, 8), Rng(10).matrix(8, 4))
-        assert shared_forward(Rng(11).matrix(5, 4), w).shape == (5, 4)
+        assert shared_forward(Rng(11).matrix(5, 4), w).out.shape == (5, 4)
 
 
 class TestWeightContainers:

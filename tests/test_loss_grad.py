@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from finermoe import loss_grad, moe_layer
-from finermoe.config import FineRConfig, derive, with_updates
+from finermoe import experts, loss_grad, moe_layer
+from finermoe.analysis import cost_report
+from finermoe.config import FineRConfig, baseline_preset, derive, preset_names, with_updates
 from finermoe.loss_grad import (
     backward,
     balance_loss,
@@ -13,7 +14,7 @@ from finermoe.loss_grad import (
     mean_squared_output_loss,
 )
 from finermoe.moe_layer import decide, forward, named_parameters, sparse_experts_forward
-from finermoe.numerics import Matrix, Rng, matmul
+from finermoe.numerics import Matrix, Rng, count_flops, matmul
 from finermoe.router import RoutingDecision, route, score
 from finermoe.upcycle import random_dense, upcycle
 
@@ -101,7 +102,7 @@ class TestBackward:
         model = _model(seed=5)
         x = Rng(6).matrix(4, TOY.h)
         out = forward(x, model)
-        g = backward(x, model, Matrix.zeros(4, TOY.h), out.decision)
+        g = backward(model, Matrix.zeros(4, TOY.h), out)
         for name, grad in named_parameters(g.d_model):
             assert not grad.a.any(), name
         assert not g.d_x.a.any()
@@ -110,7 +111,7 @@ class TestBackward:
         model = _model(seed=7)
         x = Rng(8).matrix(4, TOY.h)
         out = forward(x, model)
-        g = backward(x, model, Rng(9).matrix(4, TOY.h), out.decision)
+        g = backward(model, Rng(9).matrix(4, TOY.h), out)
         active = set(out.decision.indices.ravel().tolist())
         for k in range(model.dims.N):
             touched = g.d_model.experts[k].w1.a.any() or g.d_model.experts[k].w2.a.any()
@@ -124,7 +125,7 @@ class TestBackward:
         out = forward(x, model)
         (k,) = out.decision.indices[0].tolist()
         upstream = Rng(12).matrix(1, cfg.h, dtype=np.float64)
-        g = backward(x, model, upstream, out.decision)
+        g = backward(model, upstream, out)
 
         e = model.experts[k]
         up = x.a @ e.w1.a
@@ -141,7 +142,7 @@ class TestBackward:
         model = _model(cfg, seed=13)
         x = Rng(14).matrix(4, cfg.h)
         out = forward(x, model)
-        g = backward(x, model, Rng(15).matrix(4, cfg.h), out.decision)
+        g = backward(model, Rng(15).matrix(4, cfg.h), out)
         assert not g.d_model.router_cc.w.a.any()
         assert g.d_model.router.w.a.any()
 
@@ -150,35 +151,84 @@ class TestBackward:
         x = Rng(17).matrix(4, TOY.h)
         out = forward(x, model)
         with pytest.raises(ValueError, match="upstream"):
-            backward(x, model, Matrix.zeros(4, 3), out.decision)
+            backward(model, Matrix.zeros(4, 3), out)
 
 
 class TestConcatProjBackward:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("mode", ["single", "separate"])
     def test_projection_gradient_without_rerunning_the_sparse_path(self, mode, dtype, monkeypatch):
-        # d concat_proj = (sparse output)^T upstream, rebuilt from the expert
-        # outputs backward already computes, byte for byte.
+        # d concat_proj = (sparse output)^T upstream, read from the forward
+        # tape byte for byte; backward reruns no part of the forward.
         cfg = FineRConfig(h=8, H=16, G_I=4, R_I=2, G_O=2, R_O=2, T_I=3, router_mode=mode, concat_proj=True)
         model = _model(cfg, seed=18)
         model.concat_proj.a[:] = Rng(19).matrix(cfg.h, cfg.h).a
         model = model.astype(dtype)
         x = Rng(20).matrix(6, cfg.h, dtype=dtype)
         upstream = Rng(21).matrix(6, cfg.h, dtype=dtype)
-        d = decide(x, model)
-        want = matmul(sparse_experts_forward(x, model, d).transpose(), upstream)
+        want = matmul(sparse_experts_forward(x, model, decide(x, model)).out.transpose(), upstream)
+        out = forward(x, model)
 
         calls = []
 
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return sparse_experts_forward(*args, **kwargs)
+        def spy(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
 
-        monkeypatch.setattr(moe_layer, "sparse_experts_forward", spy)
-        monkeypatch.setattr(loss_grad, "sparse_experts_forward", spy, raising=False)
-        g = backward(x, model, upstream, d)
+            return wrapper
+
+        for mod in (moe_layer, loss_grad, experts):
+            for name in ("sparse_experts_forward", "build_dispatch_plan", "swiglu", "shared_forward", "decide"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, spy(getattr(mod, name)))
+        g = backward(model, upstream, out)
         assert not calls
         assert g.d_model.concat_proj.a.tobytes() == want.a.tobytes()
+
+
+class TestBackwardFlops:
+    """Backward runs the six gradient matmuls of each SwiGLU, the router's
+    two and the projection's two, never a forward one again: exactly twice
+    the forward's FLOPs, less the candidate-router scoring, which has no
+    gradient matmul."""
+
+    CONFIGS = [*preset_names(), "G4x2_2x2_T3"]
+
+    @staticmethod
+    def _cfg(name, mode, proj, h=16, H=64):
+        if name == "G4x2_2x2_T3":
+            cfg = FineRConfig(h=h, H=H, G_I=4, R_I=2, G_O=2, R_O=2, T_I=3)
+        else:
+            cfg = baseline_preset(name, h=h, H=H)
+        return with_updates(cfg, router_mode=mode, concat_proj=proj)
+
+    @staticmethod
+    def _counts(cfg, L, dtype):
+        model = _model(cfg, seed=30).astype(dtype)
+        x = Rng(31).matrix(L, cfg.h, dtype=dtype)
+        with count_flops() as fwd:
+            out = forward(x, model)
+        with count_flops() as bwd:
+            backward(model, Rng(32).matrix(L, cfg.h, dtype=dtype), out)
+        return fwd.flops, bwd.flops
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("proj", [False, True])
+    @pytest.mark.parametrize("mode", ["single", "separate"])
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_backward_is_twice_forward(self, name, mode, proj, dtype):
+        cfg = self._cfg(name, mode, proj)
+        L = 12
+        fwd, bwd = self._counts(cfg, L, dtype)
+        assert fwd == cost_report(cfg).flops_per_token * L
+        cc_scoring = 2 * L * cfg.h * derive(cfg).n_groups if mode == "separate" else 0
+        assert bwd == 2 * (fwd - cc_scoring)
+
+    @pytest.mark.parametrize("name, want", [("NVShard", 406_847_488), ("FineRMoE-base", 220_200_960)])
+    def test_counts_at_benchmark_dims(self, name, want):
+        fwd, bwd = self._counts(self._cfg(name, "single", False, h=256, H=1024), 64, np.float32)
+        assert bwd == 2 * fwd == want
 
 
 class TestFiniteDifferences:

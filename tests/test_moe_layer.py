@@ -69,7 +69,7 @@ class TestSparseForward:
         model = _model(seed=7)
         x = Rng(8).matrix(4, TOY.h)
         d = _decision(x, model)
-        out = sparse_experts_forward(x, model, d)
+        out = sparse_experts_forward(x, model, d).out
         dims = model.dims
         for t in range(4):
             row = Matrix.wrap(x.a[t : t + 1].copy())
@@ -84,7 +84,7 @@ class TestSparseForward:
         model = _model(seed=9)
         x = Rng(10).matrix(6, TOY.h)
         d = _decision(x, model)
-        base = sparse_experts_forward(x, model, d)
+        base = sparse_experts_forward(x, model, d).out
         dims = model.dims
         zeroed = MoEModel(
             cfg=model.cfg,
@@ -101,7 +101,7 @@ class TestSparseForward:
                 zeroed.experts[k].w1.a[:] = 0
                 zeroed.experts[k].wg.a[:] = 0
                 zeroed.experts[k].w2.a[:] = 0
-        again = sparse_experts_forward(x, zeroed, d)
+        again = sparse_experts_forward(x, zeroed, d).out
         assert base.a.tobytes() == again.a.tobytes()
 
     def test_matches_naive_token_loop_bitwise(self):
@@ -110,7 +110,7 @@ class TestSparseForward:
         dims = model.dims
         x = Rng(12).matrix(8, cfg.h)
         d = _decision(x, model)
-        got = sparse_experts_forward(x, model, d)
+        got = sparse_experts_forward(x, model, d).out
 
         naive = np.zeros((8, cfg.h), dtype=np.float32)
         for t in range(8):
@@ -142,7 +142,7 @@ class TestForward:
         x = Rng(18).matrix(4, TOY.h)
         from finermoe.experts import shared_forward
 
-        assert forward(x, model).y.a.tobytes() == shared_forward(x, model.shared).a.tobytes()
+        assert forward(x, model).y.a.tobytes() == shared_forward(x, model.shared).out.a.tobytes()
 
     def test_no_share_zero_experts_is_zero(self):
         cfg = with_updates(TOY, share_expert=False)
@@ -188,7 +188,7 @@ class TestForward:
                 row = Matrix.wrap(x.a[t : t + 1].copy())
                 for k in sorted(order.tolist()):
                     want[t] += probs[t, k] * expert_forward(row, model.experts[k]).a[0]
-                want[t] += shared_forward(row, model.shared).a[0]
+                want[t] += shared_forward(row, model.shared).out.a[0]
             assert np.allclose(got, want, rtol=1e-10, atol=1e-12), (seed, t_i)
 
     def test_input_width_checked(self):

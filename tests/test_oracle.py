@@ -28,14 +28,14 @@ class TestDenseOracle:
                 rng.matrix(10, 6, dtype=np.float64),
             )
             x = rng.matrix(3, 6, dtype=np.float64)
-            assert rel_err(dense_ffn_forward(x, w).a, shared_forward(x, w).a) < 1e-6
+            assert rel_err(dense_ffn_forward(x, w).a, shared_forward(x, w).out.a) < 1e-6
 
     def test_agrees_with_production_forward_f32(self):
         rng = Rng(5)
         for i in range(20):
             w = DenseFfnWeights(rng.matrix(6, 10), rng.matrix(6, 10), rng.matrix(10, 6))
             x = rng.matrix(3, 6)
-            assert rel_err(dense_ffn_forward(x, w).a, shared_forward(x, w).a) < 1e-5
+            assert rel_err(dense_ffn_forward(x, w).a, shared_forward(x, w).out.a) < 1e-5
 
     def test_shape_check(self):
         w = DenseFfnWeights(Rng(6).matrix(4, 8), Rng(7).matrix(4, 8), Rng(8).matrix(8, 4))

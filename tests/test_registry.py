@@ -54,7 +54,7 @@ def test_gradients_pair_with_the_model_name_for_name(variant):
     model = _model(variant, seed=1)
     x = Rng(2).matrix(5, 16)
     out = forward(x, model)
-    grads = backward(x, model, Rng(3).matrix(5, 16), out.decision)
+    grads = backward(model, Rng(3).matrix(5, 16), out)
     params, d_params = named_parameters(model), named_parameters(grads.d_model)
     assert [n for n, _ in params] == [n for n, _ in d_params]
     for (name, p), (_, g) in zip(params, d_params):

@@ -1,6 +1,7 @@
 """Repository hygiene: nothing that .gitignore excludes is tracked, so a
-build or test leftover can never be committed as if it were source, and
-every CLI example in the README parses, so a stale flag cannot linger there."""
+build or test leftover can never be committed as if it were source; every
+CLI example in the README parses, so a stale flag cannot linger there; and
+the README's Python examples run, so a stale call cannot either."""
 
 import shutil
 import subprocess
@@ -48,3 +49,14 @@ def test_readme_cli_examples_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README example does not parse: finermoe {' '.join(argv)}")
+
+
+def test_readme_python_examples_run():
+    # The blocks continue one another (the second updates the first's
+    # model), so they run in order in one namespace.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = [b.split("\n```", 1)[0] for b in text.split("```python\n")[1:]]
+    assert len(blocks) >= 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
