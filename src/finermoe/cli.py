@@ -191,8 +191,10 @@ def _cmd_train_demo(args) -> int:
         task = float(np.mean(err.astype(np.float64) ** 2))
         bal = balance_loss(out.decision, cfg, args.alpha)
         upstream = Matrix.wrap(np.ascontiguousarray((2.0 / err.size) * err, dtype=np.float32))
+        # x is a fixed data batch, so nothing reads its gradient.
         grads = backward(
             model, upstream, out, d_score_extra=balance_loss_score_grad(out.decision, cfg, args.alpha),
+            input_grad=False,
         )
         # Clipped SGD keeps the toy run stable at demo learning rates. The
         # norm sums per tensor in registry order, which fixes its rounding.

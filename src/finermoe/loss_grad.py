@@ -23,7 +23,7 @@ from finermoe.analysis import route_stats
 from finermoe.config import FineRConfig, expert_component
 from finermoe.experts import DenseFfnWeights, ExpertStack, SwiGLUTape
 from finermoe.moe_layer import LayerOutput, MoEModel, decide, forward, named_parameters
-from finermoe.numerics import Matrix, Rng, dsilu, matmul, silu
+from finermoe.numerics import Matrix, Rng, matmul, sigmoid
 from finermoe.router import RouterState, RoutingDecision
 
 
@@ -54,24 +54,42 @@ def balance_loss_score_grad(decision: RoutingDecision, cfg: FineRConfig, alpha: 
 @dataclass
 class LayerGradients:
     """Weight gradients in the model's own layout, so named_parameters pairs
-    d_model with the model name for name, plus the input gradient."""
+    d_model with the model name for name, plus the input gradient: None
+    when ``backward`` ran with ``input_grad=False``."""
 
     d_model: MoEModel
-    d_x: Matrix
+    d_x: Matrix | None
 
 
-def _swiglu_backward(x_rows: Matrix, w, t: SwiGLUTape, d_out: np.ndarray):
-    """SwiGLU chain rule on a forward tape. Returns (dW1, dWg, dW2, d_x_rows)."""
+def _swiglu_backward(x_rows: Matrix, w, t: SwiGLUTape, d_out: np.ndarray, input_grad: bool):
+    """SwiGLU chain rule on a forward tape. Returns (dW1, dWg, dW2, d_x_rows),
+    with d_x_rows None unless ``input_grad``."""
     d_out_m = Matrix.wrap(np.ascontiguousarray(d_out))
     d_w2 = matmul(t.inner.transpose(), d_out_m)
     d_inner = matmul(d_out_m, w.w2.transpose()).a
-    d_up = Matrix.wrap(d_inner * silu(t.gate))
-    d_gate = Matrix.wrap(d_inner * t.up * dsilu(t.gate))
+    # silu(g) = g * s and silu'(g) = s * (1 + g * (1 - s)): one sigmoid for both.
+    s = sigmoid(t.gate)
+    d_up = Matrix.wrap(d_inner * (t.gate * s))
+    d_gate = Matrix.wrap(d_inner * t.up * (s * (1.0 + t.gate * (1.0 - s))))
     xt = x_rows.transpose()
     d_w1 = matmul(xt, d_up)
     d_wg = matmul(xt, d_gate)
-    d_x = matmul(d_up, w.w1.transpose()).a + matmul(d_gate, w.wg.transpose()).a
+    d_x = None
+    if input_grad:
+        d_x = matmul(d_up, w.w1.transpose()).a + matmul(d_gate, w.wg.transpose()).a
     return d_w1, d_wg, d_w2, d_x
+
+
+def _router_backward(x: Matrix, model: MoEModel, decision: RoutingDecision, d_score: np.ndarray, d_x):
+    """Softmax Jacobian from d_score back to the router logits, then to the
+    router weight, which is returned. Adds the input's share into ``d_x``
+    unless it is None."""
+    s_full = decision.score.astype(np.float64)
+    d_logits = s_full * (d_score - (d_score * s_full).sum(axis=1, keepdims=True))
+    d_logits_m = Matrix.wrap(np.ascontiguousarray(d_logits.astype(x.dtype)))
+    if d_x is not None:
+        d_x += matmul(d_logits_m, model.router.w.transpose()).a
+    return matmul(x.transpose(), d_logits_m)
 
 
 def backward(
@@ -79,16 +97,20 @@ def backward(
     upstream: Matrix,
     out: LayerOutput,
     d_score_extra: np.ndarray | None = None,
+    input_grad: bool = True,
 ) -> LayerGradients:
     """Exact gradients of (upstream . y) plus any extra score-level term
-    (e.g. the balance loss) with respect to every weight and the input,
-    for ``out = forward(x, model)`` taken before the weights last changed.
+    (e.g. the balance loss) with respect to every weight and, if
+    ``input_grad``, the input, for ``out = forward(x, model)`` taken before
+    the weights last changed.
 
     The input, the dispatch plan and every expert's intermediates come from
     ``out.tape``, so only the gradient matmuls run. Discrete selections are
     constants; non-activated experts get zero gradient, and in
     separate-router mode the candidate router is selection-only, so its
-    gradient is identically zero.
+    gradient is identically zero. With ``input_grad=False`` the input
+    gradient's matmuls are skipped and ``d_x`` is None; the weight
+    gradients are the same bytes.
     """
     cfg, dims = model.cfg, model.dims
     tape, decision = out.tape, out.decision
@@ -98,7 +120,7 @@ def backward(
     if upstream.shape != (L, cfg.h):
         raise ValueError(f"upstream must be {L}x{cfg.h}, got {upstream.shape}")
 
-    d_x = np.zeros((L, cfg.h), dtype=dtype)
+    d_x = np.zeros((L, cfg.h), dtype=dtype) if input_grad else None
     d_score = np.zeros((L, dims.N), dtype=np.float64)
 
     # Projection (if any) sits between the combine and the output add.
@@ -111,9 +133,10 @@ def backward(
 
     d_shared = None
     if model.shared is not None:
-        d_w1, d_wg, d_w2, d_x_s = _swiglu_backward(x, model.shared, tape.shared, upstream.a)
+        d_w1, d_wg, d_w2, d_x_s = _swiglu_backward(x, model.shared, tape.shared, upstream.a, input_grad)
         d_shared = DenseFfnWeights(d_w1, d_wg, d_w2)
-        d_x += d_x_s
+        if d_x is not None:
+            d_x += d_x_s
 
     # Sparse path, one activated expert batch at a time; inactive experts
     # keep a zero gradient.
@@ -129,21 +152,18 @@ def backward(
         u_rows = d_cat[batch_tokens, comp * dims.h_e : (comp + 1) * dims.h_e]
         w_rows = decision.score[batch_tokens, k].astype(dtype)
 
-        d_w1, d_wg, d_w2, d_x_rows = _swiglu_backward(x_rows, model.experts[k], t, u_rows * w_rows[:, None])
+        d_w1, d_wg, d_w2, d_x_rows = _swiglu_backward(
+            x_rows, model.experts[k], t, u_rows * w_rows[:, None], input_grad
+        )
         d_experts.w1[k], d_experts.wg[k], d_experts.w2[k] = d_w1.a, d_wg.a, d_w2.a
-        d_x[batch_tokens] += d_x_rows
+        if d_x is not None:
+            d_x[batch_tokens] += d_x_rows
         # Weight gradient: d loss / d score[t, k] = u . E_k(x_t).
         d_score[batch_tokens, k] = (u_rows.astype(np.float64) * t.out.a.astype(np.float64)).sum(axis=1)
 
     if d_score_extra is not None:
         d_score = d_score + d_score_extra
-
-    # Softmax Jacobian back to the router logits, then to weights/input.
-    s_full = decision.score.astype(np.float64)
-    d_logits = s_full * (d_score - (d_score * s_full).sum(axis=1, keepdims=True))
-    d_logits_m = Matrix.wrap(np.ascontiguousarray(d_logits.astype(dtype)))
-    d_router = matmul(x.transpose(), d_logits_m)
-    d_x += matmul(d_logits_m, model.router.w.transpose()).a
+    d_router = _router_backward(x, model, decision, d_score, d_x)
 
     d_router_cc = None
     if model.router_cc is not None:
@@ -153,7 +173,7 @@ def backward(
         cfg=cfg, shared=d_shared, experts=d_experts, router=RouterState(d_router),
         router_cc=d_router_cc, concat_proj=d_proj,
     )
-    return LayerGradients(d_model=d_model, d_x=Matrix.wrap(d_x))
+    return LayerGradients(d_model=d_model, d_x=None if d_x is None else Matrix.wrap(d_x))
 
 
 @dataclass
@@ -187,10 +207,14 @@ def balance_loss_fn(alpha: float = 0.001) -> LossFn:
         return balance_loss(decide(x, model), model.cfg, alpha).loss
 
     def grads(x: Matrix, model: MoEModel) -> LayerGradients:
-        out = forward(x, model)
-        upstream = Matrix.zeros(x.rows, model.cfg.h, dtype=x.dtype)
-        d_score = balance_loss_score_grad(out.decision, model.cfg, alpha)
-        return backward(model, upstream, out, d_score_extra=d_score)
+        # The loss reaches the weights only through the router scores, so
+        # every other gradient is zero and no expert runs.
+        decision = decide(x, model)
+        d_score = balance_loss_score_grad(decision, model.cfg, alpha)
+        d_model = MoEModel.zeros(model.cfg).astype(x.dtype)
+        d_x = np.zeros((x.rows, model.cfg.h), dtype=x.dtype)
+        d_model.router = RouterState(_router_backward(x, model, decision, d_score, d_x))
+        return LayerGradients(d_model=d_model, d_x=Matrix.wrap(d_x))
 
     return LossFn(value=value, grads=grads)
 

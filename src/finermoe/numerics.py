@@ -167,12 +167,6 @@ def silu(x):
     return out
 
 
-def dsilu(x):
-    """Derivative of silu: sigmoid(x) * (1 + x * (1 - sigmoid(x)))."""
-    s = sigmoid(np.asarray(x))
-    return s * (1.0 + np.asarray(x) * (1.0 - s))
-
-
 def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
     """Max-subtracted softmax; rows are positive and sum to 1 within 1e-6."""
     v = np.asarray(v)

@@ -299,6 +299,27 @@ class TestTrainDemo:
         last = float(lines[-1].split(",")[1])
         assert last < first * 0.5
 
+    # sha256 of loss.csv then stdout, NVShard h=32 H=128, 3 steps, batch 8.
+    PINNED = {
+        0: "73f2b75767f4d908e76a871ffd80d94551b06f4f8093c9b546dccfa1b786bca6",
+        1: "cead203d622a3c6d764a775de0369f4a1e93d204d15fc93955d1a349e0453eae",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_pinned_digest(self, seed, tmp_path, monkeypatch):
+        import hashlib
+
+        cfg_p = tmp_path / "nv.cfg"
+        assert _run(["preset", "NVShard", "--h", "32", "--H", "128", "--out", str(cfg_p)])[0] == 0
+        monkeypatch.chdir(tmp_path)
+        code, text, _ = _run(
+            ["train-demo", "--config", str(cfg_p), "--steps", "3", "--batch", "8",
+             "--seed", str(seed), "--csv", "loss.csv"]
+        )
+        assert code == 0
+        digest = hashlib.sha256((tmp_path / "loss.csv").read_bytes() + text.encode()).hexdigest()
+        assert digest == self.PINNED[seed]
+
     def test_deterministic(self, base_cfg):
         a = _run(["train-demo", "--config", str(base_cfg), "--steps", "5", "--batch", "4"])
         b = _run(["train-demo", "--config", str(base_cfg), "--steps", "5", "--batch", "4"])

@@ -154,6 +154,69 @@ class TestBackward:
             backward(model, Matrix.zeros(4, 3), out)
 
 
+def _grid_cfg(name, mode, proj, h=16, H=64):
+    """A preset, or a config with T_I, G_O and R_O > 1, at small dims."""
+    if name == "G4x2_2x2_T3":
+        cfg = FineRConfig(h=h, H=H, G_I=4, R_I=2, G_O=2, R_O=2, T_I=3)
+    else:
+        cfg = baseline_preset(name, h=h, H=H)
+    return with_updates(cfg, router_mode=mode, concat_proj=proj)
+
+
+GRID = pytest.mark.parametrize(
+    "name, mode, proj, dtype",
+    [
+        (name, mode, proj, dtype)
+        for name in [*preset_names(), "G4x2_2x2_T3"]
+        for mode in ("single", "separate")
+        for proj in (False, True)
+        for dtype in (np.float32, np.float64)
+    ],
+)
+
+
+def _grid_model(cfg, dtype):
+    """Perturbed off the upcycled point, so no gradient is zero by symmetry."""
+    model = _model(cfg, seed=40)
+    for i, (_, p) in enumerate(named_parameters(model)):
+        p.a += Rng(41 + i).matrix(*p.shape, std=0.01).a
+    return model.astype(dtype)
+
+
+def _grad_bytes(g):
+    return [(name, m.a.tobytes()) for name, m in named_parameters(g.d_model)]
+
+
+class TestInputGradOff:
+    @GRID
+    def test_weight_gradients_unchanged(self, name, mode, proj, dtype):
+        cfg = _grid_cfg(name, mode, proj)
+        model = _grid_model(cfg, dtype)
+        x = Rng(50).matrix(10, cfg.h, dtype=dtype)
+        out = forward(x, model)
+        upstream = Rng(51).matrix(10, cfg.h, dtype=dtype)
+        d_score = balance_loss_score_grad(out.decision, cfg, 0.01)
+        full = backward(model, upstream, out, d_score_extra=d_score)
+        weights_only = backward(model, upstream, out, d_score_extra=d_score, input_grad=False)
+        assert weights_only.d_x is None
+        assert full.d_x is not None
+        assert _grad_bytes(weights_only) == _grad_bytes(full)
+
+    @GRID
+    def test_balance_loss_grads_are_backward_with_zero_upstream(self, name, mode, proj, dtype):
+        # balance_loss_fn().grads runs only the router tail; every byte
+        # equals the full backward of a zero upstream plus the score term.
+        cfg = _grid_cfg(name, mode, proj)
+        model = _grid_model(cfg, dtype)
+        x = Rng(52).matrix(10, cfg.h, dtype=dtype)
+        out = forward(x, model)
+        d_score = balance_loss_score_grad(out.decision, cfg, 0.01)
+        want = backward(model, Matrix.zeros(10, cfg.h, dtype=dtype), out, d_score_extra=d_score)
+        got = balance_loss_fn(0.01).grads(x, model)
+        assert _grad_bytes(got) == _grad_bytes(want)
+        assert got.d_x.a.tobytes() == want.d_x.a.tobytes()
+
+
 class TestConcatProjBackward:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("mode", ["single", "separate"])
@@ -193,32 +256,19 @@ class TestBackwardFlops:
     the forward's FLOPs, less the candidate-router scoring, which has no
     gradient matmul."""
 
-    CONFIGS = [*preset_names(), "G4x2_2x2_T3"]
-
     @staticmethod
-    def _cfg(name, mode, proj, h=16, H=64):
-        if name == "G4x2_2x2_T3":
-            cfg = FineRConfig(h=h, H=H, G_I=4, R_I=2, G_O=2, R_O=2, T_I=3)
-        else:
-            cfg = baseline_preset(name, h=h, H=H)
-        return with_updates(cfg, router_mode=mode, concat_proj=proj)
-
-    @staticmethod
-    def _counts(cfg, L, dtype):
+    def _counts(cfg, L, dtype, input_grad=True):
         model = _model(cfg, seed=30).astype(dtype)
         x = Rng(31).matrix(L, cfg.h, dtype=dtype)
         with count_flops() as fwd:
             out = forward(x, model)
         with count_flops() as bwd:
-            backward(model, Rng(32).matrix(L, cfg.h, dtype=dtype), out)
+            backward(model, Rng(32).matrix(L, cfg.h, dtype=dtype), out, input_grad=input_grad)
         return fwd.flops, bwd.flops
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("proj", [False, True])
-    @pytest.mark.parametrize("mode", ["single", "separate"])
-    @pytest.mark.parametrize("name", CONFIGS)
+    @GRID
     def test_backward_is_twice_forward(self, name, mode, proj, dtype):
-        cfg = self._cfg(name, mode, proj)
+        cfg = _grid_cfg(name, mode, proj)
         L = 12
         fwd, bwd = self._counts(cfg, L, dtype)
         assert fwd == cost_report(cfg).flops_per_token * L
@@ -227,8 +277,27 @@ class TestBackwardFlops:
 
     @pytest.mark.parametrize("name, want", [("NVShard", 406_847_488), ("FineRMoE-base", 220_200_960)])
     def test_counts_at_benchmark_dims(self, name, want):
-        fwd, bwd = self._counts(self._cfg(name, "single", False, h=256, H=1024), 64, np.float32)
+        fwd, bwd = self._counts(_grid_cfg(name, "single", False, h=256, H=1024), 64, np.float32)
         assert bwd == 2 * fwd == want
+
+    @pytest.mark.parametrize("name, want", [("NVShard", 270_532_608), ("FineRMoE-base", 144_703_488)])
+    def test_counts_without_input_grad_at_benchmark_dims(self, name, want):
+        # Each SwiGLU drops its two d_x matmuls, the router its one.
+        _, bwd = self._counts(_grid_cfg(name, "single", False, h=256, H=1024), 64, np.float32, input_grad=False)
+        assert bwd == want
+
+    @GRID
+    def test_balance_loss_grads_count_only_the_router_gradient(self, name, mode, proj, dtype):
+        # Routing plus the router weight's and the input's gradient matmuls;
+        # no expert runs.
+        cfg = _grid_cfg(name, mode, proj)
+        model = _model(cfg, seed=33).astype(dtype)
+        x = Rng(34).matrix(12, cfg.h, dtype=dtype)
+        with count_flops() as routing:
+            decide(x, model)
+        with count_flops() as grads:
+            balance_loss_fn().grads(x, model)
+        assert grads.flops == routing.flops + 2 * (2 * 12 * cfg.h * derive(cfg).N)
 
 
 class TestFiniteDifferences:
