@@ -69,8 +69,10 @@ class ExpertWeights:
 
 @dataclass(eq=False)
 class ExpertStack(Sequence):
-    """All N sparse experts of a layer as three C-contiguous arrays:
-    w1, wg of shape N x h x H_e and w2 of shape N x H_e x h_e.
+    """All N sparse experts of a layer as three arrays: w1, wg of shape
+    N x h x H_e and w2 of shape N x H_e x h_e. Each expert's slice ``w1[k]``
+    etc. is C-contiguous; the stacks themselves are C-contiguous, or, in a
+    model ``read_model`` maps, views strided by one expert's w1+wg+w2.
 
     ``stack[k]`` is expert k as an ExpertWeights of views, so writing
     through it writes the stack; ``len(stack)`` is N.

@@ -1,13 +1,21 @@
 import contextlib
+import hashlib
 import io
+import mmap
+import os
 import re
+import stat
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import finermoe
 from finermoe.checkpoint import (
     MAGIC,
     CheckpointError,
@@ -74,6 +82,30 @@ def _drop_tensor(raw: bytes, n: int) -> bytes:
     return _join(text.encode("utf-8"), payload)
 
 
+def _shift_after_first_tensor(raw: bytes) -> bytes:
+    """Move every tensor after the first one 4 bytes on, leaving a zero gap
+    before the second: each offset still points at its tensor's bytes, but
+    the layout is not the one write_model writes."""
+    manifest, payload = _split(raw)
+    first = int(re.search(r"tensor\.0\.length = (\d+)", manifest).group(1))
+
+    def shift(m):
+        n, off = int(m.group(1)), int(m.group(2))
+        return f"tensor.{n}.offset = {off + 4 if n else off}"
+
+    manifest = re.sub(r"tensor\.(\d+)\.offset = (\d+)", shift, manifest)
+    return _join(manifest.encode("utf-8"), payload[:first] + b"\x00" * 4 + payload[first:])
+
+
+def _swap_offsets(raw: bytes, i: int, j: int) -> bytes:
+    """Swap the declared offsets of tensors i and j, which share a shape."""
+    manifest, payload = _split(raw)
+    off = {n: re.search(rf"tensor\.{n}\.offset = (\d+)", manifest).group(1) for n in (i, j)}
+    for n, m in ((i, j), (j, i)):
+        manifest = manifest.replace(f"tensor.{n}.offset = {off[n]}\n", f"tensor.{n}.offset = {off[m]}\n")
+    return _join(manifest.encode("utf-8"), payload)
+
+
 # Damage to a small MoE file -> (spoil, error read_model raises, its message).
 _DAMAGE = {
     "manifest_length_2_62": (
@@ -106,6 +138,20 @@ _DAMAGE = {
         "'expert.0.w1' appears twice",
     ),
     "missing_tensor": (lambda raw: _drop_tensor(raw, 3), CheckpointError, "missing tensor expert.0.w1"),
+    # Only the writer's layout loads: registry order, no gaps.
+    "layout_gap": (
+        _shift_after_first_tensor,
+        CheckpointError,
+        "non-canonical tensor layout: tensor 1 is shared.wg at offset 2052, "
+        "the writer puts shared.wg at 2048",
+    ),
+    # expert.0.w1 and expert.1.w1 are both 16x8.
+    "swapped_expert_offsets": (
+        lambda raw: _swap_offsets(raw, 3, 6),
+        CheckpointError,
+        "non-canonical tensor layout: tensor 3 is expert.0.w1 at offset 7424, "
+        "the writer puts expert.0.w1 at 6144",
+    ),
     # A repeated manifest key is an error, not a silent last-one-wins.
     "duplicate_config_key": (
         lambda raw: _edit_manifest(raw, "\nT_I = 1\n", "\nT_I = 2\nT_I = 1\n"),
@@ -119,7 +165,7 @@ _DAMAGE = {
         CheckpointError,
         "manifest key 'tensor.0.offset' appears twice",
     ),
-    # Dims the payload cannot hold fail before the model is allocated.
+    # Dims the payload cannot hold fail before the file is mapped.
     "inflated_dims": (
         lambda raw: _edit_manifest(raw, "\nh = 16\n", "\nh = 16000000000000\n"),
         ShapeMismatchError,
@@ -273,6 +319,20 @@ class TestErrors:
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "size, message",
+        [(0, "bad magic b''"), (3, "bad magic b'FRM'"), (11, "file ends inside the header")],
+    )
+    def test_empty_or_short_file_exits_2(self, tmp_path, size, message):
+        p = tmp_path / "m.frm"
+        write_model(random_dense(8, 16, 20), p)
+        p.write_bytes(p.read_bytes()[:size])
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            read_model(p)
+        code, err = _forward_exit(p, tmp_path)
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_wrong_kind_for_caller(self, tmp_path):
         # A dense file read back is a DenseFfnWeights, not silently a model.
         p = tmp_path / "d.frm"
@@ -282,18 +342,44 @@ class TestErrors:
         assert isinstance(read_model(p), DenseFfnWeights)
 
 
+def _mapping(arr: np.ndarray):
+    """The buffer at the root of an array's base chain."""
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return arr.obj if isinstance(arr, memoryview) else arr
+
+
 class TestOneBuffer:
     def test_expert_views_share_the_stacks(self, tmp_path):
         p = tmp_path / "m.frm"
         write_model(_base_toy_model(seed=6), p)
         stack = read_model(p).experts
+        mapped = _mapping(stack.w1)
+        assert isinstance(mapped, mmap.mmap)
+        whole_file = np.frombuffer(mapped, dtype=np.uint8)
         for k in (0, 7, len(stack) - 1):
             e = stack[k]
             for view, whole in ((e.w1, stack.w1), (e.wg, stack.wg), (e.w2, stack.w2)):
-                assert view.a.base is whole and np.shares_memory(view.a, whole[k])
+                assert np.shares_memory(view.a, whole[k])
                 assert view.a.tobytes() == whole[k].tobytes()
+                assert view.a.flags.c_contiguous and view.a.flags.writeable
+                assert _mapping(view.a) is mapped and np.shares_memory(view.a, whole_file)
+        # The stacks are strided: experts sit one expert's w1+wg+w2 apart.
+        per_expert = sum(a[0].nbytes for a in (stack.w1, stack.wg, stack.w2))
         for whole in (stack.w1, stack.wg, stack.w2):
-            assert whole.flags.c_contiguous and whole.flags.writeable
+            assert whole.strides[0] == per_expert and whole.flags.writeable
+
+    def test_editing_a_loaded_model_leaves_the_file(self, tmp_path):
+        p = tmp_path / "m.frm"
+        write_model(_base_toy_model(seed=8), p)
+        digest = hashlib.sha256(p.read_bytes()).hexdigest()
+        model = read_model(p)
+        model.experts.w1[3] += 1.0
+        model.shared.w2.a[:] = 0.0
+        model.router.w.a[0, 0] = 7.0
+        assert model.router.w.a[0, 0] == 7.0 and not model.shared.w2.a.any()
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == digest
+        assert read_model(p).router.w.a[0, 0] != 7.0
 
     def test_read_peak_is_one_payload(self, tmp_path):
         # Few, large tensors, so the manifest is small beside the payload P.
@@ -308,8 +394,53 @@ class TestOneBuffer:
         finally:
             tracemalloc.stop()
         assert isinstance(model, MoEModel)
-        # Whole-file read plus a copy per tensor would peak near 2 P.
-        assert peak < 1.25 * payload_bytes + 256 * 1024
+        # The tensors are views of the mapped file; a copy would peak near P.
+        assert peak < 0.05 * payload_bytes + 256 * 1024
+
+
+class TestAtomicWrite:
+    def test_rewriting_the_mapped_file_keeps_its_bytes(self, tmp_path):
+        p = tmp_path / "m.frm"
+        write_model(_base_toy_model(seed=9), p)
+        before = p.read_bytes()
+        # Truncating a file a model maps makes its next read SIGBUS; a child
+        # process keeps that from killing the test run.
+        src = str(Path(finermoe.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(q for q in (src, env.get("PYTHONPATH")) if q)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from finermoe import read_model, write_model; "
+             "write_model(read_model(sys.argv[1]), sys.argv[1])", str(p)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert p.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [p]
+
+    def test_mode_is_the_one_open_wb_leaves(self, tmp_path):
+        p, ref = tmp_path / "m.frm", tmp_path / "ref"
+        write_model(random_dense(8, 16, 21), p)
+        open(ref, "wb").close()
+        assert stat.S_IMODE(p.stat().st_mode) == stat.S_IMODE(ref.stat().st_mode)
+        # Like open(path, "wb"), rewriting keeps an existing file's mode.
+        os.chmod(p, 0o640)
+        write_model(random_dense(8, 16, 21), p)
+        assert stat.S_IMODE(p.stat().st_mode) == 0o640
+
+    def test_writing_through_a_symlink_keeps_the_link(self, tmp_path):
+        target, link = tmp_path / "m.frm", tmp_path / "link.frm"
+        write_model(random_dense(8, 16, 23), target)
+        link.symlink_to(target)
+        write_model(random_dense(8, 16, 24), link)
+        assert link.is_symlink()
+        assert read_model(target).w1 == random_dense(8, 16, 24).w1
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        (tmp_path / "d.frm").mkdir()
+        with pytest.raises(OSError):
+            write_model(random_dense(8, 16, 22), tmp_path / "d.frm")
+        assert [q.name for q in tmp_path.iterdir()] == ["d.frm"]
 
 
 def _mutate(raw: bytes, data) -> bytes:
