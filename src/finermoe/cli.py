@@ -54,6 +54,16 @@ def _require_counts(args, *names) -> None:
             raise ValueError(f"--{name} must be at least 1, got {n}")
 
 
+def _require_finite(args, *names, positive=False) -> None:
+    """Float arguments (rates, weights, the clip norm) must be finite and at
+    least 0, or above 0 when positive."""
+    bound = "above 0" if positive else "at least 0"
+    for name in names:
+        v = getattr(args, name)
+        if not (np.isfinite(v) and (v > 0 if positive else v >= 0)):
+            raise ValueError(f"--{name} must be finite and {bound}, got {v}")
+
+
 def _load_moe(path) -> MoEModel:
     model = checkpoint.read_model(path)
     if not isinstance(model, MoEModel):
@@ -116,6 +126,7 @@ def _cmd_forward(args) -> int:
 
 def _cmd_route_stats(args) -> int:
     _require_counts(args, "tokens")
+    _require_finite(args, "alpha")
     model = _load_moe(args.model)
     cfg = model.cfg
     decision = decide(Rng(args.seed).matrix(args.tokens, cfg.h), model)
@@ -175,6 +186,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_train_demo(args) -> int:
     _require_counts(args, "steps", "batch")
+    _require_finite(args, "lr", "alpha")
+    _require_finite(args, "clip", positive=True)
     cfg = config_mod.load_config(args.config)
     rng = Rng(args.seed)
     dense = random_dense(cfg.h, cfg.H, args.seed)
@@ -296,7 +309,10 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        return args.fn(args)
+        # Non-finite results are refused with an error line, so NumPy's
+        # floating-point warnings would only repeat them, quoting source.
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except (ConfigError, checkpoint.CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -499,6 +499,9 @@ class TestFuzz:
         else:
             assert code == 0, err
 
+    # Under "error" a NumPy RuntimeWarning raised inside the command would
+    # escape as an exception: stderr must hold the one error line only.
+    @pytest.mark.filterwarnings("error")
     def test_cli_forward_router_overflow_exits_3(self, fuzz_dir):
         raw = (fuzz_dir / "base.frm").read_bytes()
         p = fuzz_dir / "overflow.frm"
@@ -506,6 +509,7 @@ class TestFuzz:
         code, err = _forward_exit(p, fuzz_dir)
         assert code == 3 and err == "error: softmax input must be finite\n"
 
+    @pytest.mark.filterwarnings("error")
     def test_cli_forward_refuses_non_finite_output(self, fuzz_dir, tmp_path):
         x = Rng(1).matrix(4, 16)
         x.a[2] = 3e38

@@ -406,6 +406,31 @@ class TestErrorsAndEntryPoint:
         assert code == 3
         assert err.startswith("error: ") and name in err
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["train-demo", "--config", "{cfg}", "--clip", "-1"], "--clip"),
+            (["train-demo", "--config", "{cfg}", "--clip", "0"], "--clip"),
+            (["train-demo", "--config", "{cfg}", "--clip", "inf"], "--clip"),
+            (["train-demo", "--config", "{cfg}", "--lr", "nan"], "--lr"),
+            (["train-demo", "--config", "{cfg}", "--lr", "-0.5"], "--lr"),
+            (["train-demo", "--config", "{cfg}", "--alpha", "inf"], "--alpha"),
+            (["train-demo", "--config", "{cfg}", "--alpha=-1e-3"], "--alpha"),
+            (["route-stats", "--model", "{model}", "--alpha", "nan"], "--alpha"),
+            (["route-stats", "--model", "{model}", "--alpha=-inf"], "--alpha"),
+        ],
+    )
+    def test_bad_float_flag_exits_3_naming_it(self, model_file, base_cfg, argv, name):
+        argv = [a.format(cfg=base_cfg, model=model_file) for a in argv]
+        code, out, err = _run(argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and name in err and err.count("\n") == 1
+
+    def test_zero_rate_and_weight_are_accepted(self, model_file, base_cfg):
+        argv = ["train-demo", "--config", str(base_cfg), "--steps", "1", "--batch", "2"]
+        assert _run([*argv, "--lr", "0", "--alpha", "0"])[0] == 0
+        assert _run(["route-stats", "--model", str(model_file), "--tokens", "4", "--alpha", "0"])[0] == 0
+
     def test_unknown_flag_exits_nonzero(self):
         code, _, _ = _run(["bench", "--bogus"])
         assert code != 0

@@ -41,12 +41,24 @@ class TestMatmul:
             matmul(Matrix.zeros(3, 4), Matrix.zeros(4, 5))
         assert c.flops == 2 * 3 * 4 * 5
 
-    # Shapes on both sides of the kernel's blocked schedule: small K x m
-    # blocks, one column (always the rank-1 loop; a 1 x 1 block would be
-    # summed pairwise) and K x m past the tile.
+    # Shapes on both sides of the kernel's schedules: one inner chunk,
+    # several chunks with a short last one (kc = 436: 436 + 436 + 128),
+    # several row blocks with a remainder (r = 51), one column (always the
+    # rank-1 loop; a 1 x 1 block would be summed pairwise) and rows wider
+    # than 8,192 columns (the rank-1 loop).
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
-        "n,k,m", [(9, 40, 5), (70, 33, 2), (1, 600, 1), (3, 600, 1), (4, 300, 500)]
+        "n,k,m",
+        [
+            (9, 40, 5),
+            (70, 33, 2),
+            (1, 600, 1),
+            (3, 600, 1),
+            (4, 300, 500),
+            (3, 1000, 300),
+            (70, 40, 64),
+            (2, 20, 8200),
+        ],
     )
     def test_sums_each_element_in_ascending_order(self, n, k, m, dtype):
         rng = np.random.default_rng(n * k + m)
@@ -65,6 +77,36 @@ class TestMatmul:
                 for p in range(k):
                     s = s + a[i, p] * b[p, j]
                 assert out[i, j].tobytes() == s.tobytes(), (i, j)
+
+    # (n, K, m) of the products one op of each perfbench workload runs: the
+    # router, the expert batches (one token up to a batch), the shared
+    # expert and, in train-coarse, backward's weight and input gradients.
+    # train-coarse's shared expert has infer-fine's shapes.
+    WORKLOAD_SHAPES = {
+        "infer-fine": [
+            (64, 256, 128), (1, 256, 32), (4, 256, 32), (1, 32, 128), (4, 32, 128),
+            (64, 256, 1024), (64, 1024, 256),
+        ],
+        "train-coarse": [
+            (3, 256, 128), (15, 256, 128), (3, 128, 256), (15, 128, 256),
+            (128, 3, 256), (256, 15, 128), (1024, 64, 256), (256, 64, 1024),
+            (256, 64, 64), (64, 256, 64), (64, 256, 256),
+        ],
+        "cli-ref": [
+            (8, 1536, 128), (1, 1536, 280), (1, 280, 768), (8, 1536, 8960), (8, 8960, 1536),
+        ],
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n,k,m", [s for shapes in WORKLOAD_SHAPES.values() for s in shapes])
+    def test_workload_shapes_match_a_rank_1_loop(self, n, k, m, dtype):
+        rng = np.random.default_rng(n * k * m)
+        a = (rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-6, 6, (n, k))).astype(dtype)
+        b = (rng.standard_normal((k, m)) * 10.0 ** rng.uniform(-6, 6, (k, m))).astype(dtype)
+        want = np.zeros((n, m), dtype=dtype)
+        for p in range(k):
+            want += a[:, p, None] * b[None, p, :]
+        assert matmul(Matrix.wrap(a), Matrix.wrap(b)).a.tobytes() == want.tobytes()
 
 
 class TestSilu:
