@@ -1,8 +1,9 @@
 """Fine-grained mixture-of-experts layer with bi-level sparse routing,
 dense-FFN upcycling, manual gradients, and a verification harness.
 
-Every matmul runs in one NumPy kernel with a fixed ascending reduction
-order (``kernel_backend()`` names it).
+Every matmul sums in a fixed ascending order, in a plain-C kernel built
+on first import or, where it cannot be built, in a NumPy kernel with the
+same bits (``kernel_backend()`` names the one in use, and why).
 """
 
 from finermoe._backend import backend_name as kernel_backend

@@ -1,4 +1,5 @@
-"""Pure-NumPy matrix-multiply kernels, the library's one kernel backend.
+"""Pure-NumPy matrix-multiply kernels: the fallback when the C kernels of
+``_kernels_c`` cannot be built, and their reference in the tests.
 
 Each entry writes ``a @ b`` into ``out``. Every output element is the sum
 over the inner index in ascending order, starting from +0.0, with one

@@ -199,7 +199,14 @@ def _cmd_train_demo(args) -> int:
 
     rows = []
     for step in range(args.steps):
-        out = forward(x, model)
+        try:
+            out = forward(x, model)
+        except ValueError as exc:
+            # The step-0 forward ran on the same x and config, so only the
+            # last update can have made this one fail.
+            if step == 0:
+                raise
+            raise ValueError(f"training diverged at step {step} ({exc}); lower --lr (now {args.lr:g})") from None
         err = out.y.a - y_star.a
         task = float(np.mean(err.astype(np.float64) ** 2))
         bal = balance_loss(out.decision, cfg, args.alpha)
@@ -215,6 +222,13 @@ def _cmd_train_demo(args) -> int:
         sq = 0.0
         for _, g in d_params:
             sq += float((g.a.astype(np.float64) ** 2).sum())
+        # Too large an --lr overflows the loss or the gradient norm before
+        # the weights stop being finite.
+        if not (np.isfinite(task) and np.isfinite(sq)):
+            raise ValueError(
+                f"training diverged at step {step} (task loss {task:.3g}, squared gradient norm {sq:.3g}); "
+                f"lower --lr (now {args.lr:g})"
+            )
         scale = args.lr * min(1.0, args.clip / max(np.sqrt(sq), 1e-12))
         for (_, param), (_, g) in zip(named_parameters(model), d_params):
             param.a -= scale * g.a

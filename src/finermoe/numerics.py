@@ -5,8 +5,11 @@ Design constraints that everything downstream leans on:
 * float32 storage by default; float64 matrices are supported end-to-end
   for verification runs.
 * Every matmul accumulates each dot product in ascending inner-index
-  order in one NumPy kernel (``_kernels_py``), so results are
-  bit-identical from run to run.
+  order, one rounded multiply and one rounded add per term, so results
+  are bit-identical from run to run. It runs in the active kernel module
+  of ``_backend``: the C kernels of ``_kernels_c``, or the NumPy kernels
+  of ``_kernels_py`` when those could not be built. Both give the same
+  bits.
 * The RNG is SplitMix64, a counter-based 64-bit generator with published
   test vectors; identical seeds give identical streams on every platform.
 """

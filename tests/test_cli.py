@@ -320,6 +320,19 @@ class TestTrainDemo:
         digest = hashlib.sha256((tmp_path / "loss.csv").read_bytes() + text.encode()).hexdigest()
         assert digest == self.PINNED[seed]
 
+    # 1e10 overflows the loss and the gradient norm at step 2; 1e39 leaves
+    # them finite but makes the step-1 forward overflow.
+    @pytest.mark.parametrize("lr, step", [("1e10", 2), ("1e39", 1)])
+    def test_divergence_exits_3_naming_the_step_and_lr(self, tmp_path, lr, step):
+        cfg_p = tmp_path / "nv.cfg"
+        assert _run(["preset", "NVShard", "--h", "32", "--H", "128", "--out", str(cfg_p)])[0] == 0
+        code, out, err = _run(
+            ["train-demo", "--config", str(cfg_p), "--steps", "5", "--batch", "8", "--lr", lr]
+        )
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: training diverged at step {step} ") and err.count("\n") == 1
+        assert f"--lr (now {float(lr):g})" in err
+
     def test_deterministic(self, base_cfg):
         a = _run(["train-demo", "--config", str(base_cfg), "--steps", "5", "--batch", "4"])
         b = _run(["train-demo", "--config", str(base_cfg), "--steps", "5", "--batch", "4"])
@@ -454,6 +467,14 @@ class TestErrorsAndEntryPoint:
         assert target == "finermoe.cli:main"
         module_name, _, attr = target.partition(":")
         assert getattr(importlib.import_module(module_name), attr) is main
+
+    def test_package_data_ships_the_kernel_source(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as f:
+            data = tomllib.load(f)["tool"]["setuptools"]["package-data"]["finermoe"]
+        assert "_matmul.c" in data
+        assert (Path(finermoe.__file__).resolve().parent / "_matmul.c").is_file()
 
     @pytest.mark.skipif(shutil.which("finermoe") is None, reason="finermoe script not installed")
     def test_installed_console_script(self, tmp_path):

@@ -1,9 +1,39 @@
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import finermoe
+from finermoe import _backend, _kernels_py, kernel_backend
 from finermoe.numerics import Matrix, Rng, count_flops, matmul, silu, softmax
+
+
+@pytest.fixture
+def c_kernels():
+    """The C kernel module; with gcc on PATH it must have built."""
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on PATH, so the C kernels cannot build")
+    assert kernel_backend() == "c"
+    return _backend.active
+
+
+@pytest.fixture(params=["python", "c"])
+def kernels(request):
+    """Each kernel module, called directly, so the NumPy kernels stay
+    tested while the C kernels are active."""
+    return _kernels_py if request.param == "python" else request.getfixturevalue("c_kernels")
+
+
+def _kernel_matmul(kernels, a, b):
+    out = np.empty((a.shape[0], b.shape[1]), dtype=a.dtype)
+    (kernels.matmul_f32 if a.dtype == np.float32 else kernels.matmul_f64)(a, b, out)
+    return out
 
 
 class TestMatmul:
@@ -60,7 +90,7 @@ class TestMatmul:
             (2, 20, 8200),
         ],
     )
-    def test_sums_each_element_in_ascending_order(self, n, k, m, dtype):
+    def test_sums_each_element_in_ascending_order(self, kernels, n, k, m, dtype):
         rng = np.random.default_rng(n * k + m)
         # Magnitudes over many decades make any other summation order
         # round differently. The last row times column 0 is all -0.0
@@ -70,7 +100,7 @@ class TestMatmul:
         if n > 1:
             a[n - 1] = -0.0
             b[:, 0] = np.abs(b[:, 0])
-        out = matmul(Matrix.wrap(a), Matrix.wrap(b)).a
+        out = _kernel_matmul(kernels, a, b)
         for j in sorted({0, m // 2, m - 1}):
             for i in range(n):
                 s = dtype(0.0)
@@ -99,14 +129,136 @@ class TestMatmul:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n,k,m", [s for shapes in WORKLOAD_SHAPES.values() for s in shapes])
-    def test_workload_shapes_match_a_rank_1_loop(self, n, k, m, dtype):
+    def test_workload_shapes_match_a_rank_1_loop(self, kernels, n, k, m, dtype):
         rng = np.random.default_rng(n * k * m)
         a = (rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-6, 6, (n, k))).astype(dtype)
         b = (rng.standard_normal((k, m)) * 10.0 ** rng.uniform(-6, 6, (k, m))).astype(dtype)
         want = np.zeros((n, m), dtype=dtype)
         for p in range(k):
             want += a[:, p, None] * b[None, p, :]
-        assert matmul(Matrix.wrap(a), Matrix.wrap(b)).a.tobytes() == want.tobytes()
+        assert _kernel_matmul(kernels, a, b).tobytes() == want.tobytes()
+
+    # Every row count from 1 to 9 (whole four-row blocks and one to three
+    # rows left over), one column, one inner index, and random shapes; the
+    # operands are read-only for odd row counts.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_c_kernels_match_the_numpy_kernels(self, c_kernels, dtype):
+        rng = np.random.default_rng(17)
+        shapes = [(n, k, m) for n in range(1, 10) for k, m in ((1, 1), (1, 7), (37, 1), (300, 13))]
+        shapes += [tuple(int(v) for v in rng.integers(1, 400, 3)) for _ in range(30)]
+        for n, k, m in shapes:
+            a = (rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-6, 6, (n, k))).astype(dtype)
+            b = (rng.standard_normal((k, m)) * 10.0 ** rng.uniform(-6, 6, (k, m))).astype(dtype)
+            a[-1] = -0.0
+            a.flags.writeable = b.flags.writeable = n % 2 == 0
+            got = _kernel_matmul(c_kernels, a, b)
+            assert got.tobytes() == _kernel_matmul(_kernels_py, a, b).tobytes(), (n, k, m)
+            assert not np.signbit(got[-1]).any()
+
+    # IEEE 754 fixes where a NaN appears but not its sign or payload, and
+    # an add may return either operand's NaN, so NaN are compared by
+    # position; every other element, infinities included, bit for bit.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n,k,m", [(2, 3, 2), (5, 40, 9), (9, 300, 130)])
+    def test_c_kernels_propagate_inf_and_nan_like_the_numpy_kernels(self, c_kernels, n, k, m, dtype):
+        rng = np.random.default_rng(n + k + m)
+        a = rng.standard_normal((n, k)).astype(dtype)
+        b = rng.standard_normal((k, m)).astype(dtype)
+        a[0, 0] = np.inf  # row 0 is +-inf ...
+        b[1, 0] = np.nan  # ... but column 0 is NaN
+        a[-1, 2], b[2, -1] = -np.inf, 0.0  # inf * 0 is NaN
+        got = _kernel_matmul(c_kernels, a, b)
+        with np.errstate(invalid="ignore"):
+            want = _kernel_matmul(_kernels_py, a, b)
+        nan = np.isnan(got)
+        assert nan[:, 0].all() and nan[-1, -1] and np.isinf(got[0, 1:]).all()
+        assert (nan == np.isnan(want)).all()
+        assert np.where(nan, 0, got).tobytes() == np.where(nan, 0, want).tobytes()
+
+    def test_c_kernels_refuse_a_strided_operand(self, c_kernels):
+        a = np.ones((4, 6), dtype=np.float32)
+        out = np.empty((4, 3), dtype=np.float32)
+        with pytest.raises(ValueError, match="contiguous"):
+            c_kernels.matmul_f32(a, np.ones((6, 6), dtype=np.float32)[:, ::2], out)
+
+
+PACKAGE = Path(finermoe.__file__).resolve().parent
+needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc on PATH")
+
+
+def _package_copy(tmp_path):
+    """A copy of the package with no build cache, so its first import builds."""
+    shutil.copytree(PACKAGE, tmp_path / "finermoe", ignore=shutil.ignore_patterns("__pycache__"))
+    return tmp_path / "finermoe"
+
+
+def _child(pkg, argv, gcc=True):
+    """Run Python on the package copy; without ``gcc`` PATH holds nothing."""
+    env = dict(os.environ, PYTHONPATH=str(pkg.parent))
+    if not gcc:
+        empty = pkg.parent / "empty"
+        empty.mkdir(exist_ok=True)
+        env["PATH"] = str(empty)
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, cwd=pkg.parent)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+BACKEND = ["-c", "import finermoe; print(finermoe.kernel_backend())"]
+
+
+class TestKernelBuild:
+    @needs_gcc
+    def test_second_import_loads_the_cached_library(self, tmp_path):
+        pkg = _package_copy(tmp_path)
+        assert _child(pkg, BACKEND) == "c"
+        (lib,) = (pkg / "__pycache__").glob("_matmul-*.so")
+        before = lib.stat()
+        # Without gcc on PATH, "c" means nothing was compiled.
+        assert _child(pkg, BACKEND, gcc=False) == "c"
+        assert list((pkg / "__pycache__").glob("_matmul-*.so")) == [lib]
+        assert (lib.stat().st_ino, lib.stat().st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    @needs_gcc
+    def test_truncated_library_is_rebuilt_or_falls_back(self, tmp_path):
+        pkg = _package_copy(tmp_path)
+        assert _child(pkg, BACKEND) == "c"
+        (lib,) = (pkg / "__pycache__").glob("_matmul-*.so")
+        good = lib.read_bytes()
+        lib.write_bytes(good[: len(good) // 2])
+        assert _child(pkg, BACKEND, gcc=False) == "python (gcc not found on PATH)"
+        assert _child(pkg, BACKEND) == "c"
+        assert [p.read_bytes() for p in (pkg / "__pycache__").glob("_matmul-*.so")] == [good]
+
+    @pytest.mark.parametrize("why", ["no gcc", "compile fails", "cache not writable"])
+    def test_fallback_names_its_reason(self, tmp_path, why):
+        pkg = _package_copy(tmp_path)
+        if why == "no gcc":
+            assert _child(pkg, BACKEND, gcc=False) == "python (gcc not found on PATH)"
+            return
+        if shutil.which("gcc") is None:
+            pytest.skip("no gcc on PATH")
+        if why == "compile fails":
+            with open(pkg / "_matmul.c", "a", encoding="utf-8") as fh:
+                fh.write("#error deliberately broken\n")
+            assert _child(pkg, BACKEND).startswith("python (gcc exited 1: ")
+        else:
+            (pkg / "__pycache__").write_bytes(b"")
+            assert _child(pkg, BACKEND).startswith("python ([Errno 17] File exists")
+
+    def test_fallback_forward_gives_the_same_bytes(self, tmp_path):
+        from finermoe.cli import read_matrix, run, write_matrix
+
+        pkg = _package_copy(tmp_path)
+        cfg, model, x = tmp_path / "m.cfg", tmp_path / "m.frm", tmp_path / "x.mat"
+        assert run(["preset", "FineRMoE-base", "--h", "32", "--H", "64", "--out", str(cfg)]) == 0
+        assert run(["upcycle", "--config", str(cfg), "--dense-seed", "5", "--out", str(model)]) == 0
+        write_matrix(Rng(9).matrix(7, 32), x)
+        assert run(["forward", "--model", str(model), "--input", str(x), "--out", str(tmp_path / "here.mat")]) == 0
+        _child(pkg, ["-m", "finermoe", "forward", "--model", str(model), "--input", str(x),
+                     "--out", str(tmp_path / "numpy.mat")], gcc=False)
+        here, numpy = read_matrix(tmp_path / "here.mat"), read_matrix(tmp_path / "numpy.mat")
+        assert here.a.tobytes() == numpy.a.tobytes()
 
 
 class TestSilu:
