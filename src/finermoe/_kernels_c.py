@@ -1,10 +1,13 @@
 """Plain-C matrix-multiply kernels (``_matmul.c``), built on first import.
 
-The entries have the signature and the bits of ``_kernels_py``'s: each
-writes ``a @ b`` into ``out``, summing every output element over the inner
-index in ascending order from +0.0, on one thread. (A NaN result is NaN in
-both, but its sign and payload may differ: IEEE 754 leaves open which
-operand's NaN an add returns.)
+The entries have the signature, the checks and the bits of
+``_kernels_py``'s: ``matmul_f32(a, b, out, offsets=None)`` writes a plain,
+grouped-rows or grouped-inner-index product into ``out``, summing every
+output element over the inner index in ascending order from +0.0, on one
+thread. A transposed operand reaches the C loop as swapped strides and a
+stacked one as a per-matrix stride, so neither is copied here. (A NaN
+result is NaN in both, but its sign and payload may differ: IEEE 754
+leaves open which operand's NaN an add returns.)
 
 Importing this module compiles ``_matmul.c`` with gcc into this package's
 ``__pycache__`` directory, unless a library built from the same source
@@ -26,6 +29,8 @@ import zlib
 from pathlib import Path
 
 import numpy as np
+
+from finermoe._kernels_py import check
 
 BACKEND = "c"
 
@@ -67,32 +72,44 @@ def _library() -> Path:
 
 
 _lib = ctypes.CDLL(str(_library()))
-_f32, _f64 = _lib.matmul_f32, _lib.matmul_f64
+_f32, _f64 = _lib.gemm_f32, _lib.gemm_f64
+_ptr, _long = ctypes.c_void_p, ctypes.c_long
 for _fn in (_f32, _f64):
-    _fn.argtypes = (ctypes.c_void_p,) * 3 + (ctypes.c_long,) * 3
-    _fn.restype = None
-_F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
+    _fn.argtypes = (
+        _ptr, _long, _long,  # a and its strides
+        _ptr, _long, _long, _long,  # b, its strides and its stack stride
+        _ptr, _long,  # out and its stack stride
+        _ptr, _long, ctypes.c_int,  # offsets, segments, inner-index mode
+        _long, _long, _long,  # n, k, m
+    )
+    _fn.restype = ctypes.c_int
 
 
-def _call(fn, dtype, a, b, out):
-    n, k = a.shape
-    m = b.shape[1]
-    if b.shape[0] != k or out.shape != (n, m):
-        raise ValueError(f"kernel shapes {a.shape} @ {b.shape} -> {out.shape} do not match")
-    if not (
-        a.dtype == b.dtype == out.dtype == dtype
-        and a.flags.c_contiguous
-        and b.flags.c_contiguous
-        and out.flags.c_contiguous
-        and out.flags.writeable
-    ):
-        raise ValueError(f"kernel operands must be C-contiguous {dtype} arrays, out writeable")
-    fn(a.ctypes.data, b.ctypes.data, out.ctypes.data, n, k, m)
+def _strides(x):
+    """Element strides (row, column) of a checked matrix operand."""
+    return (x.shape[1], 1) if x.flags.c_contiguous else (1, x.shape[0])
 
 
-def matmul_f32(a, b, out):
-    _call(_f32, _F32, a, b, out)
+def _entry(fn, dtype):
+    def matmul(a, b, out, offsets=None):
+        check(dtype, a, b, out, offsets)
+        ars, acs = _strides(a)
+        n, k = a.shape
+        off, nseg, bks, oks, inner = None, 1, 0, 0, 0
+        if offsets is None:
+            brs, bcs = _strides(b)
+        elif b.ndim == 3:
+            brs, bcs = _strides(b[0])
+            off, nseg, bks = offsets.ctypes.data, len(b), b.strides[0] // b.itemsize
+        else:
+            brs, bcs = _strides(b)
+            off, nseg, oks, inner = offsets.ctypes.data, len(out), n * out.shape[2], 1
+        m = out.shape[-1]
+        if fn(a.ctypes.data, ars, acs, b.ctypes.data, brs, bcs, bks, out.ctypes.data, oks, off, nseg, inner, n, k, m):
+            raise MemoryError("no memory for the kernel's packing buffer")
+
+    return matmul
 
 
-def matmul_f64(a, b, out):
-    _call(_f64, _F64, a, b, out)
+matmul_f32 = _entry(_f32, np.dtype(np.float32))
+matmul_f64 = _entry(_f64, np.dtype(np.float64))

@@ -1,35 +1,62 @@
 /* Plain-C matrix-multiply kernels, loaded through ctypes by _kernels_c.py.
  *
- * o = a @ b for row-major, C-contiguous a (n x k), b (k x m) and o (n x m);
- * o must not overlap a or b. Every output element starts at +0.0 and adds
- * a[i, p] * b[p, j] for p = 0, 1, ..., k - 1 in that order, with one rounded
- * multiply and one rounded add per term: the summation order of the NumPy
- * kernels in _kernels_py.py, so both give the same bits. Build with
- * -ffp-contract=off so that no multiply-add is fused, and without
- * -ffast-math, which would let the compiler reorder the sums.
+ * One entry per dtype, gemm_f32 and gemm_f64, runs three kinds of product:
+ *
+ * - plain (off == NULL): o = a @ b, a n x k, b k x m, o n x m;
+ * - grouped rows (off != NULL, inner == 0): rows [off[s], off[s+1]) of a
+ *   and o take o = a @ b_s, with b_s = b + s * bks the s-th matrix of a
+ *   stack, for s = 0 .. nseg - 1;
+ * - grouped inner index (off != NULL, inner == 1): o_s = o + s * oks is
+ *   a[:, off[s]:off[s+1]] @ b[off[s]:off[s+1], :], each n x m; an empty
+ *   segment gives zeros.
+ *
+ * Element (i, p) of a is a[i * ars + p * acs] and element (p, j) of b is
+ * b[p * brs + j * bcs], so a transposed operand is a swap of its strides
+ * and is never copied from Python. o is row-major with rows of m
+ * elements and must not overlap a or b. The caller checks every shape,
+ * stride and offset; this file trusts them.
+ *
+ * Every output element starts at +0.0 and adds a[i, p] * b[p, j] for
+ * p = 0, 1, ..., k - 1 in that order, with one rounded multiply and one
+ * rounded add per term: the summation order of the NumPy kernels in
+ * _kernels_py.py, so both give the same bits, whatever the strides or the
+ * segments. Build with -ffp-contract=off so that no multiply-add is fused,
+ * and without -ffast-math, which would let the compiler reorder the sums.
  *
  * The loop order is i-p-j: o[i, :] += a[i, p] * b[p, :], which the compiler
- * vectorizes over j. Four rows of o are updated per pass over b[p, :], so
- * each element of b loaded serves four multiply-adds (register blocking
- * over rows, after Goto and van de Geijn, ACM TOMS 2008, and Van Zee and
- * van de Geijn, ACM TOMS 2015); the rows left over run one at a time. Each
- * output element is still summed by its own sequence of adds, so the
- * blocking changes no bit.
+ * vectorizes over j when b's rows are contiguous (bcs == 1). Four rows of
+ * o are updated per pass over b[p, :], so each element of b loaded serves
+ * four multiply-adds (register blocking over rows, after Goto and van de
+ * Geijn, ACM TOMS 2008, and Van Zee and van de Geijn, ACM TOMS 2015); the
+ * rows left over run one at a time. When b is a transposed view
+ * (bcs != 1), panels of up to PANEL of its columns are first packed into
+ * a row-major buffer, which the same loop then reads. Each output element
+ * is still summed by its own sequence of adds, so neither the blocking
+ * nor the packing changes a bit.
  */
 
-#define MATMUL(NAME, T)                                                       \
-    void NAME(const T *a, const T *b, T *o, long n, long k, long m)          \
+#include <stdint.h>
+#include <stdlib.h>
+
+#define PANEL 256
+
+#define GEMM(NAME, T)                                                         \
+    /* o (rows of ldo) = a @ b for b with contiguous rows of ldb. */          \
+    static void NAME##_block(const T *a, long ars, long acs, const T *b,      \
+                             long ldb, T *o, long ldo, long n, long k, long m)\
     {                                                                         \
         long i = 0, p, j;                                                     \
         for (; i + 4 <= n; i += 4) {                                          \
-            T *restrict o0 = o + i * m, *restrict o1 = o0 + m;                \
-            T *restrict o2 = o1 + m, *restrict o3 = o2 + m;                   \
-            const T *a0 = a + i * k, *a1 = a0 + k, *a2 = a1 + k, *a3 = a2 + k;\
+            T *restrict o0 = o + i * ldo, *restrict o1 = o0 + ldo;            \
+            T *restrict o2 = o1 + ldo, *restrict o3 = o2 + ldo;               \
+            const T *a0 = a + i * ars, *a1 = a0 + ars;                        \
+            const T *a2 = a1 + ars, *a3 = a2 + ars;                           \
             for (j = 0; j < m; j++)                                           \
                 o0[j] = o1[j] = o2[j] = o3[j] = 0;                            \
             for (p = 0; p < k; p++) {                                         \
-                const T x0 = a0[p], x1 = a1[p], x2 = a2[p], x3 = a3[p];       \
-                const T *restrict bp = b + p * m;                             \
+                const T x0 = a0[p * acs], x1 = a1[p * acs];                   \
+                const T x2 = a2[p * acs], x3 = a3[p * acs];                   \
+                const T *restrict bp = b + p * ldb;                           \
                 for (j = 0; j < m; j++) {                                     \
                     const T y = bp[j];                                        \
                     o0[j] += x0 * y;                                          \
@@ -40,17 +67,64 @@
             }                                                                 \
         }                                                                     \
         for (; i < n; i++) {                                                  \
-            T *restrict o0 = o + i * m;                                       \
+            T *restrict o0 = o + i * ldo;                                     \
+            const T *a0 = a + i * ars;                                        \
             for (j = 0; j < m; j++)                                           \
                 o0[j] = 0;                                                    \
             for (p = 0; p < k; p++) {                                         \
-                const T x0 = a[i * k + p];                                    \
-                const T *restrict bp = b + p * m;                             \
+                const T x0 = a0[p * acs];                                     \
+                const T *restrict bp = b + p * ldb;                           \
                 for (j = 0; j < m; j++)                                       \
                     o0[j] += x0 * bp[j];                                      \
             }                                                                 \
         }                                                                     \
+    }                                                                         \
+                                                                              \
+    /* o = a @ b for any b strides; buf holds k x PANEL elements. */          \
+    static void NAME##_product(const T *a, long ars, long acs, const T *b,    \
+                               long brs, long bcs, T *o, long ldo, long n,    \
+                               long k, long m, T *buf)                        \
+    {                                                                         \
+        long j0, jj, p, w;                                                    \
+        if (n == 0)                                                           \
+            return;                                                           \
+        if (bcs == 1) {                                                       \
+            NAME##_block(a, ars, acs, b, brs, o, ldo, n, k, m);               \
+            return;                                                           \
+        }                                                                     \
+        for (j0 = 0; j0 < m; j0 += w) {                                       \
+            w = m - j0 < PANEL ? m - j0 : PANEL;                              \
+            for (p = 0; p < k; p++)                                           \
+                for (jj = 0; jj < w; jj++)                                    \
+                    buf[p * w + jj] = b[p * brs + (j0 + jj) * bcs];           \
+            NAME##_block(a, ars, acs, buf, w, o + j0, ldo, n, k, w);          \
+        }                                                                     \
+    }                                                                         \
+                                                                              \
+    /* Returns 0, or -1 when the packing buffer cannot be allocated. */      \
+    int NAME(const T *a, long ars, long acs, const T *b, long brs, long bcs,  \
+             long bks, T *o, long oks, const int64_t *off, long nseg,         \
+             int inner, long n, long k, long m)                               \
+    {                                                                         \
+        T *buf = NULL;                                                        \
+        long s, nc = m < PANEL ? m : PANEL;                                   \
+        if (bcs != 1 && !(buf = malloc(sizeof(T) * (k > 0 ? k : 1) * nc)))    \
+            return -1;                                                        \
+        if (off == NULL)                                                      \
+            NAME##_product(a, ars, acs, b, brs, bcs, o, m, n, k, m, buf);     \
+        else if (!inner)                                                      \
+            for (s = 0; s < nseg; s++)                                        \
+                NAME##_product(a + off[s] * ars, ars, acs, b + s * bks, brs,  \
+                               bcs, o + off[s] * m, m, off[s + 1] - off[s],   \
+                               k, m, buf);                                    \
+        else                                                                  \
+            for (s = 0; s < nseg; s++)                                        \
+                NAME##_product(a + off[s] * acs, ars, acs, b + off[s] * brs,  \
+                               brs, bcs, o + s * oks, m, n,                   \
+                               off[s + 1] - off[s], m, buf);                  \
+        free(buf);                                                            \
+        return 0;                                                             \
     }
 
-MATMUL(matmul_f32, float)
-MATMUL(matmul_f64, double)
+GEMM(gemm_f32, float)
+GEMM(gemm_f64, double)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from finermoe.numerics import Matrix, matmul, silu
+from finermoe.numerics import Grouped, Matrix, matmul, silu
 
 
 @dataclass
@@ -51,7 +51,9 @@ class ExpertWeights:
     """One sparse expert: W1, Wg of shape h x H_e; W2 of shape H_e x h_e.
 
     Models store their experts in an ExpertStack, whose ``[k]`` returns one
-    of these wrapping slice k of the stacks without copying.
+    of these wrapping slice k of the stacks without copying, and whose
+    ``grouped(offsets)`` returns one of Grouped operands: all experts at
+    once, each on its own rows.
     """
 
     w1: Matrix
@@ -94,6 +96,12 @@ class ExpertStack(Sequence):
     def __getitem__(self, k: int) -> ExpertWeights:
         return ExpertWeights(Matrix.wrap(self.w1[k]), Matrix.wrap(self.wg[k]), Matrix.wrap(self.w2[k]))
 
+    def grouped(self, offsets: np.ndarray) -> ExpertWeights:
+        """Every expert as one ExpertWeights of Grouped views of the stacks:
+        ``swiglu`` of expert-major rows split by ``offsets`` then runs each
+        expert on its own rows, three grouped products in all."""
+        return ExpertWeights(*(Grouped(w, offsets) for w in (self.w1, self.wg, self.w2)))
+
     def astype(self, dtype) -> "ExpertStack":
         return ExpertStack(*(np.ascontiguousarray(a, dtype=dtype) for a in (self.w1, self.wg, self.w2)))
 
@@ -101,7 +109,9 @@ class ExpertStack(Sequence):
 @dataclass
 class SwiGLUTape:
     """One SwiGLU forward, kept so the backward pass need not rerun it:
-    up = x W1, gate = x Wg, inner = up * silu(gate), out = inner W2."""
+    up = x W1, gate = x Wg, inner = up * silu(gate), out = inner W2. For
+    grouped experts each holds every (token, expert) pair's row,
+    expert-major."""
 
     up: np.ndarray
     gate: np.ndarray
@@ -110,7 +120,8 @@ class SwiGLUTape:
 
 
 def swiglu(x: Matrix, w: ExpertWeights | DenseFfnWeights) -> SwiGLUTape:
-    """SwiGLU forward of a token batch with its intermediates."""
+    """SwiGLU forward of a token batch with its intermediates; with
+    ``ExpertStack.grouped`` weights, of every expert's batch at once."""
     if x.cols != w.w1.rows:
         raise ValueError(f"input width {x.cols} does not match expert input dim {w.w1.rows}")
     up = matmul(x, w.w1).a

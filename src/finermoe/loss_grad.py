@@ -23,7 +23,7 @@ from finermoe.analysis import route_stats
 from finermoe.config import FineRConfig, expert_component
 from finermoe.experts import DenseFfnWeights, ExpertStack, SwiGLUTape
 from finermoe.moe_layer import LayerOutput, MoEModel, decide, forward, named_parameters
-from finermoe.numerics import Matrix, Rng, matmul, sigmoid
+from finermoe.numerics import Grouped, Matrix, Rng, matmul, sigmoid
 from finermoe.router import RouterState, RoutingDecision
 
 
@@ -61,22 +61,31 @@ class LayerGradients:
     d_x: Matrix | None
 
 
-def _swiglu_backward(x_rows: Matrix, w, t: SwiGLUTape, d_out: np.ndarray, input_grad: bool):
+def _swiglu_backward(x_rows: np.ndarray, w, t: SwiGLUTape, d_out: np.ndarray, input_grad: bool, offsets=None):
     """SwiGLU chain rule on a forward tape. Returns (dW1, dWg, dW2, d_x_rows),
-    with d_x_rows None unless ``input_grad``."""
-    d_out_m = Matrix.wrap(np.ascontiguousarray(d_out))
-    d_w2 = matmul(t.inner.transpose(), d_out_m)
-    d_inner = matmul(d_out_m, w.w2.transpose()).a
+    with d_x_rows None unless ``input_grad``.
+
+    With ``offsets``, ``w`` is ``ExpertStack.grouped(offsets)`` and the rows
+    are expert-major pairs: every product is grouped, and the weight
+    gradients come back as Grouped stacks, zero for an expert with no pair.
+    Transposed operands are ``.T`` views; nothing is copied to transpose it.
+    """
+
+    def rows_t(rows):  # rows^T as a left operand, split by expert if grouped
+        return Matrix.wrap(rows).T if offsets is None else Grouped(rows.T, offsets)
+
+    d_out_m = Matrix.wrap(d_out)
+    d_w2 = matmul(rows_t(t.inner.a), d_out_m)
+    d_inner = matmul(d_out_m, w.w2.T).a
     # silu(g) = g * s and silu'(g) = s * (1 + g * (1 - s)): one sigmoid for both.
     s = sigmoid(t.gate)
     d_up = Matrix.wrap(d_inner * (t.gate * s))
     d_gate = Matrix.wrap(d_inner * t.up * (s * (1.0 + t.gate * (1.0 - s))))
-    xt = x_rows.transpose()
-    d_w1 = matmul(xt, d_up)
-    d_wg = matmul(xt, d_gate)
+    d_w1 = matmul(rows_t(x_rows), d_up)
+    d_wg = matmul(rows_t(x_rows), d_gate)
     d_x = None
     if input_grad:
-        d_x = matmul(d_up, w.w1.transpose()).a + matmul(d_gate, w.wg.transpose()).a
+        d_x = matmul(d_up, w.w1.T).a + matmul(d_gate, w.wg.T).a
     return d_w1, d_wg, d_w2, d_x
 
 
@@ -88,8 +97,8 @@ def _router_backward(x: Matrix, model: MoEModel, decision: RoutingDecision, d_sc
     d_logits = s_full * (d_score - (d_score * s_full).sum(axis=1, keepdims=True))
     d_logits_m = Matrix.wrap(np.ascontiguousarray(d_logits.astype(x.dtype)))
     if d_x is not None:
-        d_x += matmul(d_logits_m, model.router.w.transpose()).a
-    return matmul(x.transpose(), d_logits_m)
+        d_x += matmul(d_logits_m, model.router.w.T).a
+    return matmul(x.T, d_logits_m)
 
 
 def backward(
@@ -105,7 +114,13 @@ def backward(
     the weights last changed.
 
     The input, the dispatch plan and every expert's intermediates come from
-    ``out.tape``, so only the gradient matmuls run. Discrete selections are
+    ``out.tape``, so only the gradient matmuls run. The sparse experts'
+    run as grouped products over all (token, expert) pairs: dW1, dWg and
+    dW2 of every expert come out of one product each as the gradient
+    stacks, and every transposed operand is a no-copy ``.T`` view. Each
+    element is summed in the order a per-expert product sums it, and the
+    input gradient adds a token's experts in ascending order, so the bytes
+    are those of one pass per expert. Discrete selections are
     constants; non-activated experts get zero gradient, and in
     separate-router mode the candidate router is selection-only, so its
     gradient is identically zero. With ``input_grad=False`` the input
@@ -126,40 +141,38 @@ def backward(
     # Projection (if any) sits between the combine and the output add.
     d_proj = None
     if model.concat_proj is not None:
-        d_cat = matmul(upstream, model.concat_proj.transpose()).a
-        d_proj = matmul(tape.sparse.out.transpose(), upstream)
+        d_cat = matmul(upstream, model.concat_proj.T).a
+        d_proj = matmul(tape.sparse.out.T, upstream)
     else:
         d_cat = upstream.a
 
     d_shared = None
     if model.shared is not None:
-        d_w1, d_wg, d_w2, d_x_s = _swiglu_backward(x, model.shared, tape.shared, upstream.a, input_grad)
+        d_w1, d_wg, d_w2, d_x_s = _swiglu_backward(x.a, model.shared, tape.shared, upstream.a, input_grad)
         d_shared = DenseFfnWeights(d_w1, d_wg, d_w2)
         if d_x is not None:
             d_x += d_x_s
 
-    # Sparse path, one activated expert batch at a time; inactive experts
-    # keep a zero gradient.
-    plan = tape.sparse.plan
-    d_experts = ExpertStack.zeros(dims.N, cfg.h, dims.H_e, dims.h_e, dtype)
-    for k, t in enumerate(tape.sparse.experts):
-        if t is None:
-            continue
-        s, e = plan.offsets[k], plan.offsets[k + 1]
-        batch_tokens = plan.tokens_by_expert[s:e]
-        comp = expert_component(cfg, k)
-        x_rows = Matrix.wrap(tape.sparse.x_rows[s:e])
-        u_rows = d_cat[batch_tokens, comp * dims.h_e : (comp + 1) * dims.h_e]
-        w_rows = decision.score[batch_tokens, k].astype(dtype)
-
-        d_w1, d_wg, d_w2, d_x_rows = _swiglu_backward(
-            x_rows, model.experts[k], t, u_rows * w_rows[:, None], input_grad
-        )
-        d_experts.w1[k], d_experts.wg[k], d_experts.w2[k] = d_w1.a, d_wg.a, d_w2.a
-        if d_x is not None:
-            d_x[batch_tokens] += d_x_rows
-        # Weight gradient: d loss / d score[t, k] = u . E_k(x_t).
-        d_score[batch_tokens, k] = (u_rows.astype(np.float64) * t.out.a.astype(np.float64)).sum(axis=1)
+    # Sparse path: every (token, expert) pair at once, expert-major, as the
+    # forward ran it; experts with no pair keep a zero gradient.
+    plan, t = tape.sparse.plan, tape.sparse.experts
+    tokens = plan.tokens_by_expert
+    experts = decision.indices.ravel()[plan.perm]
+    u_rows = d_cat.reshape(L, cfg.G_O, dims.h_e)[tokens, expert_component(cfg, experts)]
+    w_rows = decision.score[tokens, experts].astype(dtype)
+    d_w1, d_wg, d_w2, d_x_rows = _swiglu_backward(
+        tape.sparse.x_rows, model.experts.grouped(plan.offsets), t, u_rows * w_rows[:, None], input_grad,
+        plan.offsets,
+    )
+    d_experts = ExpertStack(*(g.a.astype(dtype, copy=False) for g in (d_w1, d_wg, d_w2)))
+    if d_x is not None:
+        # Each token's pairs in slot order, which is ascending expert order:
+        # the order in which one batch per expert added them.
+        by_slot = d_x_rows[plan.inverse].reshape(L, -1, cfg.h)
+        for slot in range(by_slot.shape[1]):
+            d_x += by_slot[:, slot]
+    # Weight gradient: d loss / d score[t, k] = u . E_k(x_t).
+    d_score[tokens, experts] = (u_rows.astype(np.float64) * t.out.a.astype(np.float64)).sum(axis=1)
 
     if d_score_extra is not None:
         d_score = d_score + d_score_extra

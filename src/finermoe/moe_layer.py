@@ -160,11 +160,14 @@ def build_dispatch_plan(decision: RoutingDecision) -> DispatchPlan:
 
 @dataclass
 class SparseTape:
-    """The sparse path of one forward, as ``backward`` reads it."""
+    """The sparse path of one forward, as ``backward`` reads it: the plan,
+    the gathered input rows and one SwiGLU tape of stacked arrays, each
+    row one (token, expert) pair in the plan's expert-major order (``up``,
+    ``gate`` and ``inner`` n_pairs x H_e, ``out`` n_pairs x h_e)."""
 
     plan: DispatchPlan
     x_rows: np.ndarray  # n_pairs x h: the input rows, expert-major
-    experts: list[SwiGLUTape | None]  # per expert; None if it got no token
+    experts: SwiGLUTape  # every expert's intermediates, expert-major
     out: Matrix  # L x h: the combined sparse output, before any projection
 
 
@@ -201,28 +204,24 @@ def combine(out_pairs: np.ndarray, decision: RoutingDecision, plan: DispatchPlan
 
 
 def sparse_experts_forward(x: Matrix, model: MoEModel, decision: RoutingDecision) -> SparseTape:
-    """Build the dispatch plan, run each activated expert on its token
-    batch and rebuild the L x h sparse output (``.out``), keeping every
-    expert's intermediates for the backward pass.
+    """Build the dispatch plan, run every activated expert on its token
+    batch and rebuild the L x h sparse output (``.out``), keeping the
+    intermediates for the backward pass.
 
+    The input rows are gathered once, expert-major, and the experts run as
+    three grouped products (one per weight, each expert on its own rows)
+    and one ``silu`` over all pairs; every element sums as in a
+    per-expert product, so the bits are those of one call per expert.
     Routing keeps indices ascending with exactly T_I of them in each
     component's selected group, so slot a of every token feeds component
     a // T_I and ``combine`` sums straight into that component's columns.
     """
-    dims = model.dims
     plan = build_dispatch_plan(decision)
-
-    # Permute: pull each expert's token batch together and run it.
     x_rows = x.a[plan.tokens_by_expert]
-    tapes: list[SwiGLUTape | None] = [None] * dims.N
-    out_pairs = np.zeros((plan.n_pairs, dims.h_e), dtype=x.dtype)
-    for k in range(dims.N):
-        s, e = plan.offsets[k], plan.offsets[k + 1]
-        if s == e:
-            continue
-        tapes[k] = swiglu(Matrix.wrap(x_rows[s:e]), model.experts[k])
-        out_pairs[s:e] = tapes[k].out.a
-    return SparseTape(plan, x_rows, tapes, combine(out_pairs, decision, plan, model.cfg))
+    tape = swiglu(Matrix.wrap(x_rows), model.experts.grouped(plan.offsets))
+    # The sparse output keeps the input's dtype, also for an f64 model.
+    out_pairs = tape.out.a.astype(x.dtype, copy=False)
+    return SparseTape(plan, x_rows, tape, combine(out_pairs, decision, plan, model.cfg))
 
 
 def decide(x: Matrix, model: MoEModel) -> RoutingDecision:

@@ -9,7 +9,8 @@ Design constraints that everything downstream leans on:
   are bit-identical from run to run. It runs in the active kernel module
   of ``_backend``: the C kernels of ``_kernels_c``, or the NumPy kernels
   of ``_kernels_py`` when those could not be built. Both give the same
-  bits.
+  bits. Transposed (``Matrix.T``) and grouped (``Grouped``) operands go
+  through the same ``matmul`` entry, without copies.
 * The RNG is SplitMix64, a counter-based 64-bit generator with published
   test vectors; identical seeds give identical streams on every platform.
 """
@@ -35,7 +36,8 @@ class Matrix:
 
     The only numeric container used by the library. ``a`` exposes the
     underlying array for elementwise work; all matrix products must go
-    through :func:`matmul` to keep reductions reproducible.
+    through :func:`matmul` to keep reductions reproducible. ``.T`` is the
+    one exception to row-major: a transposed view, for use as an operand.
     """
 
     __slots__ = ("a",)
@@ -89,8 +91,12 @@ class Matrix:
     def copy(self) -> "Matrix":
         return Matrix.wrap(self.a.copy())
 
-    def transpose(self) -> "Matrix":
-        return Matrix.wrap(np.ascontiguousarray(self.a.T))
+    @property
+    def T(self) -> "Matrix":
+        """The transpose as a no-copy view of ``a``, for use as a matmul operand."""
+        m = Matrix.__new__(Matrix)
+        m.a = self.a.T
+        return m
 
     def tobytes(self) -> bytes:
         return self.a.tobytes()
@@ -109,6 +115,51 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.a.dtype})"
+
+
+class Grouped:
+    """An operand of a grouped product, one product per expert (MegaBlocks,
+    Gale et al., arXiv:2211.15841), split by a dispatch plan's N+1
+    ``offsets``; expert k owns pairs [offsets[k], offsets[k+1]).
+
+    * A 3-D ``a`` of N x rows x cols holds one matrix per expert and is a
+      right operand: ``matmul(x, g)`` multiplies rows [offsets[k],
+      offsets[k+1]) of x by ``a[k]``. ``g.T`` transposes each matrix
+      without copying.
+    * A 2-D ``a`` of rows x n_pairs has its columns split and is a left
+      operand: ``matmul(g, y)`` is the Grouped stack of
+      ``a[:, offsets[k]:offsets[k+1]] @ y[offsets[k]:offsets[k+1]]``,
+      zero for an expert with no pair.
+
+    ``rows`` and ``cols`` are those of the matrix each product reads, so
+    2 * rows * cols * cols-of-the-other counts a grouped product's FLOPs.
+    """
+
+    __slots__ = ("a", "offsets")
+
+    def __init__(self, a: np.ndarray, offsets: np.ndarray):
+        self.a = a
+        self.offsets = offsets
+
+    @property
+    def rows(self) -> int:
+        return self.a.shape[-2]
+
+    @property
+    def cols(self) -> int:
+        return self.a.shape[-1]
+
+    @property
+    def shape(self):
+        return self.a.shape[-2:]
+
+    @property
+    def dtype(self):
+        return self.a.dtype
+
+    @property
+    def T(self) -> "Grouped":
+        return Grouped(self.a.transpose(0, 2, 1), self.offsets)
 
 
 class _FlopCounter:
@@ -131,10 +182,13 @@ def count_flops():
         _flop_counter = prev
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
+def matmul(a: Matrix | Grouped, b: Matrix | Grouped) -> Matrix | Grouped:
     """Matrix product with a fixed ascending-index reduction order.
 
-    Output dtype is f64 iff either input is f64.
+    Either operand may be a ``.T`` view. A Grouped right operand gives the
+    L x cols Matrix of each row segment times its expert's matrix; a
+    Grouped left operand gives the Grouped stack of per-expert products
+    (see ``Grouped``). Output dtype is f64 iff either input is f64.
     """
     if a.cols != b.rows:
         raise ValueError(
@@ -143,13 +197,20 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     if _flop_counter is not None:
         _flop_counter.flops += 2 * a.rows * a.cols * b.cols
     if a.dtype == np.float64 or b.dtype == np.float64:
-        aa = a.a if a.dtype == np.float64 else a.a.astype(np.float64)
-        bb = b.a if b.dtype == np.float64 else b.a.astype(np.float64)
-        out = np.empty((a.rows, b.cols), dtype=np.float64)
-        _backend.active.matmul_f64(aa, bb, out)
+        dtype, kernel = np.float64, _backend.active.matmul_f64
     else:
-        out = np.empty((a.rows, b.cols), dtype=np.float32)
-        _backend.active.matmul_f32(a.a, b.a, out)
+        dtype, kernel = np.float32, _backend.active.matmul_f32
+    aa = a.a if a.dtype == dtype else a.a.astype(dtype)
+    bb = b.a if b.dtype == dtype else b.a.astype(dtype)
+    if isinstance(a, Grouped):
+        out = np.empty((len(a.offsets) - 1, a.rows, b.cols), dtype=dtype)
+        kernel(aa, bb, out, a.offsets)
+        return Grouped(out, a.offsets)
+    out = np.empty((a.rows, b.cols), dtype=dtype)
+    if isinstance(b, Grouped):
+        kernel(aa, bb, out, b.offsets)
+    else:
+        kernel(aa, bb, out)
     return Matrix.wrap(out)
 
 

@@ -195,18 +195,22 @@ class TestCostReport:
         assert non_ffn_params(1536, 8960) == 1_543_714_304 - 28 * 3 * 1536 * 8960 + 151_936 * 1536
 
 
-def _sparse_path_seconds(x: Matrix, model: MoEModel, reps: int) -> float:
+def _sparse_path_seconds(x: Matrix, models: dict, reps: int) -> dict:
     """Best-of-reps wall time of sparse_experts_forward alone (dispatch plan
-    and experts; no router, no shared expert), after one warm-up call.
-    Timing noise is one-sided, so the minimum is the least-noisy estimate."""
-    decision = decide(x, model)
-    sparse_experts_forward(x, model, decision)
-    times = []
+    and experts; no router, no shared expert) for each model, after one
+    warm-up call each. The models take turns, one rep each, so a change in
+    host speed during the measurement reaches all of them alike. Timing
+    noise is one-sided, so the minimum is the least-noisy estimate."""
+    decisions = {key: decide(x, m) for key, m in models.items()}
+    for key, m in models.items():
+        sparse_experts_forward(x, m, decisions[key])
+    best = dict.fromkeys(models, float("inf"))
     for _ in range(reps):
-        t0 = time.perf_counter()
-        sparse_experts_forward(x, model, decision)
-        times.append(time.perf_counter() - t0)
-    return min(times)
+        for key, m in models.items():
+            t0 = time.perf_counter()
+            sparse_experts_forward(x, m, decisions[key])
+            best[key] = min(best[key], time.perf_counter() - t0)
+    return best
 
 
 class TestTiming:
@@ -221,7 +225,7 @@ class TestTiming:
             for t_i in (1, 2, 4)
         }
         for attempt in range(2):
-            times = {t_i: _sparse_path_seconds(x, m, reps=7) for t_i, m in models.items()}
+            times = _sparse_path_seconds(x, models, reps=7)
             in_band = all(0.7 <= times[t] / times[1] / t <= 1.3 for t in (2, 4))
             if in_band:
                 break

@@ -229,7 +229,8 @@ class TestConcatProjBackward:
         model = model.astype(dtype)
         x = Rng(20).matrix(6, cfg.h, dtype=dtype)
         upstream = Rng(21).matrix(6, cfg.h, dtype=dtype)
-        want = matmul(sparse_experts_forward(x, model, decide(x, model)).out.transpose(), upstream)
+        sparse = sparse_experts_forward(x, model, decide(x, model)).out
+        want = matmul(Matrix.wrap(np.ascontiguousarray(sparse.a.T)), upstream)
         out = forward(x, model)
 
         calls = []

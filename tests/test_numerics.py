@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import finermoe
 from finermoe import _backend, _kernels_py, kernel_backend
-from finermoe.numerics import Matrix, Rng, count_flops, matmul, silu, softmax
+from finermoe.numerics import Grouped, Matrix, Rng, count_flops, matmul, silu, softmax
 
 
 @pytest.fixture
@@ -34,6 +34,60 @@ def _kernel_matmul(kernels, a, b):
     out = np.empty((a.shape[0], b.shape[1]), dtype=a.dtype)
     (kernels.matmul_f32 if a.dtype == np.float32 else kernels.matmul_f64)(a, b, out)
     return out
+
+
+def _kernel_grouped(kernels, a, b, offsets):
+    """The grouped entry: a stack ``b`` splits a's rows, else the output is a stack."""
+    shape = (a.shape[0], b.shape[2]) if b.ndim == 3 else (len(offsets) - 1, a.shape[0], b.shape[1])
+    out = np.empty(shape, dtype=a.dtype)
+    (kernels.matmul_f32 if a.dtype == np.float32 else kernels.matmul_f64)(a, b, out, offsets)
+    return out
+
+
+def _operand(rng, shape, dtype):
+    # Magnitudes over many decades make any other summation order round
+    # differently.
+    return (rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)).astype(dtype)
+
+
+def _window_stack(rng, n, k, m, dtype, step=7):
+    """A read-only n x k x m stack whose matrix e is the window of one
+    buffer that starts at element e * step: every matrix C-contiguous and
+    different, an odd stride between them, and one matrix's memory, so a
+    stack at reference dims costs little."""
+    base = _operand(rng, k * m + n * step, dtype)
+    size = base.itemsize
+    return np.lib.stride_tricks.as_strided(base, (n, k, m), (step * size, m * size, size), writeable=False)
+
+
+def _offsets(lengths):
+    return np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+
+
+def _rank1(a, b):
+    """a @ b as the rank-1 loop: +0.0, then each inner index in ascending order."""
+    want = np.zeros((a.shape[0], b.shape[1]), dtype=a.dtype)
+    for p in range(a.shape[1]):
+        want += a[:, p, None] * b[None, p, :]
+    return want
+
+
+def _rank1_rows(a, stack, offsets):
+    """Row i of a times the stack matrix of its segment, as a rank-1 loop."""
+    expert = np.repeat(np.arange(len(stack)), np.diff(offsets))
+    want = np.zeros((a.shape[0], stack.shape[2]), dtype=a.dtype)
+    for p in range(a.shape[1]):
+        want += a[:, p, None] * stack[expert, p, :]
+    return want
+
+
+def _rank1_inner(a, b, offsets):
+    """The stack of a[:, seg] @ b[seg], as one rank-1 loop over all of p."""
+    expert = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    want = np.zeros((len(offsets) - 1, a.shape[0], b.shape[1]), dtype=a.dtype)
+    for p in range(a.shape[1]):
+        want[expert[p]] += a[:, p, None] * b[None, p, :]
+    return want
 
 
 class TestMatmul:
@@ -70,6 +124,31 @@ class TestMatmul:
         with count_flops() as c:
             matmul(Matrix.zeros(3, 4), Matrix.zeros(4, 5))
         assert c.flops == 2 * 3 * 4 * 5
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_grouped_and_transposed_operands(self, dtype):
+        # One call per grouped product, with the bits and the FLOP count of
+        # one plain product per expert; f32 operands promote as in plain.
+        offsets = np.array([0, 2, 2, 7], dtype=np.int64)
+        x = Rng(20).matrix(7, 4, dtype=dtype)
+        stack = Rng(21).matrix(3 * 4, 5).a.reshape(3, 4, 5)
+        d = Rng(22).matrix(7, 5)
+        with count_flops() as c:
+            rows = matmul(x, Grouped(stack, offsets))
+            inner = matmul(Grouped(x.a.T, offsets), d)
+            back = matmul(rows, Grouped(stack, offsets).T)
+        assert c.flops == 3 * 2 * 7 * 4 * 5
+        assert isinstance(inner, Grouped) and inner.a.shape == (3, 4, 5) and rows.dtype == dtype
+        for k, (s, e) in enumerate(zip(offsets, offsets[1:])):
+            seg = Matrix.wrap(x.a[s:e].copy()) if s < e else None
+            if seg is not None:
+                assert rows.a[s:e].tobytes() == matmul(seg, Matrix.wrap(stack[k])).a.tobytes()
+                w_t = Matrix.wrap(np.ascontiguousarray(stack[k].T))
+                assert back.a[s:e].tobytes() == matmul(Matrix.wrap(rows.a[s:e].copy()), w_t).a.tobytes()
+                want = matmul(Matrix.wrap(np.ascontiguousarray(x.a[s:e].T)), Matrix.wrap(d.a[s:e].copy()))
+                assert inner.a[k].tobytes() == want.a.tobytes()
+            else:
+                assert inner.a[k].tobytes() == np.zeros((4, 5), inner.dtype).tobytes()
 
     # Shapes on both sides of the kernel's schedules: one inner chunk,
     # several chunks with a short last one (kc = 436: 436 + 436 + 128),
@@ -108,35 +187,62 @@ class TestMatmul:
                     s = s + a[i, p] * b[p, j]
                 assert out[i, j].tobytes() == s.tobytes(), (i, j)
 
-    # (n, K, m) of the products one op of each perfbench workload runs: the
-    # router, the expert batches (one token up to a batch), the shared
-    # expert and, in train-coarse, backward's weight and input gradients.
-    # train-coarse's shared expert has infer-fine's shapes.
+    # The products one op of each perfbench workload runs, by kind:
+    # "ab" is (n, K, m) of a plain product: the router, the shared expert,
+    # train-demo's target and, per expert, the grouped products' segments
+    # (one token up to a batch) and their weight gradients. "atb" is
+    # a^T b and "abt" a b^T, (n, K, m) of the product: train-coarse's
+    # shared-expert and router gradients. "grouped" is (pairs, N, K, m):
+    # pairs x K rows split among N experts' K x m matrices, the sparse
+    # forward; "grouped-t" the same with each matrix a transposed view,
+    # backward's d_inner; "grouped-inner" (pairs, N, n, m) the N-stack of
+    # n x m weight gradients a^T b with the pairs split.
     WORKLOAD_SHAPES = {
         "infer-fine": [
-            (64, 256, 128), (1, 256, 32), (4, 256, 32), (1, 32, 128), (4, 32, 128),
-            (64, 256, 1024), (64, 1024, 256),
+            ("ab", 64, 256, 128), ("ab", 1, 256, 32), ("ab", 4, 256, 32), ("ab", 1, 32, 128),
+            ("ab", 4, 32, 128), ("ab", 64, 256, 1024), ("ab", 64, 1024, 256),
+            ("grouped", 128, 128, 256, 32), ("grouped", 128, 128, 32, 128),
         ],
         "train-coarse": [
-            (3, 256, 128), (15, 256, 128), (3, 128, 256), (15, 128, 256),
-            (128, 3, 256), (256, 15, 128), (1024, 64, 256), (256, 64, 1024),
-            (256, 64, 64), (64, 256, 64), (64, 256, 256),
+            ("ab", 3, 256, 128), ("ab", 15, 256, 128), ("ab", 3, 128, 256), ("ab", 15, 128, 256),
+            ("ab", 128, 3, 256), ("ab", 256, 15, 128), ("ab", 64, 256, 64), ("ab", 64, 256, 256),
+            ("atb", 1024, 64, 256), ("atb", 256, 64, 1024), ("atb", 256, 64, 64), ("abt", 64, 256, 1024),
+            ("grouped", 512, 64, 256, 128), ("grouped", 512, 64, 128, 256), ("grouped-t", 512, 64, 256, 128),
+            ("grouped-inner", 512, 64, 128, 256), ("grouped-inner", 512, 64, 256, 128),
         ],
         "cli-ref": [
-            (8, 1536, 128), (1, 1536, 280), (1, 280, 768), (8, 1536, 8960), (8, 8960, 1536),
+            ("ab", 8, 1536, 128), ("ab", 1, 1536, 280), ("ab", 1, 280, 768), ("ab", 8, 1536, 8960),
+            ("ab", 8, 8960, 1536), ("grouped", 16, 128, 1536, 280), ("grouped", 16, 128, 280, 768),
         ],
     }
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("n,k,m", [s for shapes in WORKLOAD_SHAPES.values() for s in shapes])
-    def test_workload_shapes_match_a_rank_1_loop(self, kernels, n, k, m, dtype):
-        rng = np.random.default_rng(n * k * m)
-        a = (rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-6, 6, (n, k))).astype(dtype)
-        b = (rng.standard_normal((k, m)) * 10.0 ** rng.uniform(-6, 6, (k, m))).astype(dtype)
-        want = np.zeros((n, m), dtype=dtype)
-        for p in range(k):
-            want += a[:, p, None] * b[None, p, :]
-        assert _kernel_matmul(kernels, a, b).tobytes() == want.tobytes()
+    @pytest.mark.parametrize(
+        "kind,shape",
+        [(kind, shape) for shapes in WORKLOAD_SHAPES.values() for kind, *shape in shapes],
+        ids=[f"{w}-{kind}-{'x'.join(map(str, shape))}" for w, v in WORKLOAD_SHAPES.items() for kind, *shape in v],
+    )
+    def test_workload_shapes_match_a_rank_1_loop(self, kernels, kind, shape, dtype):
+        rng = np.random.default_rng(int(np.prod(shape)))
+        if kind in ("ab", "atb", "abt"):
+            n, k, m = shape
+            a = _operand(rng, (k, n), dtype).T if kind == "atb" else _operand(rng, (n, k), dtype)
+            b = _operand(rng, (m, k), dtype).T if kind == "abt" else _operand(rng, (k, m), dtype)
+            assert _kernel_matmul(kernels, a, b).tobytes() == _rank1(a, b).tobytes()
+            return
+        pairs, N, k, m = shape
+        # Segment lengths as routing draws them: some experts get none.
+        offsets = _offsets(rng.multinomial(pairs, np.full(N, 1.0 / N)))
+        if kind == "grouped-inner":
+            a, b = _operand(rng, (pairs, k), dtype).T, _operand(rng, (pairs, m), dtype)
+            want = _rank1_inner(a, b, offsets)
+        else:
+            a = _operand(rng, (pairs, k), dtype)
+            b = _window_stack(rng, N, k, m, dtype)
+            if kind == "grouped-t":
+                b = _window_stack(rng, N, m, k, dtype).transpose(0, 2, 1)
+            want = _rank1_rows(a, b, offsets)
+        assert _kernel_grouped(kernels, a, b, offsets).tobytes() == want.tobytes()
 
     # Every row count from 1 to 9 (whole four-row blocks and one to three
     # rows left over), one column, one inner index, and random shapes; the
@@ -180,6 +286,182 @@ class TestMatmul:
         out = np.empty((4, 3), dtype=np.float32)
         with pytest.raises(ValueError, match="contiguous"):
             c_kernels.matmul_f32(a, np.ones((6, 6), dtype=np.float32)[:, ::2], out)
+
+
+# Segment lengths: the first, the last or all but one empty, one-row
+# segments, lengths 4k-1 and 4k+1 around the kernel's four-row blocks.
+SEGMENTS = [[0, 3, 5], [3, 5, 0], [0, 0, 9, 0], [1, 1, 1, 1], [3, 5, 7, 9], [4, 8, 0, 1, 2]]
+
+
+class TestGroupedAndTransposedKernels:
+    """The grouped and transposed products of both kernel modules, called
+    directly: bit for bit the plain entry on each segment, and the rank-1
+    loop."""
+
+    # (K, m) of each segment's product: one inner index, one column, both,
+    # and neither.
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_grouped_rows(self, kernels, dtype, transposed):
+        rng = np.random.default_rng(3)
+        for lengths in SEGMENTS:
+            offsets = _offsets(lengths)
+            for k, m in ((1, 1), (1, 7), (37, 1), (33, 20)):
+                a = _operand(rng, (int(offsets[-1]), k), dtype)
+                a[-1] = -0.0
+                stack = _operand(rng, (len(lengths), m, k) if transposed else (len(lengths), k, m), dtype)
+                if transposed:
+                    stack = stack.transpose(0, 2, 1)
+                a.flags.writeable = stack.flags.writeable = False
+                got = _kernel_grouped(kernels, a, stack, offsets)
+                for e, (s, t) in enumerate(zip(offsets, offsets[1:])):
+                    if s < t:
+                        assert got[s:t].tobytes() == _kernel_matmul(kernels, a[s:t], stack[e]).tobytes()
+                assert got.tobytes() == _rank1_rows(a, stack, offsets).tobytes(), (lengths, k, m)
+                assert not np.signbit(got[-1]).any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_grouped_inner_index(self, kernels, dtype):
+        # out[e] = x[seg e]^T @ d[seg e]: x arrives as its no-copy
+        # transpose; an empty segment gives +0.0.
+        rng = np.random.default_rng(4)
+        for lengths in SEGMENTS:
+            offsets = _offsets(lengths)
+            for n, m in ((1, 1), (7, 1), (1, 5), (33, 20)):
+                x = _operand(rng, (int(offsets[-1]), n), dtype)
+                x[:, -1] = -0.0
+                d = _operand(rng, (int(offsets[-1]), m), dtype)
+                x.flags.writeable = d.flags.writeable = False
+                got = _kernel_grouped(kernels, x.T, d, offsets)
+                for e, (s, t) in enumerate(zip(offsets, offsets[1:])):
+                    assert got[e].tobytes() == _kernel_matmul(kernels, x[s:t].T, d[s:t]).tobytes()
+                assert got.tobytes() == _rank1_inner(x.T, d, offsets).tobytes(), (lengths, n, m)
+                assert not np.signbit(got[:, -1]).any()
+                assert not got[np.diff(offsets) == 0].any()
+
+    # a^T b, a b^T and a^T b^T, with more than one 256-column panel of a
+    # packed b^T and row counts on both sides of a four-row block.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_transposed_operands(self, kernels, dtype):
+        rng = np.random.default_rng(5)
+        for n, k, m in ((1, 1, 1), (5, 1, 9), (9, 37, 1), (4, 300, 500), (13, 33, 260)):
+            a, at = _operand(rng, (n, k), dtype), _operand(rng, (k, n), dtype).T
+            b, bt = _operand(rng, (k, m), dtype), _operand(rng, (m, k), dtype).T
+            for x, y in ((at, b), (a, bt), (at, bt)):
+                want = _rank1(x, y)
+                assert _kernel_matmul(kernels, x, y).tobytes() == want.tobytes(), (n, k, m)
+                assert want.tobytes() == _kernel_matmul(kernels, *map(np.ascontiguousarray, (x, y))).tobytes()
+
+    def test_grouped_rows_read_a_mapped_stack(self, kernels, tmp_path):
+        # read_model maps the file: the stacks are views strided by one
+        # expert's w1 + wg + w2, and the entry must read them in place.
+        from finermoe import read_model, write_model
+        from finermoe.config import baseline_preset
+        from finermoe.upcycle import random_dense, upcycle
+
+        cfg = baseline_preset("FineRMoE-base", h=16, H=64)
+        write_model(upcycle(random_dense(16, 64, 1), cfg, 2), tmp_path / "m.frm")
+        stack = read_model(tmp_path / "m.frm").experts
+        assert not stack.w1.flags.c_contiguous
+        rng = np.random.default_rng(6)
+        offsets = _offsets(rng.multinomial(40, np.full(len(stack), 1.0 / len(stack))))
+        for w in (stack.w1, stack.wg, stack.w2, stack.w2.transpose(0, 2, 1)):
+            a = _operand(rng, (40, w.shape[1]), np.float32)
+            got = _kernel_grouped(kernels, a, w, offsets)
+            assert got.tobytes() == _kernel_grouped(kernels, a, w.copy(), offsets).tobytes()
+            assert got.tobytes() == _rank1_rows(a, w, offsets).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_grouped_c_kernels_propagate_inf_and_nan_like_the_numpy_kernels(self, c_kernels, dtype):
+        rng = np.random.default_rng(7)
+        offsets = _offsets([3, 0, 6, 1])
+        a = rng.standard_normal((10, 9)).astype(dtype)
+        stack = rng.standard_normal((4, 9, 5)).astype(dtype)
+        a[0, 0], a[4, 2] = np.inf, -np.inf
+        stack[2, 1, 0], stack[3, 2, 4] = np.nan, 0.0  # inf * 0 is NaN
+        d = rng.standard_normal((10, 5)).astype(dtype)
+        d[5, 1] = np.nan
+        for x, y in ((a, stack), (a, stack.transpose(0, 2, 1).copy().transpose(0, 2, 1)), (a.T, d)):
+            got = _kernel_grouped(c_kernels, x, y, offsets)
+            with np.errstate(invalid="ignore"):
+                want = _kernel_grouped(_kernels_py, x, y, offsets)
+            nan = np.isnan(got)
+            assert nan.any() and np.isinf(got).any()
+            assert (nan == np.isnan(want)).all()
+            assert np.where(nan, 0, got).tobytes() == np.where(nan, 0, want).tobytes()
+
+
+def _refusal_operands(case):
+    """Operands of a grouped call (rows split, or for ``inner`` cases the
+    inner index) with the one defect ``case`` names."""
+    f32 = np.float32
+    offsets = np.array([0, 2, 2, 6], dtype=np.int64)
+    if case.startswith("inner"):
+        a, b, out = np.ones((6, 4), f32).T, np.ones((6, 5), f32), np.full((3, 4, 5), 7.0, f32)
+    else:
+        a, b, out = np.ones((6, 4), f32), np.ones((3, 4, 5), f32), np.full((6, 5), 7.0, f32)
+    defect = case.split(": ")[-1]
+    if defect == "int32 offsets":
+        offsets = offsets.astype(np.int32)
+    elif defect == "N offsets":
+        offsets = offsets[:-1]
+    elif defect == "N+2 offsets":
+        offsets = np.append(offsets, 6)
+    elif defect == "offsets from 1":
+        offsets[0] = 1
+    elif defect == "decreasing offsets":
+        offsets[1] = 3
+    elif defect == "offsets short of the rows":
+        offsets[-1] = 5
+    elif defect == "offsets past the rows":
+        offsets[-1] = 7
+    elif defect == "stack K":
+        b = np.ones((3, 3, 5), f32)
+    elif defect == "stack m":
+        b = np.ones((3, 4, 4), f32)
+    elif defect == "out N":
+        out = np.full((4, 4, 5), 7.0, f32)
+    elif defect == "strided slice":
+        b = np.ones((3, 4, 10), f32)[:, :, ::2]
+    elif defect == "strided a":
+        a = np.ones((6, 8), f32)[:, ::2].T if case.startswith("inner") else np.ones((6, 8), f32)[:, ::2]
+    elif defect == "f64 operand":
+        b = b.astype(np.float64)
+    elif defect == "read-only out":
+        out.flags.writeable = False
+    elif defect == "no offsets":
+        offsets = None
+    elif defect == "list offsets":
+        offsets = offsets.tolist()
+    return a, b, out, offsets
+
+
+REFUSALS = [
+    "int32 offsets", "N offsets", "N+2 offsets", "offsets from 1", "decreasing offsets",
+    "offsets short of the rows", "offsets past the rows", "stack K", "stack m", "strided slice",
+    "strided a", "f64 operand", "read-only out", "no offsets", "list offsets",
+    "inner: int32 offsets", "inner: N+2 offsets", "inner: decreasing offsets", "inner: offsets past the rows",
+    "inner: out N", "inner: strided a", "inner: read-only out",
+]
+
+
+class TestKernelRefusals:
+    """The C kernels trust the segment table and the strides, so both
+    modules refuse bad operands with ValueError before any is read or
+    written."""
+
+    @pytest.mark.parametrize("case", REFUSALS)
+    def test_refused_before_any_write(self, kernels, case):
+        a, b, out, offsets = _refusal_operands(case)
+        with pytest.raises(ValueError, match="kernel"):
+            kernels.matmul_f32(a, b, out, offsets)
+        assert (out == 7.0).all()
+
+    @pytest.mark.parametrize("case", ["rows", "inner"])
+    def test_the_unaltered_operands_are_taken(self, kernels, case):
+        a, b, out, offsets = _refusal_operands(case)
+        kernels.matmul_f32(a, b, out, offsets)
+        assert not (out == 7.0).any()
 
 
 PACKAGE = Path(finermoe.__file__).resolve().parent
@@ -378,7 +660,8 @@ class TestMatrix:
 
     def test_transpose_round_trip(self):
         m = Rng(12).matrix(3, 5)
-        assert m.transpose().transpose() == m
+        assert m.T.shape == (5, 3) and np.shares_memory(m.T.a, m.a)
+        assert m.T.T == m
 
     def test_astype_preserves_values(self):
         m = Rng(13).matrix(4, 4)
