@@ -125,7 +125,8 @@ def backward(
     separate-router mode the candidate router is selection-only, so its
     gradient is identically zero. With ``input_grad=False`` the input
     gradient's matmuls are skipped and ``d_x`` is None; the weight
-    gradients are the same bytes.
+    gradients are the same bytes. Every gradient, ``d_x`` included, takes
+    the input's dtype, also for a model of the other one.
     """
     cfg, dims = model.cfg, model.dims
     tape, decision = out.tape, out.decision
@@ -164,7 +165,7 @@ def backward(
         tape.sparse.x_rows, model.experts.grouped(plan.offsets), t, u_rows * w_rows[:, None], input_grad,
         plan.offsets,
     )
-    d_experts = ExpertStack(*(g.a.astype(dtype, copy=False) for g in (d_w1, d_wg, d_w2)))
+    d_experts = ExpertStack(d_w1.a, d_wg.a, d_w2.a)
     if d_x is not None:
         # Each token's pairs in slot order, which is ascending expert order:
         # the order in which one batch per expert added them.
@@ -185,7 +186,7 @@ def backward(
     d_model = MoEModel(
         cfg=cfg, shared=d_shared, experts=d_experts, router=RouterState(d_router),
         router_cc=d_router_cc, concat_proj=d_proj,
-    )
+    ).astype(dtype)
     return LayerGradients(d_model=d_model, d_x=None if d_x is None else Matrix.wrap(d_x))
 
 

@@ -2,13 +2,13 @@
 per-component weighted sum, and the shared-expert add.
 
 Group layout: expert k belongs to group k // (G_I*R_I); group g feeds
-output component g // R_O as candidate g % R_O. Routing activates T_I
-experts in the one selected group of each component and lists them in
-ascending order, so slot a of every token belongs to component a // T_I.
-The combine therefore sums each component's T_I expert outputs straight
-into its h_e columns, slot by slot in ascending expert index from zero,
-so the output is bit-reproducible from run to run and equals a naive
-per-token loop exactly.
+output component g // R_O as candidate g % R_O. A routing decision
+activates T experts in one group of each component (T_I when routed, all
+of candidate 0's group in the forced bypass), in ascending order, so slot
+a of every token belongs to component a // T. The combine sums each
+component's T slots straight into its h_e columns in ascending expert
+index from zero, so the output is bit-reproducible and equals a naive
+per-token loop exactly. Outputs take the input's dtype, not the model's.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from finermoe.config import FineRConfig, DerivedDims, derive
-from finermoe.experts import DenseFfnWeights, ExpertStack, SwiGLUTape, expert_forward, shared_forward, swiglu
+from finermoe.config import FineRConfig, DerivedDims, derive, with_updates
+from finermoe.experts import DenseFfnWeights, ExpertStack, SwiGLUTape, shared_forward, swiglu
 from finermoe.numerics import Matrix, matmul
 from finermoe.router import RouterState, RoutingDecision, route, route_separate, score
 
@@ -188,17 +188,17 @@ class LayerOutput:
 
 
 def combine(out_pairs: np.ndarray, decision: RoutingDecision, plan: DispatchPlan, cfg: FineRConfig) -> Matrix:
-    """Weight the expert-major outputs and sum each component's T_I slots
-    into its h_e columns, in slot (ascending expert) order from zero.
-
-    Relies on slot a of every token belonging to component a // T_I.
+    """Weight the expert-major outputs and sum each component's T =
+    indices.shape[1] // G_O slots into its h_e columns, in slot (ascending
+    expert) order from zero; slot a of every token is in component a // T.
     """
-    L = decision.n_tokens
+    L, A = decision.indices.shape
+    T = A // cfg.G_O
     h_e = out_pairs.shape[1]
-    out = out_pairs[plan.inverse].reshape(L, cfg.G_O, cfg.T_I, h_e)
-    probs = decision.probs.reshape(L, cfg.G_O, cfg.T_I, 1).astype(out_pairs.dtype)
+    out = out_pairs[plan.inverse].reshape(L, cfg.G_O, T, h_e)
+    probs = decision.probs.reshape(L, cfg.G_O, T, 1).astype(out_pairs.dtype)
     acc = np.zeros((L, cfg.G_O, h_e), dtype=out_pairs.dtype)
-    for t in range(cfg.T_I):
+    for t in range(T):
         acc += probs[:, :, t] * out[:, :, t]
     return Matrix.wrap(acc.reshape(L, cfg.G_O * h_e))
 
@@ -212,9 +212,9 @@ def sparse_experts_forward(x: Matrix, model: MoEModel, decision: RoutingDecision
     three grouped products (one per weight, each expert on its own rows)
     and one ``silu`` over all pairs; every element sums as in a
     per-expert product, so the bits are those of one call per expert.
-    Routing keeps indices ascending with exactly T_I of them in each
-    component's selected group, so slot a of every token feeds component
-    a // T_I and ``combine`` sums straight into that component's columns.
+    A decision lists indices ascending, the same number in each
+    component's selected group, so ``combine`` sums every slot straight
+    into its component's columns.
     """
     plan = build_dispatch_plan(decision)
     x_rows = x.a[plan.tokens_by_expert]
@@ -251,26 +251,21 @@ def forward(x: Matrix, model: MoEModel) -> LayerOutput:
         y = Matrix.wrap(shared_tape.out.a + sparse.a)
     else:
         y = sparse
-    return LayerOutput(y=y, decision=decision, tape=ForwardTape(x, sparse_tape, shared_tape))
+    return LayerOutput(y=y.astype(x.dtype), decision=decision, tape=ForwardTape(x, sparse_tape, shared_tape))
 
 
 def forward_forced(x: Matrix, model: MoEModel) -> Matrix:
-    """Router bypass for reconstruction checks: in every component, run all
-    experts of candidate 0 at weight 1, sum in ascending index order,
-    concatenate, and add the shared expert if present.
-
-    With weights produced by slicing a dense FFN at R_I=1 this rebuilds the
-    dense forward exactly (each slice contributes R_I times in general).
+    """Router bypass for reconstruction checks: every expert of each
+    component's candidate-0 group at weight 1, then the shared expert if
+    present. Uniform scores routed with T_I = G_I*R_I make that decision
+    (the lowest-index tie rule picks candidate 0), and it runs through
+    ``forward``'s dispatch, grouped products and combine. With weights
+    sliced from a dense FFN at R_I=1 this rebuilds the dense forward
+    exactly (each slice contributes R_I times in general).
     """
     cfg, dims = model.cfg, model.dims
-    parts = []
-    for i in range(cfg.G_O):
-        g = i * cfg.R_O  # candidate 0 of component i
-        acc = np.zeros((x.rows, dims.h_e), dtype=x.dtype)
-        for k in range(g * dims.group_size, (g + 1) * dims.group_size):
-            acc += expert_forward(x, model.experts[k]).a
-        parts.append(acc)
-    out = np.concatenate(parts, axis=1)
+    decision = route(np.ones((x.rows, dims.N), x.dtype), with_updates(cfg, T_I=dims.group_size))
+    out = sparse_experts_forward(x, model, decision).out
     if model.shared is not None:
-        out = out + shared_forward(x, model.shared).out.a
-    return Matrix.wrap(np.ascontiguousarray(out))
+        out = Matrix.wrap(out.a + shared_forward(x, model.shared).out.a)
+    return out.astype(x.dtype)

@@ -1,10 +1,12 @@
-"""Single-router bi-level routing.
+"""Bi-level routing, for the single router and the two-router variant.
 
 One score vector per token drives both sparsity levels: a per-group
 top-T_I mask picks which experts contribute to each group's weighted sum,
 and per-component candidate selection (argmax over each component's R_O
 group-score sums) picks which group's vector fills each concatenation
 slot. The two masks are ANDed; exactly G_O*T_I experts survive per token.
+``route_separate`` runs the same body with the candidate scores read from
+a second router instead of the group sums.
 
 All ties (group top-k, candidate argmax, final top-k) break to the lowest
 index, which makes routing deterministic. Candidate sums are accumulated
@@ -26,10 +28,6 @@ class RouterState:
     """Linear router: w maps a hidden state to one logit per expert."""
 
     w: Matrix
-
-    @property
-    def n_experts(self) -> int:
-        return self.w.cols
 
     def astype(self, dtype) -> "RouterState":
         return RouterState(self.w.astype(dtype))
@@ -79,8 +77,29 @@ def _top_k_mask(values: np.ndarray, k: int) -> np.ndarray:
     return mask
 
 
-def _finalize(score_arr, group_score, sum_mask, cc_score, cc_act, cfg, dims):
-    L = score_arr.shape[0]
+def _array(m: Matrix | np.ndarray) -> np.ndarray:
+    return m.a if isinstance(m, Matrix) else np.asarray(m)
+
+
+def _route(score_arr: np.ndarray, cc_arr: np.ndarray | None, cfg: FineRConfig, name: str) -> RoutingDecision:
+    """The routing body of both modes: the candidate scores are ``cc_arr``
+    or, if it is None, the group sums of ``score_arr``, named ``name``."""
+    dims = derive(cfg)
+    L, N = score_arr.shape
+    if N != dims.N:
+        raise ValueError(f"{name} width {N} does not match expert count {dims.N}")
+    if cc_arr is not None and cc_arr.shape != (L, dims.n_groups):
+        raise ValueError(
+            f"score_cc must be L x n_groups = {L}x{dims.n_groups}, got {cc_arr.shape}"
+        )
+
+    group_score = score_arr.reshape(L, dims.n_groups, dims.group_size)
+    sum_mask = _top_k_mask(group_score, cfg.T_I)
+
+    if cc_arr is None:
+        cc_arr = group_score.astype(np.float64).sum(axis=-1)
+    cc_score = cc_arr.astype(np.float64, copy=False).reshape(L, cfg.G_O, cfg.R_O)
+    cc_act = np.argmax(cc_score, axis=-1)
 
     # Broadcast candidate selection over every expert of the chosen group.
     cc_mask_groups = np.zeros((L, cfg.G_O, cfg.R_O), dtype=bool)
@@ -116,20 +135,9 @@ def _finalize(score_arr, group_score, sum_mask, cc_score, cc_act, cfg, dims):
 
 
 def route(score_mat: Matrix | np.ndarray, cfg: FineRConfig) -> RoutingDecision:
-    """Run the single-router mechanism on an L x N score matrix."""
-    dims = derive(cfg)
-    score_arr = score_mat.a if isinstance(score_mat, Matrix) else np.asarray(score_mat)
-    L, N = score_arr.shape
-    if N != dims.N:
-        raise ValueError(f"score width {N} does not match expert count {dims.N}")
-
-    group_score = score_arr.reshape(L, dims.n_groups, dims.group_size)
-    sum_mask = _top_k_mask(group_score, cfg.T_I)
-
-    cc_score = group_score.astype(np.float64).sum(axis=-1).reshape(L, cfg.G_O, cfg.R_O)
-    cc_act = np.argmax(cc_score, axis=-1)
-
-    return _finalize(score_arr, group_score, sum_mask, cc_score, cc_act, cfg, dims)
+    """Run the single-router mechanism on an L x N score matrix: each
+    component's candidate scores are its R_O groups' score sums."""
+    return _route(_array(score_mat), None, cfg, "score")
 
 
 def route_separate(
@@ -138,23 +146,7 @@ def route_separate(
     """Two-router variant: expert activation and candidate selection read
     different score vectors, so the selected group's experts can carry low
     sum-router scores (the conflict this library's single-router design
-    avoids). probs are taken from score_sum.
+    avoids). The candidate scores are score_cc, L x n_groups, and probs are
+    taken from score_sum; everything else is ``route``'s body.
     """
-    dims = derive(cfg)
-    sum_arr = score_sum.a if isinstance(score_sum, Matrix) else np.asarray(score_sum)
-    cc_arr = score_cc.a if isinstance(score_cc, Matrix) else np.asarray(score_cc)
-    L, N = sum_arr.shape
-    if N != dims.N:
-        raise ValueError(f"score_sum width {N} does not match expert count {dims.N}")
-    if cc_arr.shape != (L, dims.n_groups):
-        raise ValueError(
-            f"score_cc must be L x n_groups = {L}x{dims.n_groups}, got {cc_arr.shape}"
-        )
-
-    group_score = sum_arr.reshape(L, dims.n_groups, dims.group_size)
-    sum_mask = _top_k_mask(group_score, cfg.T_I)
-
-    cc_score = cc_arr.astype(np.float64).reshape(L, cfg.G_O, cfg.R_O)
-    cc_act = np.argmax(cc_score, axis=-1)
-
-    return _finalize(sum_arr, group_score, sum_mask, cc_score, cc_act, cfg, dims)
+    return _route(_array(score_sum), _array(score_cc), cfg, "score_sum")

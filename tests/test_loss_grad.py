@@ -13,7 +13,7 @@ from finermoe.loss_grad import (
     fd_check,
     mean_squared_output_loss,
 )
-from finermoe.moe_layer import decide, forward, named_parameters, sparse_experts_forward
+from finermoe.moe_layer import decide, forward, forward_forced, named_parameters, sparse_experts_forward
 from finermoe.numerics import Matrix, Rng, count_flops, matmul
 from finermoe.router import RoutingDecision, route, score
 from finermoe.upcycle import random_dense, upcycle
@@ -215,6 +215,26 @@ class TestInputGradOff:
         got = balance_loss_fn(0.01).grads(x, model)
         assert _grad_bytes(got) == _grad_bytes(want)
         assert got.d_x.a.tobytes() == want.d_x.a.tobytes()
+
+
+@pytest.mark.parametrize(
+    "model_dtype, x_dtype",
+    [(np.float64, np.float32), (np.float32, np.float64)],
+    ids=["f64-model", "f32-model"],
+)
+@pytest.mark.parametrize("proj", [False, True], ids=["no-proj", "proj"])
+@pytest.mark.parametrize("share", [False, True], ids=["no-shared", "shared"])
+@pytest.mark.parametrize("mode", ["single", "separate"])
+def test_outputs_and_gradients_take_the_input_dtype(mode, share, proj, model_dtype, x_dtype):
+    # A model of the other dtype: every output and gradient takes x's.
+    cfg = with_updates(TOY, router_mode=mode, share_expert=share, concat_proj=proj)
+    model = _model(cfg, seed=60).astype(model_dtype)
+    x = Rng(61).matrix(5, cfg.h, dtype=x_dtype)
+    out = forward(x, model)
+    grads = backward(model, Rng(62).matrix(5, cfg.h, dtype=x_dtype), out)
+    got = {"y": out.y.dtype, "forward_forced": forward_forced(x, model).dtype, "d_x": grads.d_x.dtype}
+    got.update((name, g.dtype) for name, g in named_parameters(grads.d_model))
+    assert got == dict.fromkeys(got, np.dtype(x_dtype))
 
 
 class TestConcatProjBackward:

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from finermoe.config import FineRConfig, derive, with_updates
-from finermoe.experts import ExpertStack, expert_forward
+from finermoe.config import FineRConfig, baseline_preset, derive, preset_names, with_updates
+from finermoe.experts import ExpertStack, expert_forward, shared_forward
 from finermoe.moe_layer import (
     MoEModel,
     build_dispatch_plan,
     forward,
     forward_forced,
+    named_parameters,
     sparse_experts_forward,
 )
 from finermoe.numerics import Matrix, Rng, softmax
@@ -140,8 +141,6 @@ class TestForward:
             e.wg.a[:] = 0
             e.w2.a[:] = 0
         x = Rng(18).matrix(4, TOY.h)
-        from finermoe.experts import shared_forward
-
         assert forward(x, model).y.a.tobytes() == shared_forward(x, model.shared).out.a.tobytes()
 
     def test_no_share_zero_experts_is_zero(self):
@@ -171,8 +170,6 @@ class TestForward:
 
     def test_reduces_to_conventional_topk_moe(self):
         # G_O = R_O = 1: one group, top-T_I weighted sum plus shared expert.
-        from finermoe.experts import shared_forward
-
         for seed, t_i in ((27, 2), (41, 1), (43, 3)):
             cfg = FineRConfig(h=16, H=32, G_I=4, R_I=1, G_O=1, R_O=1, T_I=t_i)
             model = _model(cfg, seed=seed).astype(np.float64)
@@ -216,6 +213,34 @@ class TestForwardForced:
             if g % cfg.R_O != 0:
                 model.experts[k].w2.a[:] = 0
         assert forward_forced(x, model).a.tobytes() == base
+
+    @pytest.mark.parametrize("L", [1, 7])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", preset_names())
+    def test_equals_the_per_expert_sum_bitwise(self, name, dtype, L):
+        # The bypass as one expert_forward call per expert: from zeros, add
+        # each component's candidate-0 experts in ascending index, then
+        # concatenate and add the shared expert.
+        cfg = baseline_preset(name, h=16, H=64)
+        model = _model(cfg, seed=36)
+        for i, (_, p) in enumerate(named_parameters(model)):
+            p.a += Rng(37 + i).matrix(*p.shape, std=0.05).a
+        model = model.astype(dtype)
+        x = Rng(38).matrix(L, cfg.h, dtype=dtype)
+        dims = model.dims
+        parts = []
+        for i in range(cfg.G_O):
+            g = i * cfg.R_O
+            acc = np.zeros((L, dims.h_e), dtype=dtype)
+            for k in range(g * dims.group_size, (g + 1) * dims.group_size):
+                acc += expert_forward(x, model.experts[k]).a
+            parts.append(acc)
+        want = np.concatenate(parts, axis=1)
+        if model.shared is not None:
+            want = want + shared_forward(x, model.shared).out.a
+        got = forward_forced(x, model).a
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
 
     def test_flop_accounting_matches_formula(self):
         from finermoe.analysis import cost_report

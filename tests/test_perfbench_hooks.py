@@ -107,6 +107,14 @@ def _matmul_flops(spans, recorded, under):
     )
 
 
+def _matmul_callers(spans, recorded):
+    """How many numerics.matmul spans run under each caller stage."""
+    return Counter(
+        spans.CALLERS[recorded[spans._ancestor(recorded, i, tuple(spans.CALLERS))][0]]
+        for i, s in enumerate(recorded) if s[0] == "numerics.matmul"
+    )
+
+
 @pytest.mark.parametrize("proj", [False, True])
 @pytest.mark.parametrize("mode", ["single", "separate"])
 @pytest.mark.parametrize("name", preset_names())
@@ -143,10 +151,19 @@ def test_a_forward_makes_one_grouped_product_per_expert_weight(T_I, tokens):
     model = upcycle(random_dense(32, 128, 6), cfg, 7)
     x = Rng(8).matrix(tokens, 32)
     spans, recorded = _traced(lambda: finermoe.forward(x, model))
-    callers = Counter(
-        spans.CALLERS[recorded[spans._ancestor(recorded, i, tuple(spans.CALLERS))][0]]
-        for i, s in enumerate(recorded) if s[0] == "numerics.matmul"
-    )
-    assert callers == {"router": 1, "sparse": 3, "shared": 3}
+    assert _matmul_callers(spans, recorded) == {"router": 1, "sparse": 3, "shared": 3}
     (plan,) = [s[5] for s in recorded if s[0] == "moe_layer.dispatch_plan"]
     assert plan["batches"] >= 2 * T_I
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_the_forced_bypass_makes_one_grouped_product_per_expert_weight(name):
+    # forward_forced runs forward's grouped sparse path: three products
+    # whatever the group size (32 experts for C32A2), plus the shared
+    # expert's three; the bypass scores nothing.
+    cfg = baseline_preset(name, h=32, H=128)
+    model = upcycle(random_dense(32, 128, 6), cfg, 7)
+    x = Rng(8).matrix(9, 32)
+    spans, recorded = _traced(lambda: finermoe.forward_forced(x, model))
+    want = {"sparse": 3, "shared": 3} if cfg.share_expert else {"sparse": 3}
+    assert _matmul_callers(spans, recorded) == want

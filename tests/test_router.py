@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,10 +119,6 @@ class TestRouteProperties:
                 s = dyadic_scores(rng, 4, n)
                 assert decisions_equal(route(s, cfg), route_reference(s, cfg))
 
-    def test_width_mismatch(self):
-        with pytest.raises(ValueError, match="does not match expert count"):
-            route(np.zeros((1, 3), dtype=np.float32), _cfg(2, 1, 1, 2, 1))
-
 
 def _cfg_id(cfg):
     return f"G{cfg.G_I}x{cfg.R_I}_{cfg.G_O}x{cfg.R_O}_T{cfg.T_I}"
@@ -191,7 +189,28 @@ class TestRouteSeparate:
             assert (d.cc_act == want_group).all()
             assert (d.indices == [2 * want_group, 2 * want_group + 1]).all()
 
-    def test_cc_shape_checked(self):
-        cfg = _cfg(2, 1, 1, 2, 1)
-        with pytest.raises(ValueError, match="score_cc"):
-            route_separate(np.zeros((2, 4), dtype=np.float32), np.zeros((2, 3), dtype=np.float32), cfg)
+
+def _zeros(*shape):
+    return np.zeros(shape, dtype=np.float32)
+
+
+# Both router modes run one body; each refusal keeps its own wording. The
+# config has 4 experts in 2 groups.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda cfg: route(_zeros(1, 3), cfg), "score width 3 does not match expert count 4"),
+        (
+            lambda cfg: route_separate(_zeros(2, 3), _zeros(2, 2), cfg),
+            "score_sum width 3 does not match expert count 4",
+        ),
+        (
+            lambda cfg: route_separate(_zeros(2, 4), _zeros(2, 3), cfg),
+            "score_cc must be L x n_groups = 2x2, got (2, 3)",
+        ),
+    ],
+    ids=["route-width", "separate-width", "separate-cc-shape"],
+)
+def test_routing_refuses_mismatched_scores(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(_cfg(2, 1, 1, 2, 1))
