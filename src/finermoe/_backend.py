@@ -18,5 +18,6 @@ else:
 
 
 def backend_name() -> str:
-    """``"c"``, or ``"python (<why the C kernels are not active>)"``."""
+    """``"c (<variant>)"``, naming the vector ISA the C kernels run, e.g.
+    ``"c (avx512f)"``; or ``"python (<why the C kernels are not active>)"``."""
     return active.BACKEND + _fallback

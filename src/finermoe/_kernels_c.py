@@ -9,15 +9,22 @@ stacked one as a per-matrix stride, so neither is copied here. (A NaN
 result is NaN in both, but its sign and payload may differ: IEEE 754
 leaves open which operand's NaN an add returns.)
 
+The library holds each inner loop three times on x86-64, for AVX-512F,
+AVX2 and baseline SSE2, and the dynamic loader keeps the widest the CPU
+supports when the library loads. ``BACKEND`` names that variant, e.g.
+``"c (avx512f)"``. All variants give the same bits, NaN aside as above.
+
 Importing this module compiles ``_matmul.c`` with gcc into this package's
 ``__pycache__`` directory, unless a library built from the same source
 with the same flags is already there. The file is named after a digest of
 the source and the flags, followed by a digest of the library's own
 bytes, which is checked before the library is loaded, so a damaged file is
 built again instead of loaded. Each build goes to a temporary directory and
-is renamed into place, so a process never loads a half-written file. When
-there is no gcc, the build fails or the cache cannot be written, the
-import raises ``OSError`` and ``_backend`` falls back to ``_kernels_py``.
+is renamed into place, so a process never loads a half-written file; a
+build then removes every other ``_matmul-*.so`` there, left by an earlier
+source or damaged. When there is no gcc, the build fails or the cache
+cannot be written, the import raises ``OSError`` and ``_backend`` falls
+back to ``_kernels_py``.
 """
 
 import ctypes
@@ -32,13 +39,13 @@ import numpy as np
 
 from finermoe._kernels_py import check
 
-BACKEND = "c"
-
 _SRC = Path(__file__).with_name("_matmul.c")
 _CACHE = _SRC.parent / "__pycache__"
 # -ffp-contract=off keeps multiplies and adds separately rounded. No
-# -ffast-math, which reorders sums, and no -march=native, so that a cached
-# library runs on every host that shares the checkout.
+# -ffast-math, which reorders sums. No -march=native: a library built for
+# one host's CPU stops with SIGILL on an older CPU that shares the
+# checkout, where the source's target_clones give one library that picks
+# its vector width on each host when it loads.
 _FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
 
@@ -68,21 +75,30 @@ def _library() -> Path:
             raise OSError(f"gcc exited {proc.returncode}: {first_error}")
         path = _CACHE / f"_matmul-{key}-{_digest(built.read_bytes())}.so"
         os.replace(built, path)
+    for stale in _CACHE.glob("_matmul-*.so"):
+        if stale != path:
+            stale.unlink(missing_ok=True)
     return path
 
 
-_lib = ctypes.CDLL(str(_library()))
-_f32, _f64 = _lib.gemm_f32, _lib.gemm_f64
 _ptr, _long = ctypes.c_void_p, ctypes.c_long
-for _fn in (_f32, _f64):
-    _fn.argtypes = (
-        _ptr, _long, _long,  # a and its strides
-        _ptr, _long, _long, _long,  # b, its strides and its stack stride
-        _ptr, _long,  # out and its stack stride
-        _ptr, _long, ctypes.c_int,  # offsets, segments, inner-index mode
-        _long, _long, _long,  # n, k, m
-    )
-    _fn.restype = ctypes.c_int
+
+
+def _load(path) -> ctypes.CDLL:
+    """The kernel library at ``path``, with its entries' C types declared."""
+    lib = ctypes.CDLL(str(path))
+    for fn in (lib.gemm_f32, lib.gemm_f64):
+        fn.argtypes = (
+            _ptr, _long, _long,  # a and its strides
+            _ptr, _long, _long, _long,  # b, its strides and its stack stride
+            _ptr, _long,  # out and its stack stride
+            _ptr, _long, ctypes.c_int,  # offsets, segments, inner-index mode
+            _long, _long, _long,  # n, k, m
+        )
+        fn.restype = ctypes.c_int
+    lib.gemm_isa.argtypes = ()
+    lib.gemm_isa.restype = ctypes.c_char_p
+    return lib
 
 
 def _strides(x):
@@ -111,5 +127,7 @@ def _entry(fn, dtype):
     return matmul
 
 
-matmul_f32 = _entry(_f32, np.dtype(np.float32))
-matmul_f64 = _entry(_f64, np.dtype(np.float64))
+_lib = _load(_library())
+BACKEND = f"c ({_lib.gemm_isa().decode()})"
+matmul_f32 = _entry(_lib.gemm_f32, np.dtype(np.float32))
+matmul_f64 = _entry(_lib.gemm_f64, np.dtype(np.float64))

@@ -33,6 +33,16 @@
  * a row-major buffer, which the same loop then reads. Each output element
  * is still summed by its own sequence of adds, so neither the blocking
  * nor the packing changes a bit.
+ *
+ * On x86-64 that loop is built three times, for AVX-512F (16 f32 lanes),
+ * AVX2 (8) and the x86-64 baseline SSE2 (4), by GCC's target_clones, and
+ * the dynamic loader keeps the widest one the CPU supports when the
+ * library loads (an IFUNC resolver), so one library serves every host
+ * that shares the checkout. The lanes are separate output elements of one
+ * row, so every variant adds the same terms in the same order and gives
+ * the same bits. gemm_isa names the variant that runs, by the same CPU
+ * test in the same priority order as the resolver. Other architectures
+ * build the loop once, as "default".
  */
 
 #include <stdint.h>
@@ -40,10 +50,29 @@
 
 #define PANEL 256
 
+#if defined(__x86_64__)
+#define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#else
+#define CLONES
+#endif
+
+const char *gemm_isa(void)
+{
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f"))
+        return "avx512f";
+    if (__builtin_cpu_supports("avx2"))
+        return "avx2";
+#endif
+    return "default";
+}
+
 #define GEMM(NAME, T)                                                         \
     /* o (rows of ldo) = a @ b for b with contiguous rows of ldb. */          \
-    static void NAME##_block(const T *a, long ars, long acs, const T *b,      \
-                             long ldb, T *o, long ldo, long n, long k, long m)\
+    CLONES static void NAME##_block(const T *a, long ars, long acs,           \
+                                    const T *b, long ldb, T *o, long ldo,     \
+                                    long n, long k, long m)                   \
     {                                                                         \
         long i = 0, p, j;                                                     \
         for (; i + 4 <= n; i += 4) {                                          \

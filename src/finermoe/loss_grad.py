@@ -286,19 +286,24 @@ def fd_check(x: Matrix, model: MoEModel, loss_fn: LossFn, n_coords: int = 24, se
         idx = int(rng.uniform(1)[0] * theta.size)
         old = theta[idx]
 
+        # An f64 model's astype is the caller's own memory, so every nudge
+        # is undone also when the loss or the routing raises.
         def loss_at(v: float) -> float:
             theta[idx] = v
-            out = loss_fn.value(x, model)
-            theta[idx] = old
-            return out
+            try:
+                return loss_fn.value(x, model)
+            finally:
+                theta[idx] = old
 
         if name == "x" or name.startswith("router"):
             stable = True
             for delta in (FD_MARGIN * FD_EPSILON, -FD_MARGIN * FD_EPSILON):
                 theta[idx] = old + delta
-                if _routing_signature(x, model) != base_signature:
-                    stable = False
-                theta[idx] = old
+                try:
+                    if _routing_signature(x, model) != base_signature:
+                        stable = False
+                finally:
+                    theta[idx] = old
             if not stable:
                 skipped.append((name, idx))
                 continue

@@ -247,10 +247,17 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer (Steele, Lea & Flood 2014)."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64 finalizer (Steele, Lea & Flood 2014), in place on a
+    uint64 array ``z``."""
+    t = z >> np.uint64(30)
+    z ^= t
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= np.uint64(0x94D049BB133111EB)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
 
 
 class Rng:
@@ -266,10 +273,12 @@ class Rng:
         self.counter = np.uint64(0)
 
     def _raw(self, n: int) -> np.ndarray:
-        idx = self.counter + np.arange(1, n + 1, dtype=np.uint64)
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z += self.counter
         self.counter += np.uint64(n)
-        with np.errstate(over="ignore"):
-            return _mix(self.seed + idx * _GOLDEN)
+        z *= _GOLDEN
+        z += self.seed
+        return _mix(z)
 
     def uniform(self, n: int) -> np.ndarray:
         """n float64 samples in [0, 1) with 53-bit resolution."""
@@ -277,10 +286,22 @@ class Rng:
 
     def normal(self, n: int, std: float = 1.0) -> np.ndarray:
         """n float64 N(0, std^2) samples via Box-Muller (cosine branch)."""
-        u = self._raw(2 * n)
-        u1 = ((u[:n] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53  # (0, 1]
-        u2 = (u[n:] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        return std * np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+        # std * sqrt(-2 log(u1)) * cos(2 pi u2), one rounded operation at a
+        # time in that order, in place: the pinned draws keep their bits.
+        f = self._raw(2 * n)
+        f >>= np.uint64(11)
+        f = f.astype(np.float64)  # and the uint64 draws are freed
+        u1, u2 = f[:n], f[n:]
+        u1 += 1.0
+        u1 *= 2.0**-53  # (0, 1]
+        u2 *= 2.0**-53
+        np.log(u1, out=u1)
+        u1 *= -2.0
+        np.sqrt(u1, out=u1)
+        u1 *= std
+        u2 *= 2.0 * np.pi
+        np.cos(u2, out=u2)
+        return u1 * u2  # a new array, so the 2n-element buffer is freed
 
     def matrix(self, rows: int, cols: int, std: float = 1.0, dtype=np.float32) -> Matrix:
         vals = self.normal(rows * cols, std=std)
@@ -289,5 +310,5 @@ class Rng:
     def child(self, stream: int) -> "Rng":
         """Independent sub-stream keyed by a small integer tag."""
         with np.errstate(over="ignore"):
-            tag = _mix(np.uint64((stream + 1) & 0xFFFFFFFFFFFFFFFF) * _GOLDEN)
-            return Rng(int(_mix(self.seed ^ tag)))
+            tag = _mix(np.array([np.uint64((stream + 1) & 0xFFFFFFFFFFFFFFFF) * _GOLDEN]))
+            return Rng(int(_mix(self.seed ^ tag)[0]))

@@ -10,6 +10,7 @@ from finermoe.loss_grad import (
     balance_loss_fn,
     balance_loss_score_grad,
     central_difference,
+    LossFn,
     fd_check,
     mean_squared_output_loss,
 )
@@ -354,6 +355,27 @@ class TestFiniteDifferences:
             x = Rng(seed + 100).matrix(3, cfg.h)
             rep = fd_check(x, model, mean_squared_output_loss(), seed=seed, n_coords=32)
             assert rep.max_rel_err < 1e-4, kw
+
+    def test_a_raising_loss_leaves_an_f64_callers_model_and_input_unchanged(self):
+        # An f64 model's astype(np.float64) is the model itself, so fd_check
+        # nudges the caller's own weights and must undo the nudge it is in
+        # when the loss raises: here on its third call, inside the second
+        # checked coordinate's central difference.
+        model = _model(seed=30).astype(np.float64)
+        x = Rng(31).matrix(4, TOY.h).astype(np.float64)
+        before = [m.a.tobytes() for _, m in named_parameters(model)] + [x.a.tobytes()]
+        loss = mean_squared_output_loss()
+        calls = []
+
+        def value(x, model):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("third call")
+            return loss.value(x, model)
+
+        with pytest.raises(RuntimeError, match="third call"):
+            fd_check(x, model, LossFn(value=value, grads=loss.grads), seed=32, n_coords=8)
+        assert [m.a.tobytes() for _, m in named_parameters(model)] + [x.a.tobytes()] == before
 
     def test_unstable_coordinates_are_reported_not_failed(self):
         # A near-tie between the two candidates of a component flips under

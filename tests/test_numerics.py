@@ -3,6 +3,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,20 +15,86 @@ from finermoe import _backend, _kernels_py, kernel_backend
 from finermoe.numerics import Grouped, Matrix, Rng, count_flops, matmul, silu, softmax
 
 
+def _cpu_flags():
+    """The feature flags /proc/cpuinfo lists, or none where it lists no
+    "flags" line (a non-x86 CPU, or no such file)."""
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return set()
+    return next((set(line.split(":", 1)[1].split()) for line in lines if line.startswith("flags")), set())
+
+
+# The C kernel's inner-loop variants, widest first, as _matmul.c clones them
+# (CLONES) and names them; the loader runs the first the CPU supports. A
+# test builds each variant from a copy of the source without CLONES and
+# with the variant's -m flag.
+ISAS = ("avx512f", "avx2", "default")
+HOST_ISAS = tuple(isa for isa in ISAS if isa == "default" or isa in _cpu_flags())
+C_BACKEND = f"c ({HOST_ISAS[0]})"
+CLONES = '__attribute__((target_clones("avx512f", "avx2", "default")))'
+ISA_FLAGS = {"avx512f": ["-mavx512f"], "avx2": ["-mavx2"], "default": []}
+
+
 @pytest.fixture
 def c_kernels():
-    """The C kernel module; with gcc on PATH it must have built."""
+    """The C kernel module; with gcc on PATH it must have built, and it
+    runs the widest variant this CPU supports."""
     if shutil.which("gcc") is None:
         pytest.skip("no gcc on PATH, so the C kernels cannot build")
-    assert kernel_backend() == "c"
+    assert kernel_backend() == C_BACKEND
     return _backend.active
+
+
+@pytest.fixture(scope="session")
+def isa_kernels(tmp_path_factory):
+    """{isa: its matmul_f32 and matmul_f64} for each variant this CPU runs,
+    each built once from the source without CLONES."""
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        pytest.skip("no gcc on PATH, so the C kernels cannot build")
+    from finermoe import _kernels_c
+
+    src = _kernels_c._SRC.read_text()
+    assert src.count(CLONES) == 1
+    tmp = tmp_path_factory.mktemp("isa")
+    (tmp / "matmul.c").write_text(src.replace(CLONES, ""))
+    builds = {
+        isa: subprocess.Popen([gcc, *_kernels_c._FLAGS, *ISA_FLAGS[isa], "-o", str(tmp / f"{isa}.so"),
+                               str(tmp / "matmul.c")], stderr=subprocess.PIPE, text=True)
+        for isa in HOST_ISAS
+    }
+    for isa, proc in builds.items():
+        assert proc.wait() == 0, (isa, proc.stderr.read())
+        proc.stderr.close()
+    # Each -m flag gave code of its own.
+    assert len({(tmp / f"{isa}.so").read_bytes() for isa in HOST_ISAS}) == len(HOST_ISAS)
+    libs = {isa: _kernels_c._load(tmp / f"{isa}.so") for isa in HOST_ISAS}
+    return {
+        isa: SimpleNamespace(matmul_f32=_kernels_c._entry(lib.gemm_f32, np.dtype(np.float32)),
+                             matmul_f64=_kernels_c._entry(lib.gemm_f64, np.dtype(np.float64)))
+        for isa, lib in libs.items()
+    }
+
+
+def _kernel_module(request, name):
+    """``"python"``, ``"c"`` (the active C kernels) or ``"c-<isa>"``, one
+    variant's build."""
+    if name == "python":
+        return _kernels_py
+    if name == "c":
+        return request.getfixturevalue("c_kernels")
+    isa = name.removeprefix("c-")
+    if isa not in HOST_ISAS:
+        pytest.skip(f"this CPU does not run {isa}")
+    return request.getfixturevalue("isa_kernels")[isa]
 
 
 @pytest.fixture(params=["python", "c"])
 def kernels(request):
     """Each kernel module, called directly, so the NumPy kernels stay
     tested while the C kernels are active."""
-    return _kernels_py if request.param == "python" else request.getfixturevalue("c_kernels")
+    return _kernel_module(request, request.param)
 
 
 def _kernel_matmul(kernels, a, b):
@@ -294,9 +361,13 @@ SEGMENTS = [[0, 3, 5], [3, 5, 0], [0, 0, 9, 0], [1, 1, 1, 1], [3, 5, 7, 9], [4, 
 
 
 class TestGroupedAndTransposedKernels:
-    """The grouped and transposed products of both kernel modules, called
-    directly: bit for bit the plain entry on each segment, and the rank-1
-    loop."""
+    """The grouped and transposed products of both kernel modules and of
+    each C variant, called directly: bit for bit the plain entry on each
+    segment, and the rank-1 loop."""
+
+    @pytest.fixture(params=["python", "c", *(f"c-{isa}" for isa in ISAS)])
+    def kernels(self, request):
+        return _kernel_module(request, request.param)
 
     # (K, m) of each segment's product: one inner index, one column, both,
     # and neither.
@@ -389,6 +460,79 @@ class TestGroupedAndTransposedKernels:
             assert nan.any() and np.isinf(got).any()
             assert (nan == np.isnan(want)).all()
             assert np.where(nan, 0, got).tobytes() == np.where(nan, 0, want).tobytes()
+
+
+def _draw_case(rng, dtype, layout, path):
+    """Operands and offsets (or None) of one random product in ``layout``:
+    row counts around the four-row blocks, inner and column counts off the
+    vector widths, more than one 256-column panel of a packed b^T now and
+    then, ±0.0, ±inf and NaN sprinkled in, and now and then a row of a
+    that is all -0.0. A mapped stack maps a file it writes at ``path``."""
+    n, k = int(rng.integers(1, 14)), int(rng.integers(1, 70))
+    m = int(rng.integers(250, 530)) if rng.random() < 0.15 else int(rng.integers(1, 70))
+
+    def operand(shape):
+        x = _operand(rng, shape, dtype)
+        if rng.random() < 0.5:
+            where = rng.random(shape) < 0.02
+            x[where] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], where.sum())
+        return x
+
+    def left(shape, transposed):
+        a = operand(shape[::-1]).T if transposed else operand(shape)
+        if len(a) and rng.random() < 0.3:
+            a[-1] = -0.0
+        return a
+
+    if layout in ("plain", "a.T", "b.T"):
+        b = operand((m, k)).T if layout == "b.T" else operand((k, m))
+        return left((n, k), layout == "a.T"), b, None
+    N = int(rng.integers(1, 6))
+    offsets = _offsets(rng.multinomial(int(rng.integers(0, 3 * N * 4 + 1)), np.full(N, 1.0 / N)))
+    if layout == "grouped inner":
+        return left((n, int(offsets[-1])), True), operand((int(offsets[-1]), m)), offsets
+    a = left((int(offsets[-1]), k), False)
+    if layout == "mapped stack":
+        # As read_model maps a file: copy-on-write, matrices a stride apart
+        # that is more than one matrix.
+        step = k * m + int(rng.integers(1, 9))
+        operand((N * step,)).tofile(path)
+        mapped = np.memmap(path, dtype=dtype, mode="c")
+        size = mapped.itemsize
+        return a, np.lib.stride_tricks.as_strided(mapped, (N, k, m), (step * size, m * size, size)), offsets
+    if rng.random() < 0.5:
+        return a, operand((N, m, k)).transpose(0, 2, 1), offsets
+    return a, operand((N, k, m)), offsets
+
+
+class TestDeterminismContract:
+    """Random products, drawn from a fixed seed: every C variant this CPU
+    runs, and the active C kernels, give _kernels_py's bytes. NaN are
+    compared by position, as IEEE 754 leaves open which operand's NaN an
+    add returns; ±inf and zeros bit for bit, and a sum from +0.0 is never
+    -0.0."""
+
+    LAYOUTS = ("plain", "a.T", "b.T", "grouped rows", "grouped inner", "mapped stack")
+
+    def test_every_kernel_gives_the_numpy_kernels_bytes(self, c_kernels, isa_kernels, tmp_path):
+        rng = np.random.default_rng(2026)
+        seen = set()
+        for case in range(300):
+            dtype = (np.float32, np.float64)[case % 2]
+            layout = self.LAYOUTS[case // 2 % len(self.LAYOUTS)]
+            a, b, offsets = _draw_case(rng, dtype, layout, tmp_path / f"stack{case}")
+            run = _kernel_matmul if offsets is None else lambda kern, a, b: _kernel_grouped(kern, a, b, offsets)
+            with np.errstate(invalid="ignore"):
+                want = run(_kernels_py, a, b)
+            nan = np.isnan(want)
+            for kern in (c_kernels, *isa_kernels.values()):
+                got = run(kern, a, b)
+                assert (np.isnan(got) == nan).all(), (case, layout)
+                assert np.where(nan, 0, got).tobytes() == np.where(nan, 0, want).tobytes(), (case, layout)
+            zero = want == 0
+            assert not np.signbit(want[zero]).any(), (case, layout)
+            seen.update(name for name, hit in (("nan", nan), ("inf", np.isinf(want)), ("zero", zero)) if hit.any())
+        assert seen == {"nan", "inf", "zero"}
 
 
 def _refusal_operands(case):
@@ -493,24 +637,41 @@ class TestKernelBuild:
     @needs_gcc
     def test_second_import_loads_the_cached_library(self, tmp_path):
         pkg = _package_copy(tmp_path)
-        assert _child(pkg, BACKEND) == "c"
+        assert _child(pkg, BACKEND) == C_BACKEND
         (lib,) = (pkg / "__pycache__").glob("_matmul-*.so")
         before = lib.stat()
-        # Without gcc on PATH, "c" means nothing was compiled.
-        assert _child(pkg, BACKEND, gcc=False) == "c"
+        # Without gcc on PATH, the C backend means nothing was compiled.
+        assert _child(pkg, BACKEND, gcc=False) == C_BACKEND
         assert list((pkg / "__pycache__").glob("_matmul-*.so")) == [lib]
         assert (lib.stat().st_ino, lib.stat().st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
     @needs_gcc
     def test_truncated_library_is_rebuilt_or_falls_back(self, tmp_path):
         pkg = _package_copy(tmp_path)
-        assert _child(pkg, BACKEND) == "c"
+        assert _child(pkg, BACKEND) == C_BACKEND
         (lib,) = (pkg / "__pycache__").glob("_matmul-*.so")
         good = lib.read_bytes()
         lib.write_bytes(good[: len(good) // 2])
         assert _child(pkg, BACKEND, gcc=False) == "python (gcc not found on PATH)"
-        assert _child(pkg, BACKEND) == "c"
+        assert _child(pkg, BACKEND) == C_BACKEND
         assert [p.read_bytes() for p in (pkg / "__pycache__").glob("_matmul-*.so")] == [good]
+
+    @needs_gcc
+    def test_a_build_removes_the_libraries_of_other_sources(self, tmp_path):
+        # The copy starts with this package's library, which it loads
+        # without gcc; its source is then edited, and the build for the new
+        # source leaves one library, its own.
+        from finermoe import _kernels_c
+
+        pkg = _package_copy(tmp_path)
+        (pkg / "__pycache__").mkdir()
+        old = Path(shutil.copy(_kernels_c._library(), pkg / "__pycache__"))
+        assert _child(pkg, BACKEND, gcc=False) == C_BACKEND
+        with open(pkg / "_matmul.c", "a", encoding="utf-8") as fh:
+            fh.write("/* edited */\n")
+        assert _child(pkg, BACKEND) == C_BACKEND
+        (lib,) = (pkg / "__pycache__").glob("_matmul-*.so")
+        assert lib.name != old.name
 
     @pytest.mark.parametrize("why", ["no gcc", "compile fails", "cache not writable"])
     def test_fallback_names_its_reason(self, tmp_path, why):
