@@ -215,11 +215,15 @@ def matmul(a: Matrix | Grouped, b: Matrix | Grouped) -> Matrix | Grouped:
 
 
 def sigmoid(x):
-    """Numerically safe logistic function; the exponent never overflows."""
+    """Numerically safe logistic function; the exponent never overflows.
+
+    With z = exp(-|x|) <= 1, this is 1 / (1 + z) where x >= 0 and
+    z / (1 + z) elsewhere: one exp and one divide per element, with no
+    select, whose numerator max(z, x >= 0) is exactly 1 or z.
+    """
     x = np.asarray(x)
-    pos = x >= 0
-    z = np.exp(np.where(pos, -x, x))
-    return np.where(pos, 1.0 / (1.0 + z), z / (1.0 + z))
+    z = np.exp(np.minimum(x, -x))
+    return np.maximum(z, x >= 0) / (z + 1)
 
 
 def silu(x):

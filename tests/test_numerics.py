@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import finermoe
 from finermoe import _backend, _kernels_py, kernel_backend
-from finermoe.numerics import Grouped, Matrix, Rng, count_flops, matmul, silu, softmax
+from finermoe.numerics import Grouped, Matrix, Rng, count_flops, matmul, sigmoid, silu, softmax
 
 
 def _cpu_flags():
@@ -26,14 +27,18 @@ def _cpu_flags():
 
 
 # The C kernel's inner-loop variants, widest first, as _matmul.c clones them
-# (CLONES) and names them; the loader runs the first the CPU supports. A
-# test builds each variant from a copy of the source without CLONES and
-# with the variant's -m flag.
+# (CLONES) and names them (gemm_isa); the loader runs the first the CPU
+# supports, and plain products run on the register tile where that is
+# avx512f. A test builds each variant from a copy of the source without
+# CLONES, with the variant's -m flag and with gemm_isa's CPU tests pinned
+# to the variant (CPU_TESTS), so that it names the variant and tiles only
+# as that variant.
 ISAS = ("avx512f", "avx2", "default")
 HOST_ISAS = tuple(isa for isa in ISAS if isa == "default" or isa in _cpu_flags())
 C_BACKEND = f"c ({HOST_ISAS[0]})"
 CLONES = '__attribute__((target_clones("avx512f", "avx2", "default")))'
 ISA_FLAGS = {"avx512f": ["-mavx512f"], "avx2": ["-mavx2"], "default": []}
+CPU_TESTS = {isa: f'__builtin_cpu_supports("{isa}")' for isa in ISAS[:-1]}
 
 
 @pytest.fixture
@@ -56,20 +61,24 @@ def isa_kernels(tmp_path_factory):
     from finermoe import _kernels_c
 
     src = _kernels_c._SRC.read_text()
-    assert src.count(CLONES) == 1
+    assert src.count(CLONES) == 1 and all(src.count(test) == 1 for test in CPU_TESTS.values())
+    src = src.replace(CLONES, "")
     tmp = tmp_path_factory.mktemp("isa")
-    (tmp / "matmul.c").write_text(src.replace(CLONES, ""))
-    builds = {
-        isa: subprocess.Popen([gcc, *_kernels_c._FLAGS, *ISA_FLAGS[isa], "-o", str(tmp / f"{isa}.so"),
-                               str(tmp / "matmul.c")], stderr=subprocess.PIPE, text=True)
-        for isa in HOST_ISAS
-    }
+    builds = {}
+    for isa in HOST_ISAS:
+        pinned = src
+        for other, test in CPU_TESTS.items():
+            pinned = pinned.replace(test, str(int(ISAS.index(isa) <= ISAS.index(other))))
+        (tmp / f"{isa}.c").write_text(pinned)
+        builds[isa] = subprocess.Popen([gcc, *_kernels_c._FLAGS, *ISA_FLAGS[isa], "-o", str(tmp / f"{isa}.so"),
+                                        str(tmp / f"{isa}.c")], stderr=subprocess.PIPE, text=True)
     for isa, proc in builds.items():
         assert proc.wait() == 0, (isa, proc.stderr.read())
         proc.stderr.close()
     # Each -m flag gave code of its own.
     assert len({(tmp / f"{isa}.so").read_bytes() for isa in HOST_ISAS}) == len(HOST_ISAS)
     libs = {isa: _kernels_c._load(tmp / f"{isa}.so") for isa in HOST_ISAS}
+    assert {isa: lib.gemm_isa().decode() for isa, lib in libs.items()} == {isa: isa for isa in HOST_ISAS}
     return {
         isa: SimpleNamespace(matmul_f32=_kernels_c._entry(lib.gemm_f32, np.dtype(np.float32)),
                              matmul_f64=_kernels_c._entry(lib.gemm_f64, np.dtype(np.float64)))
@@ -535,6 +544,45 @@ class TestDeterminismContract:
         assert seen == {"nan", "inf", "zero"}
 
 
+class TestRegisterTile:
+    """Plain products around the AVX-512F register tile of _matmul.c (8
+    rows by 2 vectors, NR = 32 f32 or 16 f64 columns; 4-, 2- and 1-row
+    tiles for the rows left over, the i-p-j block for the m % NR columns
+    left over): the active C kernels and every C variant this CPU runs
+    give _kernels_py's bytes, NaN by position, and +0.0 for an empty inner
+    index. The tile runs in the avx512f variant and, on a CPU with
+    AVX-512F, in the active kernels."""
+
+    ROWS = (*range(1, 10), 15, 16, 17, 64, 65)
+    INNER = (0, 1, 2, 257)
+
+    @pytest.fixture(params=["c", *(f"c-{isa}" for isa in ISAS)])
+    def kernels(self, request):
+        return _kernel_module(request, request.param)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["plain", "a.T", "b.T"])
+    def test_every_tile_edge_gives_the_numpy_kernels_bytes(self, kernels, layout, dtype):
+        nr = 2 * 64 // np.dtype(dtype).itemsize
+        rng = np.random.default_rng(nr)
+        for n in self.ROWS:
+            for m in (nr - 1, nr, nr + 1, 2 * nr + 3, 257):
+                for k in self.INNER:
+                    a = _operand(rng, (k, n), dtype).T if layout == "a.T" else _operand(rng, (n, k), dtype)
+                    b = _operand(rng, (m, k), dtype).T if layout == "b.T" else _operand(rng, (k, m), dtype)
+                    for x in (a, b):
+                        where = rng.random(x.shape) < 0.01
+                        x[where] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], where.sum())
+                    with np.errstate(invalid="ignore"):
+                        want = _kernel_matmul(_kernels_py, a, b)
+                    nan = np.isnan(want)
+                    got = _kernel_matmul(kernels, a, b)
+                    assert (np.isnan(got) == nan).all(), (n, k, m)
+                    assert np.where(nan, 0, got).tobytes() == np.where(nan, 0, want).tobytes(), (n, k, m)
+                    if k == 0:
+                        assert got.tobytes() == np.zeros((n, m), dtype).tobytes()
+
+
 def _refusal_operands(case):
     """Operands of a grouped call (rows split, or for ``inner`` cases the
     inner index) with the one defect ``case`` names."""
@@ -673,6 +721,22 @@ class TestKernelBuild:
         (lib,) = (pkg / "__pycache__").glob("_matmul-*.so")
         assert lib.name != old.name
 
+    def test_the_library_holds_no_fused_multiply_add(self):
+        # A fused multiply-add rounds once where the contract rounds twice;
+        # -ffp-contract=off is what keeps the compiler from fusing the
+        # kernel's multiplies and adds, in every variant and in the tile.
+        objdump = shutil.which("objdump")
+        if objdump is None:
+            pytest.skip("no objdump on PATH to disassemble the kernel library")
+        if shutil.which("gcc") is None:
+            pytest.skip("no gcc on PATH, so the C kernels cannot build")
+        from finermoe import _kernels_c
+
+        asm = subprocess.run([objdump, "-d", str(_kernels_c._library())], capture_output=True, text=True,
+                             check=True).stdout
+        assert "vmulp" in asm and "vaddp" in asm
+        assert not re.findall(r"\bvfn?m(?:add|sub)\w*", asm)
+
     @pytest.mark.parametrize("why", ["no gcc", "compile fails", "cache not writable"])
     def test_fallback_names_its_reason(self, tmp_path, why):
         pkg = _package_copy(tmp_path)
@@ -719,6 +783,36 @@ class TestSilu:
     def test_extreme_inputs_stay_finite(self):
         vals = silu(np.array([-1e4, -88.0, 0.0, 88.0, 1e4], dtype=np.float32))
         assert np.isfinite(vals).all()
+
+
+class TestSigmoid:
+    @staticmethod
+    def _two_selects(x):
+        """The logistic function as it was written before, one np.where for
+        the exponent and one for the quotient."""
+        x = np.asarray(x)
+        pos = x >= 0
+        z = np.exp(np.where(pos, -x, x))
+        return np.where(pos, 1.0 / (1.0 + z), z / (1.0 + z))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bytes_as_the_two_select_formula(self, dtype):
+        rng = np.random.default_rng(11)
+        x = (rng.standard_normal(4096) * 10.0 ** rng.uniform(-3, 3, 4096)).astype(dtype)
+        tiny = np.finfo(dtype).smallest_subnormal
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 3e38, -3e38, 88.7, -88.7, 103.9, -103.9]
+        x[: len(specials)] = specials
+        got, want = sigmoid(x), self._two_selects(x)
+        assert got.dtype == want.dtype == dtype
+        nan = np.isnan(want)
+        assert nan.sum() == 1 and (np.isnan(got) == nan).all()
+        assert np.where(nan, 0, got).tobytes() == np.where(nan, 0, want).tobytes()
+
+    def test_scalars_stay_scalars(self):
+        for x in (1.0, -2.5, 0.0):
+            assert np.asarray(sigmoid(x)).tobytes() == np.asarray(self._two_selects(x)).tobytes()
+        assert isinstance(silu(1.0), float)
+        assert sigmoid(np.float32(-3.0)).dtype == np.float32
 
 
 class TestSoftmax:
