@@ -52,18 +52,38 @@
  * separate multiply and add per vector of b[p, :], and each block starts
  * at +0.0, so the tile adds the same terms in the same order and gives
  * the same bits. Rows left over run on 4-, 2- and 1-row tiles, the
- * m % 2L columns left over on the i-p-j loop. The tile is left out where
- * it measured slower than that loop:
+ * m % 2L columns left over on the i-p-j loop.
+ *
+ * There too, a plain product of two or more rows whose b has contiguous
+ * rows and more than TILE_MAX_B elements, such as the 8 x 1536 @
+ * 1536 x 8960 products at the reference dims, runs on the same tile over
+ * a packed copy of b (the packing of the two papers above). For p0 in
+ * steps of kc rows, the first mt = m - m % 2L columns of b[p0:p0+kc, :]
+ * are copied, one contiguous run per row, into panels of kc x 2L
+ * elements in a buffer of WIDE_BUF bytes or less (or of one row, where a
+ * row is larger), which stays in L2. The tile then runs over each panel,
+ * starting from +0.0 at p0 == 0 and from the running sums it stored to o
+ * after the block before. A sum stored and reloaded is the same value,
+ * so the bits do not change. Each row of b is read once, where read in
+ * place each 32-column panel of b would be a walk over rows 35 KB apart,
+ * and the i-p-j loop reads b once per four rows of a. At 8 rows the
+ * shared expert's f32 products took 6.3-6.5 ms against 10.7-12.7 on the
+ * loop, and at 16 rows 9.4-11.9 against 20.6-26.5
+ * (BENCH_wide_panels.json). One-row products stay on the loop, which
+ * reads b once either way: 2.7-3.0 ms against 3.8-4.2 packed.
+ *
+ * The tile is left out where it measured slower than the i-p-j loop:
  *
  * - on AVX2 and SSE2, where 64-byte vectors do not fit the registers
  *   (built for AVX2, 1.2-1.3 GFLOP/s against 14-19 for the i-p-j loop on
  *   the shared expert's f32 products);
- * - for a larger b, such as the 8 x 1536 @ 1536 x 8960 products at the
- *   reference dims, bound by reading b (8.7 against 12.5 GFLOP/s), where
- *   the i-p-j loop reads each row of b once per four rows of a;
  * - for grouped products, whose time would scale less with the number
  *   of active experts: each call also reads every expert's weights from
  *   memory, a fixed cost that a faster loop leaves as a larger share.
+ *
+ * A wide transposed b (bcs != 1), as in the backward's d_out @ w2^T at
+ * the reference dims, is packed into panels of PANEL columns for the
+ * loop, like any transposed b outside the tile.
  */
 
 #include <stdint.h>
@@ -73,6 +93,7 @@
 #define PANEL 256
 #define MR 8
 #define TILE_MAX_B (1L << 18)
+#define WIDE_BUF (1L << 19)
 
 #if defined(__x86_64__)
 #define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
@@ -148,15 +169,21 @@ __attribute__((constructor)) static void choose_tile(void)
     }                                                                         \
                                                                               \
     /* o[0:mr, 0:2L] = a[0:mr, :] @ b[:, 0:2L], L the lanes of V, summed      \
-     * in 2 * mr vector registers over the whole inner index. */              \
+     * in 2 * mr vector registers over the whole inner index, from +0.0, or   \
+     * from the running sums in o where from_o is set. */                     \
     AVX512F static inline __attribute__((always_inline)) void NAME##_tile(    \
-        int mr, const T *a, long ars, long acs, const T *b, long ldb, T *o,   \
-        long ldo, long k)                                                     \
+        int mr, int from_o, const T *a, long ars, long acs, const T *b,       \
+        long ldb, T *o, long ldo, long k)                                     \
     {                                                                         \
         const long L = sizeof(V) / sizeof(T);                                 \
         V c[MR][2] = {{{0}}}, y0, y1;                                         \
         long p;                                                               \
         int r;                                                                \
+        if (from_o)                                                           \
+            for (r = 0; r < mr; r++) {                                        \
+                memcpy(&c[r][0], o + r * ldo, sizeof(V));                     \
+                memcpy(&c[r][1], o + r * ldo + L, sizeof(V));                 \
+            }                                                                 \
         for (p = 0; p < k; p++) {                                             \
             memcpy(&y0, b + p * ldb, sizeof(V));                              \
             memcpy(&y1, b + p * ldb + L, sizeof(V));                          \
@@ -172,35 +199,76 @@ __attribute__((constructor)) static void choose_tile(void)
         }                                                                     \
     }                                                                         \
                                                                               \
-    /* As NAME##_block, by register tiles of MR, 4, 2 and 1 rows; the         \
+    /* o[:, 0:2L] = a @ b[:, 0:2L] (or += where from_o is set), by register   \
+     * tiles of MR, 4, 2 and 1 rows. */                                       \
+    AVX512F static void NAME##_rows(int from_o, const T *a, long ars,         \
+                                    long acs, const T *b, long ldb, T *o,     \
+                                    long ldo, long n, long k)                 \
+    {                                                                         \
+        long i;                                                               \
+        for (i = 0; i + MR <= n; i += MR)                                     \
+            NAME##_tile(MR, from_o, a + i * ars, ars, acs, b, ldb,            \
+                        o + i * ldo, ldo, k);                                 \
+        if (n - i >= 4) {                                                     \
+            NAME##_tile(4, from_o, a + i * ars, ars, acs, b, ldb,             \
+                        o + i * ldo, ldo, k);                                 \
+            i += 4;                                                           \
+        }                                                                     \
+        if (n - i >= 2) {                                                     \
+            NAME##_tile(2, from_o, a + i * ars, ars, acs, b, ldb,             \
+                        o + i * ldo, ldo, k);                                 \
+            i += 2;                                                           \
+        }                                                                     \
+        if (n - i >= 1)                                                       \
+            NAME##_tile(1, from_o, a + i * ars, ars, acs, b, ldb,             \
+                        o + i * ldo, ldo, k);                                 \
+    }                                                                         \
+                                                                              \
+    /* As NAME##_block, by NAME##_rows over each 2L columns of b; the         \
      * m % 2L columns left over run on NAME##_block. */                       \
     AVX512F static void NAME##_tiled(const T *a, long ars, long acs,          \
                                      const T *b, long ldb, T *o, long ldo,    \
                                      long n, long k, long m)                  \
     {                                                                         \
         const long nr = 2 * (sizeof(V) / sizeof(T)), mt = m - m % nr;         \
-        long i, j;                                                            \
-        for (j = 0; j < mt; j += nr) {                                        \
-            for (i = 0; i + MR <= n; i += MR)                                 \
-                NAME##_tile(MR, a + i * ars, ars, acs, b + j, ldb,            \
-                            o + i * ldo + j, ldo, k);                         \
-            if (n - i >= 4) {                                                 \
-                NAME##_tile(4, a + i * ars, ars, acs, b + j, ldb,             \
-                            o + i * ldo + j, ldo, k);                         \
-                i += 4;                                                       \
-            }                                                                 \
-            if (n - i >= 2) {                                                 \
-                NAME##_tile(2, a + i * ars, ars, acs, b + j, ldb,             \
-                            o + i * ldo + j, ldo, k);                         \
-                i += 2;                                                       \
-            }                                                                 \
-            if (n - i >= 1)                                                   \
-                NAME##_tile(1, a + i * ars, ars, acs, b + j, ldb,             \
-                            o + i * ldo + j, ldo, k);                         \
-        }                                                                     \
+        long j;                                                               \
+        for (j = 0; j < mt; j += nr)                                          \
+            NAME##_rows(0, a, ars, acs, b + j, ldb, o + j, ldo, n, k);        \
         if (mt < m)                                                           \
             NAME##_block(a, ars, acs, b + mt, ldb, o + mt, ldo, n, k,         \
                          m - mt);                                             \
+    }                                                                         \
+                                                                              \
+    /* As NAME##_tiled for m >= 2L, by blocks of kc rows of b: the first mt   \
+     * = m - m % 2L columns of each block are packed into a buffer of kc * mt \
+     * elements as panels of kc x 2L, each contiguous, which NAME##_rows      \
+     * then reads, carrying the running sums in o from one block to the       \
+     * next. Returns 0, or -1 when the buffer cannot be allocated. */         \
+    AVX512F static int NAME##_wide(const T *a, long ars, long acs,            \
+                                   const T *b, long ldb, T *o, long ldo,      \
+                                   long n, long k, long m)                    \
+    {                                                                         \
+        const long nr = 2 * (sizeof(V) / sizeof(T)), mt = m - m % nr;         \
+        const long q = WIDE_BUF / (sizeof(T) * mt), kc = q > 0 ? q : 1;       \
+        T *buf = aligned_alloc(64, sizeof(T) * kc * mt);                      \
+        long p0, p, j, kb;                                                    \
+        if (!buf)                                                             \
+            return -1;                                                        \
+        for (p0 = 0; p0 < k; p0 += kb) {                                      \
+            kb = k - p0 < kc ? k - p0 : kc;                                   \
+            for (p = 0; p < kb; p++)                                          \
+                for (j = 0; j < mt; j += nr)                                  \
+                    memcpy(buf + j * kb + p * nr, b + (p0 + p) * ldb + j,     \
+                           sizeof(T) * nr);                                   \
+            for (j = 0; j < mt; j += nr)                                      \
+                NAME##_rows(p0 > 0, a + p0 * acs, ars, acs, buf + j * kb, nr, \
+                            o + j, ldo, n, kb);                               \
+        }                                                                     \
+        free(buf);                                                            \
+        if (mt < m)                                                           \
+            NAME##_block(a, ars, acs, b + mt, ldb, o + mt, ldo, n, k,         \
+                         m - mt);                                             \
+        return 0;                                                             \
     }                                                                         \
                                                                               \
     /* o = a @ b for any b strides; buf holds k x PANEL elements. */          \
@@ -226,13 +294,16 @@ __attribute__((constructor)) static void choose_tile(void)
         }                                                                     \
     }                                                                         \
                                                                               \
-    /* Returns 0, or -1 when the packing buffer cannot be allocated. */      \
+    /* Returns 0, or -1 when a packing buffer cannot be allocated. */         \
     int NAME(const T *a, long ars, long acs, const T *b, long brs, long bcs,  \
              long bks, T *o, long oks, const int64_t *off, long nseg,         \
              int inner, long n, long k, long m)                               \
     {                                                                         \
         T *buf = NULL;                                                        \
         long s, nc = m < PANEL ? m : PANEL;                                   \
+        if (off == NULL && tiled && bcs == 1 && k * m > TILE_MAX_B &&         \
+            n >= 2 && m >= 2 * (long)(sizeof(V) / sizeof(T)))                 \
+            return NAME##_wide(a, ars, acs, b, brs, o, m, n, k, m);           \
         if (bcs != 1 && !(buf = malloc(sizeof(T) * (k > 0 ? k : 1) * nc)))    \
             return -1;                                                        \
         if (off == NULL)                                                      \

@@ -13,7 +13,11 @@ from hypothesis import strategies as st
 
 import finermoe
 from finermoe import _backend, _kernels_py, kernel_backend
+from finermoe.config import baseline_preset, preset_names, with_updates
+from finermoe.loss_grad import backward, balance_loss_score_grad
+from finermoe.moe_layer import forward, named_parameters
 from finermoe.numerics import Grouped, Matrix, Rng, count_flops, matmul, sigmoid, silu, softmax
+from finermoe.upcycle import random_dense, upcycle
 
 
 def _cpu_flags():
@@ -103,6 +107,12 @@ def _kernel_module(request, name):
 def kernels(request):
     """Each kernel module, called directly, so the NumPy kernels stay
     tested while the C kernels are active."""
+    return _kernel_module(request, request.param)
+
+
+@pytest.fixture(params=["c", *(f"c-{isa}" for isa in ISAS)])
+def c_variant(request):
+    """The active C kernels, then each variant's build."""
     return _kernel_module(request, request.param)
 
 
@@ -514,6 +524,13 @@ def _draw_case(rng, dtype, layout, path):
     return a, operand((N, k, m)), offsets
 
 
+def _source_constant(name):
+    """The value of ``#define name (1L << e)`` in _matmul.c."""
+    from finermoe import _kernels_c
+
+    return 1 << int(re.search(rf"#define {name} \(1L << (\d+)\)", _kernels_c._SRC.read_text()).group(1))
+
+
 class TestDeterminismContract:
     """Random products, drawn from a fixed seed: every C variant this CPU
     runs, and the active C kernels, give _kernels_py's bytes. NaN are
@@ -543,6 +560,38 @@ class TestDeterminismContract:
             seen.update(name for name, hit in (("nan", nan), ("inf", np.isinf(want)), ("zero", zero)) if hit.any())
         assert seen == {"nan", "inf", "zero"}
 
+    # (h, H) of the small draws; the wide draw's shared-expert products
+    # have more than TILE_MAX_B elements of b, and its presets hold a
+    # shared expert without replicating the whole FFN per expert.
+    SMALL_DIMS = ((16, 64), (24, 96), (32, 160))
+    WIDE_DIMS, WIDE_PRESETS = (128, 2304), ("FineRMoE-base", "NVShard")
+
+    def test_random_layers_give_the_same_bytes_under_every_kernel(self, c_kernels, isa_kernels, monkeypatch):
+        # Draws of preset, router mode, concat_proj, dtype and token count;
+        # the first is wide, so the C kernels' packed path runs in the layer.
+        rng = np.random.default_rng(2027)
+        kernels = {"python": _kernels_py, "c": c_kernels, **{f"c-{isa}": k for isa, k in isa_kernels.items()}}
+        for case in range(10):
+            (h, H), names = (self.WIDE_DIMS, self.WIDE_PRESETS) if case == 0 else (
+                self.SMALL_DIMS[rng.integers(len(self.SMALL_DIMS))], preset_names())
+            cfg = with_updates(baseline_preset(str(rng.choice(names)), h=h, H=H),
+                               router_mode=str(rng.choice(["single", "separate"])), concat_proj=bool(rng.random() < 0.5))
+            dtype = (np.float32, np.float64)[rng.integers(2)]
+            L = int(rng.integers(2 if case == 0 else 1, 18))
+            model = upcycle(random_dense(h, H, case), cfg, case).astype(dtype)
+            x, upstream = Rng(2 * case).matrix(L, h, dtype=dtype), Rng(2 * case + 1).matrix(L, h, dtype=dtype)
+            if case == 0:
+                assert cfg.share_expert and L >= 2 and h * H > _source_constant("TILE_MAX_B")
+            got = {}
+            for name, kern in kernels.items():
+                monkeypatch.setattr(_backend, "active", kern)
+                out = forward(x, model)
+                d_score = balance_loss_score_grad(out.decision, cfg, 0.01)
+                grads = backward(model, upstream, out, d_score_extra=d_score)
+                got[name] = [out.y.a.tobytes(), grads.d_x.a.tobytes(),
+                             *(g.a.tobytes() for _, g in named_parameters(grads.d_model))]
+            assert all(v == got["python"] for v in got.values()), (case, cfg, dtype, L)
+
 
 class TestRegisterTile:
     """Plain products around the AVX-512F register tile of _matmul.c (8
@@ -556,13 +605,9 @@ class TestRegisterTile:
     ROWS = (*range(1, 10), 15, 16, 17, 64, 65)
     INNER = (0, 1, 2, 257)
 
-    @pytest.fixture(params=["c", *(f"c-{isa}" for isa in ISAS)])
-    def kernels(self, request):
-        return _kernel_module(request, request.param)
-
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("layout", ["plain", "a.T", "b.T"])
-    def test_every_tile_edge_gives_the_numpy_kernels_bytes(self, kernels, layout, dtype):
+    def test_every_tile_edge_gives_the_numpy_kernels_bytes(self, c_variant, layout, dtype):
         nr = 2 * 64 // np.dtype(dtype).itemsize
         rng = np.random.default_rng(nr)
         for n in self.ROWS:
@@ -576,11 +621,84 @@ class TestRegisterTile:
                     with np.errstate(invalid="ignore"):
                         want = _kernel_matmul(_kernels_py, a, b)
                     nan = np.isnan(want)
-                    got = _kernel_matmul(kernels, a, b)
+                    got = _kernel_matmul(c_variant, a, b)
                     assert (np.isnan(got) == nan).all(), (n, k, m)
                     assert np.where(nan, 0, got).tobytes() == np.where(nan, 0, want).tobytes(), (n, k, m)
                     if k == 0:
                         assert got.tobytes() == np.zeros((n, m), dtype).tobytes()
+
+
+class TestWidePanels:
+    """Plain products whose b holds more than TILE_MAX_B elements, around
+    the packed path of _matmul.c. Under AVX-512F, products of two or more
+    rows read b in blocks of kc rows, kc = WIDE_BUF // (mt * itemsize) for
+    the mt = m - m % NR columns the register tile covers; each block is
+    packed into panels of NR columns, and each output element's running
+    sum is stored in out after one block and reloaded for the next.
+    One-row products, and the m % NR columns left over, stay on the i-p-j
+    loop. Each inner length ends on a block edge, one short of it or one
+    past it, after enough blocks that b is wide; a few ±0, ±inf and NaN sit
+    in each operand, so most outputs stay finite. The active C kernels and
+    every C variant this CPU runs give _kernels_py's bytes, NaN by
+    position."""
+
+    ROWS = (1, 2, 3, 4, 5, 8, 9, 17)
+    SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan)
+
+    def _inner(self, m, nr, itemsize):
+        """Inner lengths for m columns, with b wide."""
+        wide = _source_constant("TILE_MAX_B")
+        mt = m - m % nr
+        if mt == 0:  # all columns on the loop
+            return [wide // m + 1]
+        kc = max(1, _source_constant("WIDE_BUF") // (mt * itemsize))
+        c = next(c for c in range(1, wide) if (c * kc - 1) * m > wide)
+        return [c * kc - 1, c * kc, c * kc + 1, 2 * c * kc + 1]
+
+    def _sprinkle(self, rng, x, count):
+        x.flat[rng.choice(x.size, count, replace=False)] = rng.choice(self.SPECIALS, count)
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        """{dtype: [(a, b, want)]}, a holding max(ROWS) rows: one draw of
+        operands per m, whose leading rows each inner length reads, and
+        _kernels_py's product, shared by every kernel and layout."""
+        cases = {}
+        for dtype in (np.float32, np.float64):
+            itemsize = np.dtype(dtype).itemsize
+            nr = 2 * 64 // itemsize
+            rng = np.random.default_rng(nr)
+            cases[dtype] = []
+            for m in (nr - 1, 5 * nr - 1, 5 * nr, 5 * nr + 3):
+                ks = self._inner(m, nr, itemsize)
+                b_all = _operand(rng, (max(ks), m), dtype)
+                a_all = _operand(rng, (max(self.ROWS), max(ks)), dtype)
+                self._sprinkle(rng, b_all, 8)
+                self._sprinkle(rng, a_all, 4)
+                for k in ks:
+                    a, b = np.ascontiguousarray(a_all[:, :k]), b_all[:k]
+                    assert b.size > _source_constant("TILE_MAX_B")
+                    with np.errstate(invalid="ignore"):
+                        cases[dtype].append((a, b, _kernel_matmul(_kernels_py, a, b)))
+        return cases
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["plain", "a.T"])
+    def test_every_block_edge_gives_the_numpy_kernels_bytes(self, c_variant, cases, layout, dtype):
+        seen = set()
+        for a_all, b, want_all in cases[dtype]:
+            # Output row i depends on row i of a alone, so the widest
+            # product's reference serves every row count.
+            for n in self.ROWS:
+                a = np.ascontiguousarray(a_all[:n].T).T if layout == "a.T" else np.ascontiguousarray(a_all[:n])
+                want = want_all[:n]
+                nan = np.isnan(want)
+                got = _kernel_matmul(c_variant, a, b)
+                assert (np.isnan(got) == nan).all(), (n, b.shape)
+                assert np.where(nan, 0, got).tobytes() == np.where(nan, 0, want).tobytes(), (n, b.shape)
+                seen.update(name for name, hit in (("nan", nan), ("inf", np.isinf(want)),
+                                                   ("finite", np.isfinite(want))) if hit.any())
+        assert seen == {"nan", "inf", "finite"}
 
 
 def _refusal_operands(case):
