@@ -12,13 +12,12 @@ leaves open which operand's NaN an add returns.)
 The library holds each inner loop three times on x86-64, for AVX-512F,
 AVX2 and baseline SSE2, and the dynamic loader keeps the widest the CPU
 supports when the library loads. ``BACKEND`` names that variant, e.g.
-``"c (avx512f)"``. Under AVX-512F, plain products run on a register tile
-that keeps an 8-row, 2-vector block of ``out`` in registers over the inner
-index: over the whole of it where ``b`` holds at most 2**18 elements, and
-otherwise, for two or more rows and a ``b`` with contiguous rows, over
-blocks of ``b``'s rows packed into a 512 KB buffer, carrying the running
-sums in ``out`` from block to block. All variants, the tile and the packed
-path included, give the same bits, NaN aside as above.
+``"c (avx512f)"``. Under AVX-512F, every plain product of two or more rows
+runs on a register tile that keeps an 8-row, 2-vector block of ``out`` in
+registers over blocks of ``b``'s rows packed into a 512 KB buffer (a
+transposed ``b`` is first gathered into row-major panels), carrying the
+running sums in ``out`` from block to block. All variants, the tile
+included, give the same bits, NaN aside as above.
 
 Importing this module compiles ``_matmul.c`` with gcc into this package's
 ``__pycache__`` directory, unless a library built from the same source

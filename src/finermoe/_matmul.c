@@ -44,46 +44,44 @@
  * test in the same priority order as the resolver. Other architectures
  * build the loop once, as "default".
  *
- * Where gemm_isa names avx512f, a plain product whose b holds at most
- * TILE_MAX_B elements runs instead on a register tile (the micro-kernel
- * of the two papers above): an MR x 2L block of o, L the 16 f32 or 8 f64
- * lanes of a 64-byte vector, stays in 2 * MR vector registers for the
- * whole inner index. Each term is one broadcast of a[i, p], then a
- * separate multiply and add per vector of b[p, :], and each block starts
- * at +0.0, so the tile adds the same terms in the same order and gives
- * the same bits. Rows left over run on 4-, 2- and 1-row tiles, the
- * m % 2L columns left over on the i-p-j loop.
+ * Where gemm_isa names avx512f, every plain product of two or more rows
+ * runs instead on a register tile (the micro-kernel of the two papers
+ * above) over a packed copy of b (their packing): an MR x 2L block of o,
+ * L the 16 f32 or 8 f64 lanes of a 64-byte vector, stays in 2 * MR vector
+ * registers while the tile reads one panel. For p0 in steps of kc rows,
+ * the first mt = m - m % 2L columns of b[p0:p0+kc, :] are copied, one
+ * contiguous run per row, into panels of kc x 2L elements in a buffer of
+ * WIDE_BUF bytes or less (or of one row, where a row is larger), which
+ * stays in L2; a product with fewer than kc rows of b packs them all. The tile runs over each panel, starting from +0.0 at
+ * p0 == 0 and from the running sums it stored to o after the block
+ * before. Each term is one broadcast of a[i, p], then a separate multiply
+ * and add per vector of b[p, :]; a sum stored and reloaded is the same
+ * value, so the tile adds the same terms in the same order and gives the
+ * same bits. Rows left over run on 4-, 2- and 1-row tiles, the m % 2L
+ * columns left over on the i-p-j loop. Each row of b is read once and
+ * each panel is contiguous, where read in place a panel of b would be a
+ * walk over rows a whole row of b apart. At 8 rows the reference dims'
+ * f32 shared-expert products took 6.3-6.5 ms against 10.7-12.7 on the loop
+ * (BENCH_wide_panels.json), and infer-fine's, 64 x 256 @ 256 x 1024 and
+ * 64 x 1024 @ 1024 x 256, 0.55 and 0.49 ms against 0.66 and 0.63 with
+ * the tile reading b in place (BENCH_one_schedule.json). A transposed b
+ * (bcs != 1) is first gathered into row-major panels of PANEL columns, as
+ * for the loop, and each of them is then packed like any other b:
+ * gathering it straight into the tile's panels reads it by columns, and
+ * in a prototype 8 x 1536 @ (8960 x 1536)^T took 40-105 ms that way,
+ * against 36 through the PANEL gather.
  *
- * There too, a plain product of two or more rows whose b has contiguous
- * rows and more than TILE_MAX_B elements, such as the 8 x 1536 @
- * 1536 x 8960 products at the reference dims, runs on the same tile over
- * a packed copy of b (the packing of the two papers above). For p0 in
- * steps of kc rows, the first mt = m - m % 2L columns of b[p0:p0+kc, :]
- * are copied, one contiguous run per row, into panels of kc x 2L
- * elements in a buffer of WIDE_BUF bytes or less (or of one row, where a
- * row is larger), which stays in L2. The tile then runs over each panel,
- * starting from +0.0 at p0 == 0 and from the running sums it stored to o
- * after the block before. A sum stored and reloaded is the same value,
- * so the bits do not change. Each row of b is read once, where read in
- * place each 32-column panel of b would be a walk over rows 35 KB apart,
- * and the i-p-j loop reads b once per four rows of a. At 8 rows the
- * shared expert's f32 products took 6.3-6.5 ms against 10.7-12.7 on the
- * loop, and at 16 rows 9.4-11.9 against 20.6-26.5
- * (BENCH_wide_panels.json). One-row products stay on the loop, which
- * reads b once either way: 2.7-3.0 ms against 3.8-4.2 packed.
+ * Everything else stays on the i-p-j loop:
  *
- * The tile is left out where it measured slower than the i-p-j loop:
- *
- * - on AVX2 and SSE2, where 64-byte vectors do not fit the registers
+ * - one-row products, which read b once either way, so the packing is a
+ *   copy that nothing repays (1 x 1536 @ 1536 x 8960: 3.0 ms on the loop
+ *   against 4.2 packed);
+ * - AVX2 and SSE2 hosts, where 64-byte vectors do not fit the registers
  *   (built for AVX2, 1.2-1.3 GFLOP/s against 14-19 for the i-p-j loop on
  *   the shared expert's f32 products);
- * - for grouped products, whose time would scale less with the number
- *   of active experts: each call also reads every expert's weights from
+ * - grouped products, whose time would scale less with the number of
+ *   active experts: each call also reads every expert's weights from
  *   memory, a fixed cost that a faster loop leaves as a larger share.
- *
- * A wide transposed b (bcs != 1), as in the backward's d_out @ w2^T at
- * the reference dims, is packed into panels of PANEL columns for the
- * loop, like any transposed b outside the tile.
  */
 
 #include <stdint.h>
@@ -92,7 +90,6 @@
 
 #define PANEL 256
 #define MR 8
-#define TILE_MAX_B (1L << 18)
 #define WIDE_BUF (1L << 19)
 
 #if defined(__x86_64__)
@@ -118,8 +115,8 @@ const char *gemm_isa(void)
     return "default";
 }
 
-/* Whether plain products run on the register tile: where gemm_isa names
- * avx512f, decided once when the library loads. */
+/* Whether plain products run on the packed register tile: where gemm_isa
+ * names avx512f, decided once when the library loads. */
 static int tiled;
 
 __attribute__((constructor)) static void choose_tile(void)
@@ -168,9 +165,9 @@ __attribute__((constructor)) static void choose_tile(void)
         }                                                                     \
     }                                                                         \
                                                                               \
-    /* o[0:mr, 0:2L] = a[0:mr, :] @ b[:, 0:2L], L the lanes of V, summed      \
-     * in 2 * mr vector registers over the whole inner index, from +0.0, or   \
-     * from the running sums in o where from_o is set. */                     \
+    /* o[0:mr, 0:2L] = a[0:mr, 0:k] @ b[0:k, 0:2L], L the lanes of V,         \
+     * summed in 2 * mr vector registers from +0.0, or from the running sums  \
+     * in o where from_o is set. */                                           \
     AVX512F static inline __attribute__((always_inline)) void NAME##_tile(    \
         int mr, int from_o, const T *a, long ars, long acs, const T *b,       \
         long ldb, T *o, long ldo, long k)                                     \
@@ -224,37 +221,24 @@ __attribute__((constructor)) static void choose_tile(void)
                         o + i * ldo, ldo, k);                                 \
     }                                                                         \
                                                                               \
-    /* As NAME##_block, by NAME##_rows over each 2L columns of b; the         \
-     * m % 2L columns left over run on NAME##_block. */                       \
-    AVX512F static void NAME##_tiled(const T *a, long ars, long acs,          \
+    /* As NAME##_block for m >= 2L, by blocks of kc rows of b: the first mt   \
+     * = m - m % 2L columns of each block are packed into a buffer of kc * mt \
+     * elements as panels of kc x 2L, each contiguous, which NAME##_rows      \
+     * then reads, carrying the running sums in o from one block to the       \
+     * next. An empty inner index is one empty block, which writes +0.0.      \
+     * Returns 0, or -1 when the buffer cannot be allocated. */               \
+    AVX512F static int NAME##_packed(const T *a, long ars, long acs,          \
                                      const T *b, long ldb, T *o, long ldo,    \
                                      long n, long k, long m)                  \
     {                                                                         \
         const long nr = 2 * (sizeof(V) / sizeof(T)), mt = m - m % nr;         \
-        long j;                                                               \
-        for (j = 0; j < mt; j += nr)                                          \
-            NAME##_rows(0, a, ars, acs, b + j, ldb, o + j, ldo, n, k);        \
-        if (mt < m)                                                           \
-            NAME##_block(a, ars, acs, b + mt, ldb, o + mt, ldo, n, k,         \
-                         m - mt);                                             \
-    }                                                                         \
-                                                                              \
-    /* As NAME##_tiled for m >= 2L, by blocks of kc rows of b: the first mt   \
-     * = m - m % 2L columns of each block are packed into a buffer of kc * mt \
-     * elements as panels of kc x 2L, each contiguous, which NAME##_rows      \
-     * then reads, carrying the running sums in o from one block to the       \
-     * next. Returns 0, or -1 when the buffer cannot be allocated. */         \
-    AVX512F static int NAME##_wide(const T *a, long ars, long acs,            \
-                                   const T *b, long ldb, T *o, long ldo,      \
-                                   long n, long k, long m)                    \
-    {                                                                         \
-        const long nr = 2 * (sizeof(V) / sizeof(T)), mt = m - m % nr;         \
-        const long q = WIDE_BUF / (sizeof(T) * mt), kc = q > 0 ? q : 1;       \
+        const long q = WIDE_BUF / (sizeof(T) * mt), c = q < k ? q : k;        \
+        const long kc = c > 0 ? c : 1;                                        \
         T *buf = aligned_alloc(64, sizeof(T) * kc * mt);                      \
-        long p0, p, j, kb;                                                    \
+        long p0 = 0, p, j, kb;                                                \
         if (!buf)                                                             \
             return -1;                                                        \
-        for (p0 = 0; p0 < k; p0 += kb) {                                      \
+        do {                                                                  \
             kb = k - p0 < kc ? k - p0 : kc;                                   \
             for (p = 0; p < kb; p++)                                          \
                 for (j = 0; j < mt; j += nr)                                  \
@@ -263,7 +247,8 @@ __attribute__((constructor)) static void choose_tile(void)
             for (j = 0; j < mt; j += nr)                                      \
                 NAME##_rows(p0 > 0, a + p0 * acs, ars, acs, buf + j * kb, nr, \
                             o + j, ldo, n, kb);                               \
-        }                                                                     \
+            p0 += kb;                                                         \
+        } while (p0 < k);                                                     \
         free(buf);                                                            \
         if (mt < m)                                                           \
             NAME##_block(a, ars, acs, b + mt, ldb, o + mt, ldo, n, k,         \
@@ -271,44 +256,56 @@ __attribute__((constructor)) static void choose_tile(void)
         return 0;                                                             \
     }                                                                         \
                                                                               \
-    /* o = a @ b for any b strides; buf holds k x PANEL elements. */          \
-    static void NAME##_product(const T *a, long ars, long acs, const T *b,    \
-                               long brs, long bcs, T *o, long ldo, long n,    \
-                               long k, long m, T *buf, int tile)              \
+    /* o = a @ b for b with contiguous rows of ldb: on the packed tile where  \
+     * tile is set and b is at least 2L wide, else on the i-p-j loop.         \
+     * Returns 0, or -1 when a packing buffer cannot be allocated. */         \
+    static int NAME##_run(const T *a, long ars, long acs, const T *b,         \
+                          long ldb, T *o, long ldo, long n, long k, long m,   \
+                          int tile)                                           \
     {                                                                         \
-        void (*run)(const T *, long, long, const T *, long, T *, long, long,  \
-                    long, long) = tile ? NAME##_tiled : NAME##_block;         \
+        if (tile && m >= 2 * (long)(sizeof(V) / sizeof(T)))                   \
+            return NAME##_packed(a, ars, acs, b, ldb, o, ldo, n, k, m);       \
+        NAME##_block(a, ars, acs, b, ldb, o, ldo, n, k, m);                   \
+        return 0;                                                             \
+    }                                                                         \
+                                                                              \
+    /* o = a @ b for any b strides; buf holds k x PANEL elements. Returns 0,  \
+     * or -1 when a packing buffer cannot be allocated. */                    \
+    static int NAME##_product(const T *a, long ars, long acs, const T *b,     \
+                              long brs, long bcs, T *o, long ldo, long n,     \
+                              long k, long m, T *buf, int tile)               \
+    {                                                                         \
         long j0, jj, p, w;                                                    \
         if (n == 0)                                                           \
-            return;                                                           \
-        if (bcs == 1) {                                                       \
-            run(a, ars, acs, b, brs, o, ldo, n, k, m);                        \
-            return;                                                           \
-        }                                                                     \
+            return 0;                                                         \
+        if (bcs == 1)                                                         \
+            return NAME##_run(a, ars, acs, b, brs, o, ldo, n, k, m, tile);    \
         for (j0 = 0; j0 < m; j0 += w) {                                       \
             w = m - j0 < PANEL ? m - j0 : PANEL;                              \
             for (p = 0; p < k; p++)                                           \
                 for (jj = 0; jj < w; jj++)                                    \
                     buf[p * w + jj] = b[p * brs + (j0 + jj) * bcs];           \
-            run(a, ars, acs, buf, w, o + j0, ldo, n, k, w);                   \
+            if (NAME##_run(a, ars, acs, buf, w, o + j0, ldo, n, k, w, tile))  \
+                return -1;                                                    \
         }                                                                     \
+        return 0;                                                             \
     }                                                                         \
                                                                               \
-    /* Returns 0, or -1 when a packing buffer cannot be allocated. */         \
+    /* Returns 0, or -1 when a packing buffer cannot be allocated. Only a     \
+     * plain product of two or more rows runs on the packed tile; grouped     \
+     * products run on the loop, which allocates nothing. */                  \
     int NAME(const T *a, long ars, long acs, const T *b, long brs, long bcs,  \
              long bks, T *o, long oks, const int64_t *off, long nseg,         \
              int inner, long n, long k, long m)                               \
     {                                                                         \
         T *buf = NULL;                                                        \
         long s, nc = m < PANEL ? m : PANEL;                                   \
-        if (off == NULL && tiled && bcs == 1 && k * m > TILE_MAX_B &&         \
-            n >= 2 && m >= 2 * (long)(sizeof(V) / sizeof(T)))                 \
-            return NAME##_wide(a, ars, acs, b, brs, o, m, n, k, m);           \
+        int err = 0;                                                          \
         if (bcs != 1 && !(buf = malloc(sizeof(T) * (k > 0 ? k : 1) * nc)))    \
             return -1;                                                        \
         if (off == NULL)                                                      \
-            NAME##_product(a, ars, acs, b, brs, bcs, o, m, n, k, m, buf,      \
-                           tiled && k * m <= TILE_MAX_B);                     \
+            err = NAME##_product(a, ars, acs, b, brs, bcs, o, m, n, k, m,     \
+                                 buf, tiled && n >= 2);                       \
         else if (!inner)                                                      \
             for (s = 0; s < nseg; s++)                                        \
                 NAME##_product(a + off[s] * ars, ars, acs, b + s * bks, brs,  \
@@ -320,7 +317,7 @@ __attribute__((constructor)) static void choose_tile(void)
                                brs, bcs, o + s * oks, m, n,                   \
                                off[s + 1] - off[s], m, buf, 0);               \
         free(buf);                                                            \
-        return 0;                                                             \
+        return err;                                                           \
     }
 
 GEMM(gemm_f32, float, v16sf)

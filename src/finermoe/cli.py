@@ -26,10 +26,10 @@ def read_matrix(path) -> Matrix:
     """Input format: one ASCII header line 'rows cols', then row-major
     little-endian f32."""
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: expected header 'rows cols'")
-        rows, cols = int(header[0]), int(header[1])
+        try:
+            rows, cols = map(int, fh.readline().split())
+        except ValueError:
+            raise ValueError(f"{path}: expected header 'rows cols' of two integers") from None
         if rows < 1 or cols < 1:
             raise ValueError(f"{path}: dims must be positive, got {rows} x {cols}")
         need = rows * cols * 4

@@ -153,6 +153,16 @@ class TestForward:
         assert code != 0
         assert "truncated" in err
 
+    @pytest.mark.parametrize("header", [b"", b"3\n", b"3 5 7\n", b"\xff\xfe 5\n", b"3 x\n", b"1.5 32\n"],
+                             ids=["no header", "one dim", "three dims", "non-ASCII", "non-integer", "float"])
+    def test_every_header_fault_names_the_file(self, tmp_path, model_file, header):
+        p = tmp_path / "x.mat"
+        p.write_bytes(header + bytes(3 * 32 * 4))
+        code, _, err = _run(
+            ["forward", "--model", str(model_file), "--input", str(p), "--out", str(tmp_path / "y.mat")]
+        )
+        assert (code, err) == (3, f"error: {p}: expected header 'rows cols' of two integers\n")
+
 
 @pytest.fixture(scope="module")
 def matrix_fuzz_dir(tmp_path_factory):

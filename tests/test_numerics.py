@@ -32,11 +32,11 @@ def _cpu_flags():
 
 # The C kernel's inner-loop variants, widest first, as _matmul.c clones them
 # (CLONES) and names them (gemm_isa); the loader runs the first the CPU
-# supports, and plain products run on the register tile where that is
-# avx512f. A test builds each variant from a copy of the source without
-# CLONES, with the variant's -m flag and with gemm_isa's CPU tests pinned
-# to the variant (CPU_TESTS), so that it names the variant and tiles only
-# as that variant.
+# supports, and plain products of two or more rows run on the packed
+# register tile where that is avx512f. A test builds each variant from a
+# copy of the source without CLONES, with the variant's -m flag and with
+# gemm_isa's CPU tests pinned to the variant (CPU_TESTS), so that it names
+# the variant and tiles only as that variant.
 ISAS = ("avx512f", "avx2", "default")
 HOST_ISAS = tuple(isa for isa in ISAS if isa == "default" or isa in _cpu_flags())
 C_BACKEND = f"c ({HOST_ISAS[0]})"
@@ -58,7 +58,8 @@ def c_kernels():
 @pytest.fixture(scope="session")
 def isa_kernels(tmp_path_factory):
     """{isa: its matmul_f32 and matmul_f64} for each variant this CPU runs,
-    each built once from the source without CLONES."""
+    each built once from the source without CLONES, with -Wall -Wextra and
+    no warning."""
     gcc = shutil.which("gcc")
     if gcc is None:
         pytest.skip("no gcc on PATH, so the C kernels cannot build")
@@ -74,11 +75,11 @@ def isa_kernels(tmp_path_factory):
         for other, test in CPU_TESTS.items():
             pinned = pinned.replace(test, str(int(ISAS.index(isa) <= ISAS.index(other))))
         (tmp / f"{isa}.c").write_text(pinned)
-        builds[isa] = subprocess.Popen([gcc, *_kernels_c._FLAGS, *ISA_FLAGS[isa], "-o", str(tmp / f"{isa}.so"),
-                                        str(tmp / f"{isa}.c")], stderr=subprocess.PIPE, text=True)
+        argv = [gcc, *_kernels_c._FLAGS, "-Wall", "-Wextra", *ISA_FLAGS[isa], "-o", str(tmp / f"{isa}.so")]
+        builds[isa] = subprocess.Popen([*argv, str(tmp / f"{isa}.c")], stderr=subprocess.PIPE, text=True)
     for isa, proc in builds.items():
-        assert proc.wait() == 0, (isa, proc.stderr.read())
-        proc.stderr.close()
+        _, err = proc.communicate()
+        assert proc.returncode == 0 and not err, (isa, err)
     # Each -m flag gave code of its own.
     assert len({(tmp / f"{isa}.so").read_bytes() for isa in HOST_ISAS}) == len(HOST_ISAS)
     libs = {isa: _kernels_c._load(tmp / f"{isa}.so") for isa in HOST_ISAS}
@@ -236,11 +237,12 @@ class TestMatmul:
             else:
                 assert inner.a[k].tobytes() == np.zeros((4, 5), inner.dtype).tobytes()
 
-    # Shapes on both sides of the kernel's schedules: one inner chunk,
-    # several chunks with a short last one (kc = 436: 436 + 436 + 128),
-    # several row blocks with a remainder (r = 51), one column (always the
-    # rank-1 loop; a 1 x 1 block would be summed pairwise) and rows wider
-    # than 8,192 columns (the rank-1 loop).
+    # Shapes on both sides of the C kernel's schedules, each compared with
+    # the sum of a rank-1 loop: the i-p-j loop (one row, or fewer columns
+    # than the AVX-512F tile's width, with four-row blocks and rows left
+    # over) and the packed tile over one block of b's rows (70 x 40 x 64)
+    # or several, the last one short (4 x 300 x 500, 3 x 1000 x 300 and
+    # 2 x 20 x 8200), with tile rows and columns left over.
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
         "n,k,m",
@@ -525,10 +527,11 @@ def _draw_case(rng, dtype, layout, path):
 
 
 def _source_constant(name):
-    """The value of ``#define name (1L << e)`` in _matmul.c."""
+    """The value of ``#define name v`` or ``#define name (1L << e)`` in _matmul.c."""
     from finermoe import _kernels_c
 
-    return 1 << int(re.search(rf"#define {name} \(1L << (\d+)\)", _kernels_c._SRC.read_text()).group(1))
+    value = re.search(rf"^#define {name} (?:(\d+)|\(1L << (\d+)\))$", _kernels_c._SRC.read_text(), re.M)
+    return int(value[1]) if value[1] else 1 << int(value[2])
 
 
 class TestDeterminismContract:
@@ -561,14 +564,16 @@ class TestDeterminismContract:
         assert seen == {"nan", "inf", "zero"}
 
     # (h, H) of the small draws; the wide draw's shared-expert products
-    # have more than TILE_MAX_B elements of b, and its presets hold a
-    # shared expert without replicating the whole FFN per expert.
+    # read b in more than one WIDE_BUF block of the packed tile, and its
+    # presets hold a shared expert without replicating the whole FFN per
+    # expert.
     SMALL_DIMS = ((16, 64), (24, 96), (32, 160))
     WIDE_DIMS, WIDE_PRESETS = (128, 2304), ("FineRMoE-base", "NVShard")
 
     def test_random_layers_give_the_same_bytes_under_every_kernel(self, c_kernels, isa_kernels, monkeypatch):
         # Draws of preset, router mode, concat_proj, dtype and token count;
-        # the first is wide, so the C kernels' packed path runs in the layer.
+        # the first is wide, so the packed tile carries running sums from one
+        # block of b to the next in the layer.
         rng = np.random.default_rng(2027)
         kernels = {"python": _kernels_py, "c": c_kernels, **{f"c-{isa}": k for isa, k in isa_kernels.items()}}
         for case in range(10):
@@ -581,7 +586,8 @@ class TestDeterminismContract:
             model = upcycle(random_dense(h, H, case), cfg, case).astype(dtype)
             x, upstream = Rng(2 * case).matrix(L, h, dtype=dtype), Rng(2 * case + 1).matrix(L, h, dtype=dtype)
             if case == 0:
-                assert cfg.share_expert and L >= 2 and h * H > _source_constant("TILE_MAX_B")
+                wide = h * H * np.dtype(dtype).itemsize > _source_constant("WIDE_BUF")
+                assert cfg.share_expert and L >= 2 and wide
             got = {}
             for name, kern in kernels.items():
                 monkeypatch.setattr(_backend, "active", kern)
@@ -599,8 +605,9 @@ class TestRegisterTile:
     tiles for the rows left over, the i-p-j block for the m % NR columns
     left over): the active C kernels and every C variant this CPU runs
     give _kernels_py's bytes, NaN by position, and +0.0 for an empty inner
-    index. The tile runs in the avx512f variant and, on a CPU with
-    AVX-512F, in the active kernels."""
+    index. The tile runs, over packed panels of b, for products of two or
+    more rows in the avx512f variant and, on a CPU with AVX-512F, in the
+    active kernels."""
 
     ROWS = (*range(1, 10), 15, 16, 17, 64, 65)
     INNER = (0, 1, 2, 257)
@@ -629,31 +636,33 @@ class TestRegisterTile:
 
 
 class TestWidePanels:
-    """Plain products whose b holds more than TILE_MAX_B elements, around
-    the packed path of _matmul.c. Under AVX-512F, products of two or more
-    rows read b in blocks of kc rows, kc = WIDE_BUF // (mt * itemsize) for
-    the mt = m - m % NR columns the register tile covers; each block is
-    packed into panels of NR columns, and each output element's running
-    sum is stored in out after one block and reloaded for the next.
-    One-row products, and the m % NR columns left over, stay on the i-p-j
-    loop. Each inner length ends on a block edge, one short of it or one
-    past it, after enough blocks that b is wide; a few ±0, ±inf and NaN sit
-    in each operand, so most outputs stay finite. The active C kernels and
-    every C variant this CPU runs give _kernels_py's bytes, NaN by
-    position."""
+    """Plain products around the blocks of the packed tile of _matmul.c.
+    Under AVX-512F, products of two or more rows read b in blocks of kc
+    rows, kc = WIDE_BUF // (mt * itemsize) for the mt = m - m % NR columns
+    the register tile covers; each block is packed into panels of NR
+    columns, and each output element's running sum is stored in out after
+    one block and reloaded for the next. A transposed b is first gathered
+    into panels of PANEL columns, each then packed the same way, so for b^T
+    the blocks follow the width of a PANEL panel. One-row products, and the
+    m % NR columns left over, stay on the i-p-j loop. Each inner length
+    ends on a block edge, one short of it or one past it, or one block
+    later; a few ±0, ±inf and NaN sit in each operand, so most outputs stay
+    finite. The active C kernels and every C variant this CPU runs give
+    _kernels_py's bytes, NaN by position."""
 
     ROWS = (1, 2, 3, 4, 5, 8, 9, 17)
     SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan)
 
     def _inner(self, m, nr, itemsize):
-        """Inner lengths for m columns, with b wide."""
-        wide = _source_constant("TILE_MAX_B")
-        mt = m - m % nr
-        if mt == 0:  # all columns on the loop
-            return [wide // m + 1]
-        kc = max(1, _source_constant("WIDE_BUF") // (mt * itemsize))
-        c = next(c for c in range(1, wide) if (c * kc - 1) * m > wide)
-        return [c * kc - 1, c * kc, c * kc + 1, 2 * c * kc + 1]
+        """Inner lengths around the blocks of m columns, and of the first
+        PANEL panel of a b^T with m columns."""
+        ks = set()
+        for w in {m, min(m, _source_constant("PANEL"))}:
+            mt = w - w % nr
+            if mt:
+                kc = _source_constant("WIDE_BUF") // (mt * itemsize)
+                ks.update((kc - 1, kc, kc + 1, 2 * kc + 1))
+        return sorted(ks) or [257]  # no block: all columns on the loop
 
     def _sprinkle(self, rng, x, count):
         x.flat[rng.choice(x.size, count, replace=False)] = rng.choice(self.SPECIALS, count)
@@ -669,7 +678,8 @@ class TestWidePanels:
             nr = 2 * 64 // itemsize
             rng = np.random.default_rng(nr)
             cases[dtype] = []
-            for m in (nr - 1, 5 * nr - 1, 5 * nr, 5 * nr + 3):
+            # The last m makes b^T two PANEL panels.
+            for m in (nr - 1, 5 * nr - 1, 5 * nr, 5 * nr + 3, _source_constant("PANEL") + nr + 3):
                 ks = self._inner(m, nr, itemsize)
                 b_all = _operand(rng, (max(ks), m), dtype)
                 a_all = _operand(rng, (max(self.ROWS), max(ks)), dtype)
@@ -677,16 +687,17 @@ class TestWidePanels:
                 self._sprinkle(rng, a_all, 4)
                 for k in ks:
                     a, b = np.ascontiguousarray(a_all[:, :k]), b_all[:k]
-                    assert b.size > _source_constant("TILE_MAX_B")
                     with np.errstate(invalid="ignore"):
                         cases[dtype].append((a, b, _kernel_matmul(_kernels_py, a, b)))
         return cases
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("layout", ["plain", "a.T"])
+    @pytest.mark.parametrize("layout", ["plain", "a.T", "b.T"])
     def test_every_block_edge_gives_the_numpy_kernels_bytes(self, c_variant, cases, layout, dtype):
         seen = set()
         for a_all, b, want_all in cases[dtype]:
+            if layout == "b.T":
+                b = np.ascontiguousarray(b.T).T
             # Output row i depends on row i of a alone, so the widest
             # product's reference serves every row count.
             for n in self.ROWS:
