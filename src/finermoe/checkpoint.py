@@ -4,7 +4,7 @@ Layout, bit-exact:
 
     bytes 0..3    magic "FRM1"
     bytes 4..11   u64 little-endian manifest byte length
-    manifest      UTF-8 `key = value` lines, each key at most once
+    manifest      UTF-8 `key = value` lines
     padding       zero bytes to the next 8-byte file offset
     payload       raw little-endian IEEE-754 f32, row-major, one tensor
                   after another at the offsets the manifest declares
@@ -14,10 +14,14 @@ files (h/H only for dense), and one entry per tensor:
 
     tensor.<n>.name / .shape ("RxC") / .dtype ("f32") / .offset / .length
 
-The layout is canonical: the entries are those of
-``moe_layer.named_parameters`` in its order, and each tensor starts where
-the one before it ends, so write->read round-trips are bit-identical. The
-file ends where the last tensor ends; bytes after it are an error.
+One function builds the manifest from a model, so the format is defined
+once: ``write_model`` writes that text, and ``read_model`` lays out the
+model the manifest's kind and config describe and refuses the file unless
+its manifest equals the one built from that model, byte for byte. The
+entries are those of ``moe_layer.named_parameters`` in its order, each
+tensor starting where the one before it ends, so write->read round-trips
+are bit-identical. The file ends where the last tensor ends; bytes after
+it are an error.
 
 ``read_model`` maps the file copy-on-write and returns a model whose
 tensors are views of the mapping, so a forward reads from disk only the
@@ -32,7 +36,8 @@ import mmap
 import os
 import stat
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
+from itertools import zip_longest
 
 import numpy as np
 
@@ -57,32 +62,27 @@ class TruncatedPayloadError(CheckpointError):
     pass
 
 
-class UnknownDtypeError(CheckpointError):
-    pass
-
-
-class ShapeMismatchError(CheckpointError):
-    pass
-
-
-@dataclass(frozen=True)
-class TensorManifestEntry:
-    name: str
-    shape: tuple[int, int]
-    dtype: str
-    offset: int
-    length: int
-
-
-def _manifest_lines(kind: str, cfg_lines: list[str], entries: list[TensorManifestEntry]) -> str:
-    lines = ["format = frm1", f"kind = {kind}"]
-    lines += cfg_lines
-    for n, e in enumerate(entries):
-        lines.append(f"tensor.{n}.name = {e.name}")
-        lines.append(f"tensor.{n}.shape = {e.shape[0]}x{e.shape[1]}")
-        lines.append(f"tensor.{n}.dtype = {e.dtype}")
-        lines.append(f"tensor.{n}.offset = {e.offset}")
-        lines.append(f"tensor.{n}.length = {e.length}")
+def _manifest(model: DenseFfnWeights | MoEModel) -> str:
+    """The manifest of ``model``'s FRM1 file: format, kind and config, then
+    five lines per ``named_parameters`` tensor, each tensor starting where
+    the one before it ends."""
+    if isinstance(model, MoEModel):
+        lines = ["format = frm1", "kind = moe", *config_mod.format_config(model.cfg).splitlines()]
+    elif isinstance(model, DenseFfnWeights):
+        lines = ["format = frm1", "kind = dense", f"h = {model.h}", f"H = {model.H}"]
+    else:
+        raise TypeError(f"cannot serialize {type(model).__name__}")
+    offset = 0
+    for n, (name, mat) in enumerate(named_parameters(model)):
+        length = mat.rows * mat.cols * 4
+        lines += [
+            f"tensor.{n}.name = {name}",
+            f"tensor.{n}.shape = {mat.rows}x{mat.cols}",
+            f"tensor.{n}.dtype = f32",
+            f"tensor.{n}.offset = {offset}",
+            f"tensor.{n}.length = {length}",
+        ]
+        offset += length
     return "\n".join(lines) + "\n"
 
 
@@ -96,23 +96,7 @@ def write_model(model: DenseFfnWeights | MoEModel, path) -> None:
     """
     if isinstance(model, MoEModel):
         model.validate()
-        kind = "moe"
-        cfg_lines = config_mod.format_config(model.cfg).splitlines()
-    elif isinstance(model, DenseFfnWeights):
-        kind = "dense"
-        cfg_lines = [f"h = {model.h}", f"H = {model.H}"]
-    else:
-        raise TypeError(f"cannot serialize {type(model).__name__}")
-
-    tensors = named_parameters(model)
-    entries = []
-    offset = 0
-    for name, mat in tensors:
-        length = mat.rows * mat.cols * 4
-        entries.append(TensorManifestEntry(name, (mat.rows, mat.cols), "f32", offset, length))
-        offset += length
-
-    manifest = _manifest_lines(kind, cfg_lines, entries).encode("utf-8")
+    manifest = _manifest(model).encode("utf-8")
     header_len = _HEADER + len(manifest)
     pad = (-header_len) % _ALIGN
 
@@ -127,7 +111,7 @@ def write_model(model: DenseFfnWeights | MoEModel, path) -> None:
             fh.write(len(manifest).to_bytes(8, "little"))
             fh.write(manifest)
             fh.write(b"\x00" * pad)
-            for _, mat in tensors:
+            for _, mat in named_parameters(model):
                 fh.write(np.ascontiguousarray(mat.a, dtype="<f4").tobytes())
         try:  # open(path, "wb") keeps the mode of a file it truncates
             os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
@@ -137,46 +121,6 @@ def write_model(model: DenseFfnWeights | MoEModel, path) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
-
-
-def _parse_manifest(text: str) -> tuple[dict, list[TensorManifestEntry]]:
-    kv: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise CheckpointError(f"bad manifest line: {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key in kv:
-            raise CheckpointError(f"manifest key {key!r} appears twice")
-        kv[key] = val.strip()
-
-    entries = []
-    n = 0
-    while f"tensor.{n}.name" in kv:
-        try:
-            r, _, c = kv[f"tensor.{n}.shape"].partition("x")
-            shape = (int(r), int(c))
-            dtype = kv[f"tensor.{n}.dtype"]
-            offset = int(kv[f"tensor.{n}.offset"])
-            length = int(kv[f"tensor.{n}.length"])
-        except (KeyError, ValueError) as exc:
-            raise CheckpointError(f"incomplete manifest entry for tensor {n}: {exc}")
-        if min(shape) < 1:
-            raise ShapeMismatchError(
-                f"tensor {kv[f'tensor.{n}.name']}: shape {shape} has a dim below 1"
-            )
-        if dtype != "f32":
-            raise UnknownDtypeError(f"tensor {kv[f'tensor.{n}.name']}: unknown dtype {dtype!r}")
-        if length != shape[0] * shape[1] * 4:
-            raise ShapeMismatchError(
-                f"tensor {kv[f'tensor.{n}.name']}: length {length} does not match shape {shape}"
-            )
-        entries.append(TensorManifestEntry(kv[f"tensor.{n}.name"], shape, dtype, offset, length))
-        n += 1
-    return kv, entries
 
 
 class _Payload:
@@ -207,10 +151,9 @@ class _Payload:
         )
 
 
-def _model_builder(kv: dict, extent: int):
-    """The function that lays out the model the manifest's kind and dims
-    describe over a ``_Payload``. Its size is checked against the payload
-    extent first, so inflated dims fail before anything is mapped."""
+def _model_builder(kv: dict):
+    """The parameter count of the model the manifest's kind and dims
+    describe, and the function that lays it out over a ``_Payload``."""
     kind = kv.get("kind")
     if kind == "dense":
         try:
@@ -218,18 +161,16 @@ def _model_builder(kv: dict, extent: int):
         except (KeyError, ValueError) as exc:
             raise CheckpointError(f"bad manifest h/H: {exc}")
         if min(h, H) < 1:
-            raise ShapeMismatchError(f"manifest h/H {(h, H)} has a dim below 1")
-        n_params = 3 * h * H
-        build = lambda p: p.ffn(h, H)
-    elif kind == "moe":
+            raise CheckpointError(f"manifest h/H {(h, H)} has a dim below 1")
+        return 3 * h * H, lambda p: p.ffn(h, H)
+    if kind == "moe":
         cfg_text = "\n".join(
             f"{name} = {kv[name]}" for name in (f.name for f in fields(FineRConfig)) if name in kv
         )
         cfg = config_mod.parse_config(cfg_text)  # surfaces ConfigError on bad configs
-        n_params = cost_report(cfg).total_params
         dims = derive(cfg)
         # Keyword arguments evaluate in order, so this is the file order.
-        build = lambda p: MoEModel(
+        return cost_report(cfg).total_params, lambda p: MoEModel(
             cfg=cfg,
             shared=p.ffn(cfg.h, cfg.H) if cfg.share_expert else None,
             experts=p.stack(dims.N, cfg.h, dims.H_e, dims.h_e),
@@ -238,27 +179,30 @@ def _model_builder(kv: dict, extent: int):
             if cfg.router_mode == "separate" else None,
             concat_proj=p.matrix(cfg.h, cfg.h) if cfg.concat_proj else None,
         )
-    else:
-        raise CheckpointError(f"unknown kind {kind!r}")
-    if 4 * n_params > extent:
-        raise ShapeMismatchError(
-            f"{kind} dims need {4 * n_params} tensor bytes, the manifest declares {extent}"
-        )
-    return n_params, build
+    raise CheckpointError(f"unknown kind {kind!r}")
+
+
+def _mismatch(text: str, want: str) -> CheckpointError:
+    """The error naming the first line where a manifest differs from the
+    writer's."""
+    pairs = zip_longest(text.split("\n"), want.split("\n"))
+    n, (got, exp) = next((n, p) for n, p in enumerate(pairs) if p[0] != p[1])
+    show = lambda line: "nothing" if line is None else repr(line)
+    return CheckpointError(f"manifest line {n + 1} is {show(got)}, where write_model writes {show(exp)}")
 
 
 def read_model(path) -> DenseFfnWeights | MoEModel:
     """Read an FRM1 file; the result validates against its embedded config.
 
     The file is mapped copy-on-write and the model's tensors are views of
-    the mapping, laid out from the shapes its config derives: nothing is
-    copied, a page is read when a forward first touches it, and writes to
-    the model stay private to this process. Each expert stack is a strided
-    view whose per-expert slices are C-contiguous. The manifest must list
-    the ``named_parameters`` of that model, by name and shape, in their
-    order and at the offsets those views read. A name that is not a
-    tensor of the model, or is given twice, a tensor the manifest lacks
-    and any other layout are errors.
+    the mapping, laid out from the shapes the manifest's config (or a dense
+    file's h/H) derives: nothing is copied, a page is read when a forward
+    first touches it, and writes to the model stay private to this process.
+    Each expert stack is a strided view whose per-expert slices are
+    C-contiguous. The manifest must equal, byte for byte, the one
+    ``write_model`` writes for that model; any other manifest (other
+    names, shapes, offsets, order, spacing or keys) is refused, naming the
+    first line that differs.
 
     The mapping reads the file as it is on disk: a file another process
     truncates in place while a model maps it raises SIGBUS on the next read
@@ -284,21 +228,21 @@ def read_model(path) -> DenseFfnWeights | MoEModel:
             text = manifest.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"manifest is not UTF-8: {exc}")
-        kv, entries = _parse_manifest(text)
-        if kv.get("format") != "frm1":
-            raise CheckpointError("manifest missing 'format = frm1'")
+        # Kind and config come from the lines before the first tensor; a
+        # repeated key is left to the comparison with the writer's manifest.
+        kv = {}
+        for line in text.split("\ntensor.", 1)[0].splitlines():
+            key, _, val = line.partition("=")
+            kv[key.strip()] = val.strip()
+        n_params, build = _model_builder(kv)
 
         start = _HEADER + mlen + (-(_HEADER + mlen)) % _ALIGN
-        extent = max((e.offset + e.length for e in entries), default=0)
         left = size - start
         if left < 0:
             raise TruncatedPayloadError("file ends inside the manifest padding")
-        if extent > left:
-            raise TruncatedPayloadError(f"payload has {left} bytes, tensors need {extent}")
-        if extent < left:
-            raise CheckpointError(f"{left - extent} bytes after the last tensor")
-
-        n_params, build = _model_builder(kv, extent)
+        # Dims the payload cannot hold fail before anything is mapped.
+        if 4 * n_params > left:
+            raise TruncatedPayloadError(f"payload has {left} bytes, {kv['kind']} dims need {4 * n_params}")
         # The header was read, so the file is not empty and can be mapped.
         mapped = mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_COPY)
     flat = np.frombuffer(mapped, dtype="<f4", count=n_params, offset=start)
@@ -306,30 +250,14 @@ def read_model(path) -> DenseFfnWeights | MoEModel:
         flat = flat.astype(np.float32)
     model = build(_Payload(flat))
 
-    params = named_parameters(model)
-    slots = dict(params)
-    unread = dict(slots)
-    for e in entries:
-        mat = unread.pop(e.name, None)
-        if mat is None:
-            why = "appears twice" if e.name in slots else "is not a tensor of this model"
-            raise CheckpointError(f"manifest tensor {e.name!r} {why}")
-        if mat.shape != e.shape:
-            raise ShapeMismatchError(
-                f"tensor {e.name}: shape {e.shape}, the config derives {mat.shape}"
-            )
-    if unread:
-        raise CheckpointError(f"{kv['kind']} file missing tensor {next(iter(unread))}")
-    # Each tensor is listed once with its shape; it must also sit where
-    # write_model puts it, which is where its view reads.
-    base = flat.ctypes.data
-    for n, (e, (name, mat)) in enumerate(zip(entries, params)):
-        at = mat.a.ctypes.data - base
-        if (e.name, e.offset) != (name, at):
-            raise CheckpointError(
-                f"non-canonical tensor layout: tensor {n} is {e.name} at offset {e.offset}, "
-                f"the writer puts {name} at {at}"
-            )
+    # The views sit where write_model puts each tensor, so a manifest equal
+    # to the writer's names each tensor's shape and offset. Checked before
+    # the payload's end, so a gap is reported by its offset line.
+    want = _manifest(model)
+    if text != want:
+        raise _mismatch(text, want)
+    if 4 * n_params < left:
+        raise CheckpointError(f"{left - 4 * n_params} bytes after the last tensor")
 
     # Routing cannot decide on a non-finite score, so a non-finite router
     # weight would fail every forward. The router is a tiny part of the

@@ -116,6 +116,8 @@ def _cmd_upcycle(args) -> int:
 def _cmd_forward(args) -> int:
     model = _load_moe(args.model)
     x = read_matrix(args.input)
+    if not x.allfinite():
+        raise ValueError(f"{args.input}: input holds inf or NaN")
     out = forward(x, model)
     if not out.y.allfinite():
         raise ValueError("forward output holds inf or NaN (inputs or weights overflow); wrote no file")
@@ -330,7 +332,7 @@ def run(argv=None) -> int:
     except (ConfigError, checkpoint.CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -19,15 +19,13 @@ import finermoe
 from finermoe.checkpoint import (
     MAGIC,
     CheckpointError,
-    ShapeMismatchError,
     TruncatedPayloadError,
-    UnknownDtypeError,
     read_model,
     write_model,
 )
 from finermoe.cli import read_matrix, run, write_matrix
-from finermoe.config import ConfigError, FineRConfig, baseline_preset, with_updates
-from finermoe.moe_layer import MoEModel, forward
+from finermoe.config import ConfigError, FineRConfig, baseline_preset, preset_names, with_updates
+from finermoe.moe_layer import MoEModel, forward, named_parameters
 from finermoe.numerics import Rng, matmul
 from finermoe.upcycle import random_dense, upcycle
 
@@ -106,7 +104,9 @@ def _swap_offsets(raw: bytes, i: int, j: int) -> bytes:
     return _join(manifest.encode("utf-8"), payload)
 
 
-# Damage to a small MoE file -> (spoil, error read_model raises, its message).
+# Damage to a small MoE file -> (spoil, error read_model raises, text its
+# message holds). A manifest is refused at the first line where it differs
+# from the one write_model writes.
 _DAMAGE = {
     "manifest_length_2_62": (
         lambda raw: raw[:4] + (2**62).to_bytes(8, "little") + raw[12:],
@@ -116,7 +116,11 @@ _DAMAGE = {
     "non_utf8_manifest": (
         lambda raw: raw.replace(b"kind = moe", b"kind = m\xffe", 1), CheckpointError, "UTF-8"
     ),
-    "zero_dim_shape": (_zero_dim_expert, ShapeMismatchError, "below 1"),
+    "zero_dim_shape": (
+        _zero_dim_expert,
+        CheckpointError,
+        "manifest line 29 is 'tensor.3.shape = 0x0', where write_model writes 'tensor.3.shape = 16x8'",
+    ),
     "trailing_bytes": (
         lambda raw: raw + b"\x00" * 4, CheckpointError, "4 bytes after the last tensor"
     ),
@@ -126,50 +130,60 @@ _DAMAGE = {
         CheckpointError,
         "router weights",
     ),
-    "truncated_payload": (lambda raw: raw[:-1], TruncatedPayloadError, "payload"),
+    "truncated_payload": (
+        lambda raw: raw[:-1], TruncatedPayloadError, "payload has 27647 bytes, moe dims need 27648"
+    ),
     "unknown_tensor_name": (
         lambda raw: raw.replace(b"name = router.w", b"name = router.q", 1),
         CheckpointError,
-        "'router.q' is not a tensor of this model",
+        "manifest line 268 is 'tensor.51.name = router.q', "
+        "where write_model writes 'tensor.51.name = router.w'",
     ),
     "duplicate_tensor_name": (
         lambda raw: raw.replace(b"name = expert.1.w1", b"name = expert.0.w1", 1),
         CheckpointError,
-        "'expert.0.w1' appears twice",
+        "manifest line 43 is 'tensor.6.name = expert.0.w1', "
+        "where write_model writes 'tensor.6.name = expert.1.w1'",
     ),
-    "missing_tensor": (lambda raw: _drop_tensor(raw, 3), CheckpointError, "missing tensor expert.0.w1"),
-    # Only the writer's layout loads: registry order, no gaps.
+    "missing_tensor": (
+        lambda raw: _drop_tensor(raw, 3),
+        CheckpointError,
+        "manifest line 28 is 'tensor.3.name = expert.0.wg', "
+        "where write_model writes 'tensor.3.name = expert.0.w1'",
+    ),
+    # Only the writer's layout loads: registry order, no gaps. A gap is
+    # named by its offset line, not by the bytes it adds at the end.
     "layout_gap": (
         _shift_after_first_tensor,
         CheckpointError,
-        "non-canonical tensor layout: tensor 1 is shared.wg at offset 2052, "
-        "the writer puts shared.wg at 2048",
+        "manifest line 21 is 'tensor.1.offset = 2052', "
+        "where write_model writes 'tensor.1.offset = 2048'",
     ),
     # expert.0.w1 and expert.1.w1 are both 16x8.
     "swapped_expert_offsets": (
         lambda raw: _swap_offsets(raw, 3, 6),
         CheckpointError,
-        "non-canonical tensor layout: tensor 3 is expert.0.w1 at offset 7424, "
-        "the writer puts expert.0.w1 at 6144",
+        "manifest line 31 is 'tensor.3.offset = 7424', "
+        "where write_model writes 'tensor.3.offset = 6144'",
     ),
     # A repeated manifest key is an error, not a silent last-one-wins.
     "duplicate_config_key": (
         lambda raw: _edit_manifest(raw, "\nT_I = 1\n", "\nT_I = 2\nT_I = 1\n"),
         CheckpointError,
-        "manifest key 'T_I' appears twice",
+        "manifest line 9 is 'T_I = 2', where write_model writes 'T_I = 1'",
     ),
     "duplicate_tensor_field": (
         lambda raw: _edit_manifest(
             raw, "\ntensor.0.offset = 0\n", "\ntensor.0.offset = 4\ntensor.0.offset = 0\n"
         ),
         CheckpointError,
-        "manifest key 'tensor.0.offset' appears twice",
+        "manifest line 16 is 'tensor.0.offset = 4', where write_model writes 'tensor.0.offset = 0'",
     ),
     # Dims the payload cannot hold fail before the file is mapped.
     "inflated_dims": (
         lambda raw: _edit_manifest(raw, "\nh = 16\n", "\nh = 16000000000000\n"),
-        ShapeMismatchError,
-        "moe dims need 27648000000000000 tensor bytes",
+        TruncatedPayloadError,
+        "payload has 27648 bytes, moe dims need 27648000000000000",
     ),
 }
 
@@ -230,6 +244,71 @@ class TestRoundTrip:
             assert forward(x, model).y.a.tobytes() == forward(x, back).y.a.tobytes()
 
 
+# Every preset with each router mode, concat projection and shared-expert
+# setting, at h=16, H=64, and a dense FFN.
+_VARIANTS = ["dense"] + [
+    (name, router_mode, concat_proj, share_expert)
+    for name in preset_names()
+    for router_mode in ("single", "separate")
+    for concat_proj in (False, True)
+    for share_expert in (False, True)
+]
+
+
+def _variant_model(variant):
+    if variant == "dense":
+        return random_dense(16, 64, 25)
+    name, router_mode, concat_proj, share_expert = variant
+    cfg = with_updates(
+        baseline_preset(name, h=16, H=64),
+        router_mode=router_mode, concat_proj=concat_proj, share_expert=share_expert,
+    )
+    return upcycle(random_dense(16, 64, 25), cfg, 25)
+
+
+class TestCanonicalManifest:
+    """read_model accepts exactly the manifest write_model writes, so a view
+    at the wrong place in the payload shows only in the tensors' bytes."""
+
+    @pytest.mark.parametrize(
+        "variant", _VARIANTS, ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v
+    )
+    def test_every_tensor_reads_back_by_name(self, tmp_path, variant):
+        model = _variant_model(variant)
+        p1, p2 = tmp_path / "a.frm", tmp_path / "b.frm"
+        write_model(model, p1)
+        back = read_model(p1)
+        written = [(name, m.a.tobytes()) for name, m in named_parameters(model)]
+        assert [(name, m.a.tobytes()) for name, m in named_parameters(back)] == written
+        write_model(back, p2)
+        assert p2.read_bytes() == p1.read_bytes()
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("\nh = 16\n", "\nh=16\n", "manifest line 3 is 'h=16', where write_model writes 'h = 16'"),
+            (
+                "\nh = 16\nH = 64\n",
+                "\nH = 64\nh = 16\n",
+                "manifest line 3 is 'H = 64', where write_model writes 'h = 16'",
+            ),
+            (
+                "\nkind = moe\n",
+                "\nkind = moe\nnote = upcycled\n",
+                "manifest line 3 is 'note = upcycled', where write_model writes 'h = 16'",
+            ),
+        ],
+        ids=["spacing", "config-order", "extra-key"],
+    )
+    def test_any_other_manifest_exits_2(self, tmp_path, old, new, message):
+        p = tmp_path / "m.frm"
+        write_model(_variant_model(("FineRMoE-base", "single", False, True)), p)
+        p.write_bytes(_edit_manifest(p.read_bytes(), old, new))
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            read_model(p)
+        assert _forward_exit(p, tmp_path) == (2, f"error: {message}\n")
+
+
 class TestManifest:
     def test_tensor_count_for_base_model(self, tmp_path):
         model = _base_toy_model(seed=4)
@@ -285,7 +364,12 @@ class TestErrors:
         # Same-length in-place edit keeps every offset valid.
         raw = p.read_bytes().replace(b"dtype = f32", b"dtype = f16", 1)
         p.write_bytes(raw)
-        with pytest.raises(UnknownDtypeError, match="f16"):
+        with pytest.raises(
+            CheckpointError,
+            match=re.escape(
+                "manifest line 7 is 'tensor.0.dtype = f16', where write_model writes 'tensor.0.dtype = f32'"
+            ),
+        ):
             read_model(p)
 
     def test_manifest_config_validation_surfaces(self, tmp_path):
@@ -303,7 +387,9 @@ class TestErrors:
         write_model(random_dense(8, 16, 12), p)
         raw = p.read_bytes().replace(b"h = 8", b"h = 9", 1)
         p.write_bytes(raw)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(
+            TruncatedPayloadError, match=re.escape("payload has 1536 bytes, dense dims need 1728")
+        ):
             read_model(p)
 
     @pytest.mark.parametrize("damage", sorted(_DAMAGE))
@@ -313,7 +399,7 @@ class TestErrors:
         p = tmp_path / "m.frm"
         write_model(upcycle(random_dense(16, 32, 17), cfg, 17), p)
         p.write_bytes(spoil(p.read_bytes()))
-        with pytest.raises(exc, match=match):
+        with pytest.raises(exc, match=re.escape(match)):
             read_model(p)
         code, err = _forward_exit(p, tmp_path)
         assert code == 2

@@ -163,6 +163,18 @@ class TestForward:
         )
         assert (code, err) == (3, f"error: {p}: expected header 'rows cols' of two integers\n")
 
+    # The input is checked before the layer runs, so a NaN in it is not
+    # reported as a fault of the model's router.
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_names_the_file(self, tmp_path, model_file, value):
+        x = Rng(13).matrix(3, 32)
+        x.a[1, 5] = value
+        p, yp = tmp_path / "x.mat", tmp_path / "y.mat"
+        write_matrix(x, p)
+        code, out, err = _run(["forward", "--model", str(model_file), "--input", str(p), "--out", str(yp)])
+        assert (code, out, err) == (3, "", f"error: {p}: input holds inf or NaN\n")
+        assert not yp.exists()
+
 
 @pytest.fixture(scope="module")
 def matrix_fuzz_dir(tmp_path_factory):
@@ -448,6 +460,22 @@ class TestErrorsAndEntryPoint:
         code, out, err = _run(argv)
         assert code == 3 and out == ""
         assert err.startswith("error: ") and name in err and err.count("\n") == 1
+
+    # 10^15 rows of width 32 ask for hundreds of PiB, more than any x86-64
+    # address space, so the allocation fails at once without touching memory.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["route-stats", "--model", "{model}", "--tokens", "1000000000000000"],
+            ["train-demo", "--config", "{cfg}", "--steps", "1", "--batch", "1000000000000000"],
+        ],
+        ids=["route-stats", "train-demo"],
+    )
+    def test_memory_error_exits_3_without_traceback(self, model_file, base_cfg, argv):
+        argv = [a.format(cfg=base_cfg, model=model_file) for a in argv]
+        code, out, err = _run(argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
     def test_zero_rate_and_weight_are_accepted(self, model_file, base_cfg):
         argv = ["train-demo", "--config", str(base_cfg), "--steps", "1", "--batch", "2"]
