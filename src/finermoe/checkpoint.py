@@ -16,7 +16,8 @@ files (h/H only for dense), and one entry per tensor:
 
 One function builds the manifest from a model, so the format is defined
 once: ``write_model`` writes that text, and ``read_model`` lays out the
-model the manifest's kind and config describe and refuses the file unless
+model the manifest's kind and config describe, by ``MoEModel.over`` (or
+``DenseFfnWeights.over``) over the payload, and refuses the file unless
 its manifest equals the one built from that model, byte for byte. The
 entries are those of ``moe_layer.named_parameters`` in its order, each
 tensor starting where the one before it ends, so write->read round-trips
@@ -43,11 +44,9 @@ import numpy as np
 
 from finermoe import config as config_mod
 from finermoe.analysis import cost_report
-from finermoe.config import FineRConfig, derive
-from finermoe.experts import DenseFfnWeights, ExpertStack
+from finermoe.config import FineRConfig
+from finermoe.experts import DenseFfnWeights
 from finermoe.moe_layer import MoEModel, named_parameters
-from finermoe.numerics import Matrix
-from finermoe.router import RouterState
 
 MAGIC = b"FRM1"
 _HEADER = len(MAGIC) + 8  # magic, u64 manifest length
@@ -123,37 +122,9 @@ def write_model(model: DenseFfnWeights | MoEModel, path) -> None:
         raise
 
 
-class _Payload:
-    """Hands out consecutive views of a flat f32 payload, in file order."""
-
-    def __init__(self, flat: np.ndarray):
-        self.flat, self.at = flat, 0
-
-    def _take(self, rows: int, cols: int) -> np.ndarray:
-        a = self.flat[self.at : self.at + rows * cols].reshape(rows, cols)
-        self.at += rows * cols
-        return a
-
-    def matrix(self, rows: int, cols: int) -> Matrix:
-        return Matrix.wrap(self._take(rows, cols))
-
-    def ffn(self, h: int, H: int) -> DenseFfnWeights:
-        return DenseFfnWeights(self.matrix(h, H), self.matrix(h, H), self.matrix(H, h))
-
-    def stack(self, n: int, h: int, H_e: int, h_e: int) -> ExpertStack:
-        """n experts stored expert by expert, each as w1, wg, w2: every
-        stack is a strided view, one expert's three tensors apart, and each
-        expert's slice of it is C-contiguous."""
-        per = self._take(n, 2 * h * H_e + H_e * h_e)
-        a, b = h * H_e, 2 * h * H_e
-        return ExpertStack(
-            per[:, :a].reshape(n, h, H_e), per[:, a:b].reshape(n, h, H_e), per[:, b:].reshape(n, H_e, h_e)
-        )
-
-
-def _model_builder(kv: dict):
+def _layout(kv: dict):
     """The parameter count of the model the manifest's kind and dims
-    describe, and the function that lays it out over a ``_Payload``."""
+    describe, and the function that lays it out over ``take``."""
     kind = kv.get("kind")
     if kind == "dense":
         try:
@@ -162,23 +133,13 @@ def _model_builder(kv: dict):
             raise CheckpointError(f"bad manifest h/H: {exc}")
         if min(h, H) < 1:
             raise CheckpointError(f"manifest h/H {(h, H)} has a dim below 1")
-        return 3 * h * H, lambda p: p.ffn(h, H)
+        return 3 * h * H, lambda take: DenseFfnWeights.over(h, H, take)
     if kind == "moe":
         cfg_text = "\n".join(
             f"{name} = {kv[name]}" for name in (f.name for f in fields(FineRConfig)) if name in kv
         )
         cfg = config_mod.parse_config(cfg_text)  # surfaces ConfigError on bad configs
-        dims = derive(cfg)
-        # Keyword arguments evaluate in order, so this is the file order.
-        return cost_report(cfg).total_params, lambda p: MoEModel(
-            cfg=cfg,
-            shared=p.ffn(cfg.h, cfg.H) if cfg.share_expert else None,
-            experts=p.stack(dims.N, cfg.h, dims.H_e, dims.h_e),
-            router=RouterState(p.matrix(cfg.h, dims.N)),
-            router_cc=RouterState(p.matrix(cfg.h, dims.n_groups))
-            if cfg.router_mode == "separate" else None,
-            concat_proj=p.matrix(cfg.h, cfg.h) if cfg.concat_proj else None,
-        )
+        return cost_report(cfg).total_params, lambda take: MoEModel.over(cfg, take)
     raise CheckpointError(f"unknown kind {kind!r}")
 
 
@@ -195,9 +156,10 @@ def read_model(path) -> DenseFfnWeights | MoEModel:
     """Read an FRM1 file; the result validates against its embedded config.
 
     The file is mapped copy-on-write and the model's tensors are views of
-    the mapping, laid out from the shapes the manifest's config (or a dense
-    file's h/H) derives: nothing is copied, a page is read when a forward
-    first touches it, and writes to the model stay private to this process.
+    the mapping, laid out by ``MoEModel.over`` from the manifest's config
+    (``DenseFfnWeights.over`` from a dense file's h/H): nothing is copied,
+    a page is read when a forward first touches it, and writes to the
+    model stay private to this process.
     Each expert stack is a strided view whose per-expert slices are
     C-contiguous. The manifest must equal, byte for byte, the one
     ``write_model`` writes for that model; any other manifest (other
@@ -234,7 +196,7 @@ def read_model(path) -> DenseFfnWeights | MoEModel:
         for line in text.split("\ntensor.", 1)[0].splitlines():
             key, _, val = line.partition("=")
             kv[key.strip()] = val.strip()
-        n_params, build = _model_builder(kv)
+        n_params, lay_out = _layout(kv)
 
         start = _HEADER + mlen + (-(_HEADER + mlen)) % _ALIGN
         left = size - start
@@ -248,7 +210,14 @@ def read_model(path) -> DenseFfnWeights | MoEModel:
     flat = np.frombuffer(mapped, dtype="<f4", count=n_params, offset=start)
     if sys.byteorder == "big":  # the payload is little-endian
         flat = flat.astype(np.float32)
-    model = build(_Payload(flat))
+    at = 0  # take hands out consecutive views of the payload, in file order
+
+    def take(rows: int, cols: int) -> np.ndarray:
+        nonlocal at
+        at += rows * cols
+        return flat[at - rows * cols : at].reshape(rows, cols)
+
+    model = lay_out(take)
 
     # The views sit where write_model puts each tensor, so a manifest equal
     # to the writer's names each tensor's shape and offset. Checked before

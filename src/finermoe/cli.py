@@ -67,7 +67,7 @@ def _require_finite(args, *names, positive=False) -> None:
 def _load_moe(path) -> MoEModel:
     model = checkpoint.read_model(path)
     if not isinstance(model, MoEModel):
-        raise ValueError(f"{path} holds a dense FFN, expected a MoE model")
+        raise checkpoint.CheckpointError(f"{path} holds a dense FFN, expected a MoE model")
     return model
 
 
@@ -86,7 +86,7 @@ def _cmd_upcycle(args) -> int:
     if args.dense:
         dense = checkpoint.read_model(args.dense)
         if isinstance(dense, MoEModel):
-            raise ValueError(f"{args.dense} holds a MoE model, expected a dense FFN")
+            raise checkpoint.CheckpointError(f"{args.dense} holds a MoE model, expected a dense FFN")
     elif args.dense_seed is not None:
         if args.config is None and args.drop_ratio is None:
             raise ValueError("--dense-seed needs --config (or drop-mode flags) for dims")

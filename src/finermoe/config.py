@@ -8,7 +8,7 @@ layout) derives from those plus the reference dims (h, H).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 
 class ConfigError(ValueError):
@@ -112,10 +112,6 @@ def baseline_preset(name: str, h: int = REF_H, H: int = REF_INTERMEDIATE) -> Fin
     return cfg
 
 
-_BOOL_FIELDS = ("share_expert", "concat_proj")
-_INT_FIELDS = ("h", "H", "G_I", "R_I", "G_O", "R_O", "T_I")
-
-
 def format_config(cfg: FineRConfig) -> str:
     """Render as the `key = value` text format, one field per line."""
     lines = []
@@ -129,6 +125,8 @@ def format_config(cfg: FineRConfig) -> str:
 
 def parse_config(text: str) -> FineRConfig:
     """Parse the `key = value` format; unknown, repeated keys and bad values raise."""
+    # Each key's kind is its field's annotation: "int", "bool" or "str".
+    kinds = {f.name: f.type for f in fields(FineRConfig)}
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -140,20 +138,21 @@ def parse_config(text: str) -> FineRConfig:
         key, val = key.strip(), val.strip()
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key in _INT_FIELDS:
+        kind = kinds.get(key)
+        if kind == "int":
             try:
                 values[key] = int(val)
             except ValueError:
                 raise ConfigError(f"line {lineno}: {key} must be an integer, got {val!r}")
-        elif key in _BOOL_FIELDS:
+        elif kind == "bool":
             if val not in ("true", "false"):
                 raise ConfigError(f"line {lineno}: {key} must be true or false, got {val!r}")
             values[key] = val == "true"
-        elif key == "router_mode":
+        elif kind == "str":
             values[key] = val
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-    missing = [n for n in ("h", "H") if n not in values]
+    missing = [f.name for f in fields(FineRConfig) if f.default is MISSING and f.name not in values]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
     cfg = FineRConfig(**values)

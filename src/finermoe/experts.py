@@ -7,7 +7,7 @@ the activation is fixed to SiLU.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +38,11 @@ class DenseFfnWeights:
     @property
     def H(self) -> int:
         return self.w1.cols
+
+    @classmethod
+    def over(cls, h: int, H: int, take: Callable[[int, int], np.ndarray]) -> "DenseFfnWeights":
+        """w1, wg, w2 as the next three arrays ``take(rows, cols)`` hands out."""
+        return cls(Matrix.wrap(take(h, H)), Matrix.wrap(take(h, H)), Matrix.wrap(take(H, h)))
 
     def astype(self, dtype) -> "DenseFfnWeights":
         return DenseFfnWeights(self.w1.astype(dtype), self.wg.astype(dtype), self.w2.astype(dtype))
@@ -73,8 +78,9 @@ class ExpertWeights:
 class ExpertStack(Sequence):
     """All N sparse experts of a layer as three arrays: w1, wg of shape
     N x h x H_e and w2 of shape N x H_e x h_e. Each expert's slice ``w1[k]``
-    etc. is C-contiguous; the stacks themselves are C-contiguous, or, in a
-    model ``read_model`` maps, views strided by one expert's w1+wg+w2.
+    etc. is C-contiguous; the stacks themselves are C-contiguous, or, as
+    ``MoEModel.over`` lays them out (``read_model``, ``MoEModel.zeros``),
+    views strided by one expert's w1+wg+w2.
 
     ``stack[k]`` is expert k as an ExpertWeights of views, so writing
     through it writes the stack; ``len(stack)`` is N.

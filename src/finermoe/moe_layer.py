@@ -13,7 +13,9 @@ per-token loop exactly. Outputs take the input's dtype, not the model's.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -27,7 +29,9 @@ _SWIGLU = ("w1", "wg", "w2")
 
 @dataclass
 class MoEModel:
-    """One layer's weights; the sparse experts are stored stacked."""
+    """One layer's weights; the sparse experts are stored stacked. ``over``
+    is the one layout of a config's tensors: ``zeros``, ``validate`` and
+    ``checkpoint.read_model`` all go through it."""
 
     cfg: FineRConfig
     shared: DenseFfnWeights | None
@@ -37,52 +41,46 @@ class MoEModel:
     concat_proj: Matrix | None = None  # optional h x h projection after concat
 
     @classmethod
+    def over(cls, cfg: FineRConfig, take: Callable[[int, int], np.ndarray]) -> "MoEModel":
+        """The model cfg describes, its tensors the consecutive arrays
+        ``take(rows, cols)`` hands out in ``named_parameters`` order. The
+        experts are one ``take(N, 2*h*H_e + H_e*h_e)``, a row per expert
+        holding its w1, wg and w2, so each stack is a strided view whose
+        per-expert slices are C-contiguous."""
+        dims = derive(cfg)
+        h, N, H_e, h_e = cfg.h, dims.N, dims.H_e, dims.h_e
+        shared = DenseFfnWeights.over(h, cfg.H, take) if cfg.share_expert else None
+        per = take(N, 2 * h * H_e + H_e * h_e)
+        a, b = h * H_e, 2 * h * H_e
+        experts = ExpertStack(
+            per[:, :a].reshape(N, h, H_e), per[:, a:b].reshape(N, h, H_e), per[:, b:].reshape(N, H_e, h_e)
+        )
+        router = RouterState(Matrix.wrap(take(h, N)))
+        separate = cfg.router_mode == "separate"
+        router_cc = RouterState(Matrix.wrap(take(h, dims.n_groups))) if separate else None
+        concat_proj = Matrix.wrap(take(h, h)) if cfg.concat_proj else None
+        return cls(cfg, shared, experts, router, router_cc, concat_proj)
+
+    @classmethod
     def zeros(cls, cfg: FineRConfig) -> "MoEModel":
         """An all-zero f32 model of the shapes cfg derives."""
-        dims = derive(cfg)
-        h, H = cfg.h, cfg.H
-        return cls(
-            cfg=cfg,
-            shared=DenseFfnWeights(Matrix.zeros(h, H), Matrix.zeros(h, H), Matrix.zeros(H, h))
-            if cfg.share_expert else None,
-            experts=ExpertStack.zeros(dims.N, h, dims.H_e, dims.h_e),
-            router=RouterState(Matrix.zeros(h, dims.N)),
-            router_cc=RouterState(Matrix.zeros(h, dims.n_groups))
-            if cfg.router_mode == "separate" else None,
-            concat_proj=Matrix.zeros(h, h) if cfg.concat_proj else None,
-        )
+        return cls.over(cfg, lambda rows, cols: np.zeros((rows, cols), np.float32))
 
     @property
     def dims(self) -> DerivedDims:
         return derive(self.cfg)
 
     def validate(self) -> None:
-        cfg, dims = self.cfg, self.dims
-        if cfg.share_expert != (self.shared is not None):
-            raise ValueError("share_expert flag does not match presence of shared weights")
-        if self.shared is not None and (self.shared.h, self.shared.H) != (cfg.h, cfg.H):
-            raise ValueError(
-                f"shared expert dims {(self.shared.h, self.shared.H)} do not match "
-                f"config {(cfg.h, cfg.H)}"
-            )
-        stack = self.experts
-        shapes = (stack.w1.shape, stack.wg.shape, stack.w2.shape)
-        want = ((dims.N, cfg.h, dims.H_e),) * 2 + ((dims.N, dims.H_e, dims.h_e),)
-        if shapes != want:
-            raise ValueError(f"expert stacks {shapes} do not match derived dims {want}")
-        if self.router.w.shape != (cfg.h, dims.N):
-            raise ValueError(
-                f"router shape {self.router.w.shape} must be {(cfg.h, dims.N)}"
-            )
-        if cfg.router_mode == "separate":
-            if self.router_cc is None or self.router_cc.w.shape != (cfg.h, dims.n_groups):
-                raise ValueError("separate router_mode requires a h x n_groups second router")
-        elif self.router_cc is not None:
-            raise ValueError("router_cc present but router_mode is 'single'")
-        if cfg.concat_proj != (self.concat_proj is not None):
-            raise ValueError("concat_proj flag does not match presence of projection weight")
-        if self.concat_proj is not None and self.concat_proj.shape != (cfg.h, cfg.h):
-            raise ValueError(f"concat_proj must be {cfg.h}x{cfg.h}, got {self.concat_proj.shape}")
+        """Raise ValueError naming the first tensor, by name and shape, that
+        is not the one ``over`` lays out for the config."""
+        # np.empty touches no page of the layout; only its shapes are read.
+        want = MoEModel.over(self.cfg, lambda rows, cols: np.empty((rows, cols), np.float32))
+        shapes = ([f"{name} {m.rows}x{m.cols}" for name, m in named_parameters(x)] for x in (self, want))
+        for n, (got, exp) in enumerate(zip_longest(*shapes)):
+            if got != exp:
+                raise ValueError(
+                    f"tensor {n} is {got or 'nothing'}, where the config lays out {exp or 'nothing'}"
+                )
 
     def astype(self, dtype) -> "MoEModel":
         return MoEModel(

@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +26,10 @@ from finermoe.checkpoint import (
 )
 from finermoe.cli import read_matrix, run, write_matrix
 from finermoe.config import ConfigError, FineRConfig, baseline_preset, preset_names, with_updates
+from finermoe.experts import ExpertStack
 from finermoe.moe_layer import MoEModel, forward, named_parameters
-from finermoe.numerics import Rng, matmul
+from finermoe.numerics import Matrix, Rng, matmul
+from finermoe.router import RouterState
 from finermoe.upcycle import random_dense, upcycle
 
 
@@ -255,24 +258,29 @@ _VARIANTS = ["dense"] + [
 ]
 
 
-def _variant_model(variant):
-    if variant == "dense":
-        return random_dense(16, 64, 25)
+def _variant_id(variant) -> str:
+    return "-".join(map(str, variant)) if isinstance(variant, tuple) else variant
+
+
+def _variant_cfg(variant) -> FineRConfig:
     name, router_mode, concat_proj, share_expert = variant
-    cfg = with_updates(
+    return with_updates(
         baseline_preset(name, h=16, H=64),
         router_mode=router_mode, concat_proj=concat_proj, share_expert=share_expert,
     )
-    return upcycle(random_dense(16, 64, 25), cfg, 25)
+
+
+def _variant_model(variant):
+    if variant == "dense":
+        return random_dense(16, 64, 25)
+    return upcycle(random_dense(16, 64, 25), _variant_cfg(variant), 25)
 
 
 class TestCanonicalManifest:
     """read_model accepts exactly the manifest write_model writes, so a view
     at the wrong place in the payload shows only in the tensors' bytes."""
 
-    @pytest.mark.parametrize(
-        "variant", _VARIANTS, ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v
-    )
+    @pytest.mark.parametrize("variant", _VARIANTS, ids=_variant_id)
     def test_every_tensor_reads_back_by_name(self, tmp_path, variant):
         model = _variant_model(variant)
         p1, p2 = tmp_path / "a.frm", tmp_path / "b.frm"
@@ -280,6 +288,23 @@ class TestCanonicalManifest:
         back = read_model(p1)
         written = [(name, m.a.tobytes()) for name, m in named_parameters(model)]
         assert [(name, m.a.tobytes()) for name, m in named_parameters(back)] == written
+        write_model(back, p2)
+        assert p2.read_bytes() == p1.read_bytes()
+
+    @pytest.mark.parametrize("variant", _VARIANTS[1:], ids=_variant_id)
+    def test_zeros_is_the_layout_read_model_maps(self, tmp_path, variant):
+        # MoEModel.zeros and read_model lay tensors out by one function, so
+        # even the expert stacks' strides agree.
+        zeros = MoEModel.zeros(_variant_cfg(variant))
+        p1, p2 = tmp_path / "a.frm", tmp_path / "b.frm"
+        write_model(zeros, p1)
+        back = read_model(p1)
+
+        def layout(model):
+            stacks = [a.strides for a in (model.experts.w1, model.experts.wg, model.experts.w2)]
+            return stacks, [(name, m.shape, m.a.strides) for name, m in named_parameters(model)]
+
+        assert layout(back) == layout(zeros)
         write_model(back, p2)
         assert p2.read_bytes() == p1.read_bytes()
 
@@ -307,6 +332,55 @@ class TestCanonicalManifest:
         with pytest.raises(CheckpointError, match=re.escape(message)):
             read_model(p)
         assert _forward_exit(p, tmp_path) == (2, f"error: {message}\n")
+
+
+def _full_model() -> MoEModel:
+    """FineRMoE-base at h=16, H=64 with every optional tensor: a shared
+    expert, a second router (128 experts in 4 groups) and a projection."""
+    cfg = with_updates(
+        baseline_preset("FineRMoE-base", h=16, H=64), router_mode="separate", concat_proj=True
+    )
+    return upcycle(random_dense(16, 64, 26), cfg, 26)
+
+
+# Model fault -> the model with it: each holds tensors its config does not
+# lay out (missing, extra or of another shape).
+_FAULTS = {
+    "shared-missing": lambda m: replace(m, shared=None),
+    "shared-extra": lambda m: replace(m, cfg=with_updates(m.cfg, share_expert=False)),
+    "shared-dims": lambda m: replace(m, shared=random_dense(16, 32, 1)),
+    "experts-shape": lambda m: replace(m, experts=ExpertStack.zeros(128, 16, 4, 8)),
+    "router-shape": lambda m: replace(m, router=RouterState(Matrix.zeros(16, 64))),
+    "router_cc-missing": lambda m: replace(m, router_cc=None),
+    "router_cc-in-single-mode": lambda m: replace(m, cfg=with_updates(m.cfg, router_mode="single")),
+    "router_cc-shape": lambda m: replace(m, router_cc=RouterState(Matrix.zeros(16, 5))),
+    "concat_proj-missing": lambda m: replace(m, concat_proj=None),
+    "concat_proj-extra": lambda m: replace(m, cfg=with_updates(m.cfg, concat_proj=False)),
+    "concat_proj-shape": lambda m: replace(m, concat_proj=Matrix.zeros(16, 8)),
+}
+
+
+class TestValidate:
+    @pytest.mark.parametrize("fault", sorted(_FAULTS))
+    def test_write_model_refuses_tensors_the_config_does_not_lay_out(self, tmp_path, fault):
+        model = _full_model()
+        model.validate()
+        p = tmp_path / "m.frm"
+        with pytest.raises(ValueError):
+            write_model(_FAULTS[fault](model), p)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("router-shape", "tensor 387 is router.w 16x64, where the config lays out router.w 16x128"),
+            ("concat_proj-missing", "tensor 389 is nothing, where the config lays out concat_proj.w 16x16"),
+            ("concat_proj-extra", "tensor 389 is concat_proj.w 16x16, where the config lays out nothing"),
+        ],
+    )
+    def test_the_refusal_names_the_first_tensor_that_differs(self, fault, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _FAULTS[fault](_full_model()).validate()
 
 
 class TestManifest:

@@ -369,25 +369,34 @@ class TestCheckAggregate:
 
 
 class TestFileKindChecks:
-    def test_moe_commands_reject_dense_files(self, tmp_path):
+    # A checkpoint of the wrong kind is a checkpoint error: exit 2.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["forward", "--input", "x.mat", "--out", "y.mat"],
+            ["route-stats", "--tokens", "4"],
+            ["similarity"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_moe_commands_reject_dense_files_with_exit_2(self, tmp_path, argv):
         from finermoe.checkpoint import write_model
         from finermoe.upcycle import random_dense
 
         dense_p = tmp_path / "d.frm"
         write_model(random_dense(16, 32, 1), dense_p)
-        for argv in (
-            ["similarity", "--model", str(dense_p)],
-            ["route-stats", "--model", str(dense_p), "--tokens", "4"],
-        ):
-            code, _, err = _run(argv)
-            assert code != 0 and "dense" in err
+        code, out, err = _run([*argv, "--model", str(dense_p)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {dense_p} holds a dense FFN, expected a MoE model\n"
 
-    def test_upcycle_rejects_moe_donor(self, tmp_path, base_cfg, model_file):
-        code, _, err = _run(
+    def test_upcycle_rejects_moe_donor_with_exit_2(self, tmp_path, base_cfg, model_file):
+        code, out, err = _run(
             ["upcycle", "--config", str(base_cfg), "--dense", str(model_file),
              "--out", str(tmp_path / "x.frm")]
         )
-        assert code != 0 and "MoE model" in err
+        assert (code, out) == (2, "")
+        assert err == f"error: {model_file} holds a MoE model, expected a dense FFN\n"
+        assert not (tmp_path / "x.frm").exists()
 
     def test_upcycle_rejects_mismatched_donor_dims(self, tmp_path, base_cfg):
         from finermoe.checkpoint import write_model

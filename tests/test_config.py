@@ -125,16 +125,24 @@ class TestConfigFile:
         cfg = FineRConfig(h=8, H=8, router_mode="separate", share_expert=False, concat_proj=True)
         assert parse_config(format_config(cfg)) == cfg
 
-    def test_unknown_key(self):
-        with pytest.raises(ConfigError, match="unknown key"):
-            parse_config("h = 8\nH = 8\nbogus = 1\n")
-
-    def test_bad_integer(self):
-        with pytest.raises(ConfigError, match="must be an integer"):
-            parse_config("h = eight\nH = 8\n")
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("h = 8\nH = 8\nshare_expert = yes\n", "line 3: share_expert must be true or false, got 'yes'"),
+            ("h = 8\nH = 8\nconcat_proj = True\n", "line 3: concat_proj must be true or false, got 'True'"),
+            ("h = eight\nH = 8\n", "line 1: h must be an integer, got 'eight'"),
+            ("h = 8\nH = 8.0\n", "line 2: H must be an integer, got '8.0'"),
+            ("h = 8\nH = 8\nbogus = 1\n", "line 3: unknown key 'bogus'"),
+        ],
+        ids=["bool-yes", "bool-capital", "int-word", "int-float", "unknown-key"],
+    )
+    def test_bad_value_names_its_line_and_key(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == message
 
     def test_missing_required(self):
-        with pytest.raises(ConfigError, match="missing required"):
+        with pytest.raises(ConfigError, match="^missing required keys: h, H$"):
             parse_config("G_I = 2\n")
 
     def test_duplicate_key_names_its_line(self):

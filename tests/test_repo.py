@@ -1,8 +1,11 @@
 """Repository hygiene: nothing that .gitignore excludes is tracked, so a
-build or test leftover can never be committed as if it were source; every
-CLI example in the README parses, so a stale flag cannot linger there; and
-the README's Python examples run, so a stale call cannot either."""
+build or test leftover can never be committed as if it were source; no
+library module imports a name it never uses, so a deletion cannot leave one
+behind; every CLI example in the README parses, so a stale flag cannot
+linger there; and the README's Python examples run, so a stale call cannot
+either."""
 
+import ast
 import shutil
 import subprocess
 from pathlib import Path
@@ -21,6 +24,32 @@ def test_no_tracked_file_is_ignored():
         capture_output=True, text=True, cwd=ROOT, check=True,
     )
     assert proc.stdout == ""
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but neither uses nor lists in ``__all__``."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import | ast.ImportFrom) and getattr(node, "module", "") != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # No linter runs here, so this is what catches an import a deletion orphans.
+    assert _unused_imports("from x import derive, y\nimport a.b\ny(a)\n") == ["line 1: derive"]
+    unused = {
+        path.name: names
+        for path in sorted((ROOT / "src" / "finermoe").glob("*.py"))
+        if (names := _unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert unused == {}
 
 
 def _readme_cli_commands() -> list[list[str]]:
