@@ -1,17 +1,18 @@
-"""Plain-C matrix-multiply kernels (``_matmul.c``), built on first import.
+"""Plain-C kernels (``_kernels.c``), built on first import.
 
 The entries have the signature, the checks and the bits of
-``_kernels_py``'s: ``matmul_f32(a, b, out, offsets=None)`` writes a plain,
-grouped-rows or grouped-inner-index product into ``out``, summing every
-output element over the inner index in ascending order from +0.0, on one
-thread. A transposed operand reaches the C loop as swapped strides and a
-stacked one as a per-matrix stride, so neither is copied here. (A NaN
-result is NaN in both, but its sign and payload may differ: IEEE 754
-leaves open which operand's NaN an add returns.)
+``_kernels_py``'s. ``uniform_f64(seed, counter, out)`` writes SplitMix64
+uniform draws into ``out``. ``matmul_f32(a, b, out, offsets=None)``
+writes a plain, grouped-rows or grouped-inner-index product into ``out``,
+summing every output element over the inner index in ascending order from
++0.0, on one thread. A transposed operand reaches the C loop as swapped
+strides and a stacked one as a per-matrix stride, so neither is copied
+here. (A NaN result is NaN in both, but its sign and payload may differ:
+IEEE 754 leaves open which operand's NaN an add returns.)
 
-The library holds each inner loop three times on x86-64, for AVX-512F,
-AVX2 and baseline SSE2, and the dynamic loader keeps the widest the CPU
-supports when the library loads. ``BACKEND`` names that variant, e.g.
+The library holds each matmul inner loop three times on x86-64, for
+AVX-512F, AVX2 and baseline SSE2, and the dynamic loader keeps the widest
+the CPU supports when the library loads. ``BACKEND`` names that variant, e.g.
 ``"c (avx512f)"``. Under AVX-512F, every plain product of two or more rows
 runs on a register tile that keeps an 8-row, 2-vector block of ``out`` in
 registers over blocks of ``b``'s rows packed into a 512 KB buffer (a
@@ -19,14 +20,14 @@ transposed ``b`` is first gathered into row-major panels), carrying the
 running sums in ``out`` from block to block. All variants, the tile
 included, give the same bits, NaN aside as above.
 
-Importing this module compiles ``_matmul.c`` with gcc into this package's
+Importing this module compiles ``_kernels.c`` with gcc into this package's
 ``__pycache__`` directory, unless a library built from the same source
 with the same flags is already there. The file is named after a digest of
 the source and the flags, followed by a digest of the library's own
 bytes, which is checked before the library is loaded, so a damaged file is
 built again instead of loaded. Each build goes to a temporary directory and
 is renamed into place, so a process never loads a half-written file; a
-build then removes every other ``_matmul-*.so`` there, left by an earlier
+build then removes every other ``_kernels-*.so`` there, left by an earlier
 source or damaged. When there is no gcc, the build fails or the cache
 cannot be written, the import raises ``OSError`` and ``_backend`` falls
 back to ``_kernels_py``.
@@ -42,9 +43,9 @@ from pathlib import Path
 
 import numpy as np
 
-from finermoe._kernels_py import check
+from finermoe._kernels_py import check, check_draws
 
-_SRC = Path(__file__).with_name("_matmul.c")
+_SRC = Path(__file__).with_name("_kernels.c")
 _CACHE = _SRC.parent / "__pycache__"
 # -ffp-contract=off keeps multiplies and adds separately rounded. No
 # -ffast-math, which reorders sums. No -march=native: a library built for
@@ -64,7 +65,7 @@ def _digest(data: bytes) -> str:
 def _library() -> Path:
     """The cached library whose bytes match the digest in its name, or a new build."""
     key = _digest(_SRC.read_bytes() + "\0".join(_FLAGS).encode())
-    for path in _CACHE.glob(f"_matmul-{key}-*.so"):
+    for path in _CACHE.glob(f"_kernels-{key}-*.so"):
         if path.stem.rsplit("-", 1)[1] == _digest(path.read_bytes()):
             return path
     gcc = shutil.which("gcc")
@@ -78,9 +79,9 @@ def _library() -> Path:
             lines = proc.stderr.strip().splitlines() or [""]
             first_error = next((line for line in lines if "error" in line), lines[-1])
             raise OSError(f"gcc exited {proc.returncode}: {first_error}")
-        path = _CACHE / f"_matmul-{key}-{_digest(built.read_bytes())}.so"
+        path = _CACHE / f"_kernels-{key}-{_digest(built.read_bytes())}.so"
         os.replace(built, path)
-    for stale in _CACHE.glob("_matmul-*.so"):
+    for stale in _CACHE.glob("_kernels-*.so"):
         if stale != path:
             stale.unlink(missing_ok=True)
     return path
@@ -103,6 +104,8 @@ def _load(path) -> ctypes.CDLL:
         fn.restype = ctypes.c_int
     lib.gemm_isa.argtypes = ()
     lib.gemm_isa.restype = ctypes.c_char_p
+    lib.uniform_f64.argtypes = (ctypes.c_uint64, ctypes.c_uint64, _ptr, _long)
+    lib.uniform_f64.restype = None
     return lib
 
 
@@ -132,7 +135,16 @@ def _entry(fn, dtype):
     return matmul
 
 
+def _draws(fn):
+    def uniform_f64(seed, counter, out):
+        check_draws(out)
+        fn(int(seed), int(counter), out.ctypes.data, len(out))
+
+    return uniform_f64
+
+
 _lib = _load(_library())
 BACKEND = f"c ({_lib.gemm_isa().decode()})"
 matmul_f32 = _entry(_lib.gemm_f32, np.dtype(np.float32))
 matmul_f64 = _entry(_lib.gemm_f64, np.dtype(np.float64))
+uniform_f64 = _draws(_lib.uniform_f64)

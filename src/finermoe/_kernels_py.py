@@ -1,5 +1,6 @@
-"""Pure-NumPy matrix-multiply kernels: the fallback when the C kernels of
-``_kernels_c`` cannot be built, and their reference in the tests.
+"""Pure-NumPy kernels: the fallback when the C kernels of ``_kernels_c``
+cannot be built, and their reference in the tests. There are two kinds:
+matrix products and SplitMix64 uniform draws.
 
 ``matmul_f32(a, b, out, offsets=None)`` and ``matmul_f64`` write into
 ``out`` one of three products:
@@ -25,6 +26,13 @@ transposed ``b`` is copied to row-major first. The module is the
 reference the C kernels are tested against, and their fallback: at
 infer-fine's dims a forward takes about 120 ms, against about 3 ms with
 the C kernels.
+
+``uniform_f64(seed, counter, out)`` writes the uniform doubles in [0, 1)
+of draws counter + 1 .. counter + len(out) of seed's SplitMix64 stream
+(Steele, Lea & Flood, OOPSLA 2014) into a float64 ``out``: draw i is
+``(mix(seed + i * GOLDEN) >> 11) * 2**-53``, modulo 2**64. Integer mixing
+is exact, so the C entry gives the same bits, about 7x faster
+(``BENCH_c_draws.json``).
 """
 
 import numpy as np
@@ -106,3 +114,42 @@ def _entry(dtype):
 
 matmul_f32 = _entry(np.dtype(np.float32))
 matmul_f64 = _entry(np.dtype(np.float64))
+
+
+GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+
+def mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, in place on a uint64 array ``z``."""
+    t = z >> np.uint64(30)
+    z ^= t
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= np.uint64(0x94D049BB133111EB)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
+
+
+def splitmix64(seed, counter, n: int) -> np.ndarray:
+    """Draws counter + 1 .. counter + n of seed's stream, as uint64."""
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z += np.uint64(counter)
+    z *= GOLDEN
+    z += np.uint64(seed)
+    return mix(z)
+
+
+def check_draws(out) -> None:
+    """Raise ValueError unless ``out`` is a writeable C-contiguous 1-D float64 array."""
+    flags = out.flags
+    if not (out.dtype == np.float64 and out.ndim == 1 and flags.c_contiguous and flags.writeable):
+        raise ValueError("uniform draws need a writeable C-contiguous 1-D float64 out")
+
+
+def uniform_f64(seed, counter, out) -> None:
+    check_draws(out)
+    z = splitmix64(seed, counter, len(out))
+    z >>= np.uint64(11)
+    np.multiply(z, 2.0**-53, out=out)  # below 2**53, so converted exactly

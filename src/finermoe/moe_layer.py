@@ -105,8 +105,8 @@ def named_parameters(model: MoEModel | DenseFfnWeights) -> list[tuple[str, Matri
     params = []
     if model.shared is not None:
         params += [(f"shared.{w}", getattr(model.shared, w)) for w in _SWIGLU]
-    for k, e in enumerate(model.experts):
-        params += [(f"expert.{k}.{w}", getattr(e, w)) for w in _SWIGLU]
+    stacks = [(w, getattr(model.experts, w)) for w in _SWIGLU]
+    params += [(f"expert.{k}.{w}", Matrix.wrap(s[k])) for k in range(len(model.experts)) for w, s in stacks]
     params.append(("router.w", model.router.w))
     if model.router_cc is not None:
         params.append(("router_cc.w", model.router_cc.w))

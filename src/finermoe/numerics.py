@@ -12,7 +12,12 @@ Design constraints that everything downstream leans on:
   bits. Transposed (``Matrix.T``) and grouped (``Grouped``) operands go
   through the same ``matmul`` entry, without copies.
 * The RNG is SplitMix64, a counter-based 64-bit generator with published
-  test vectors; identical seeds give identical streams on every platform.
+  test vectors; identical seeds give identical integer streams on every
+  platform. The integer stream and its uniform doubles run in the active
+  kernel module too: the C entry of ``_kernels.c``, or the NumPy entry,
+  which gives the same bits. Box-Muller's ``log`` and ``cos`` are NumPy's
+  under either, so normal draws also depend on how NumPy rounds them,
+  which can change with the CPU features NumPy dispatches on.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from finermoe import _backend
+from finermoe._kernels_py import GOLDEN, mix, splitmix64
 
 _DTYPES = (np.float32, np.float64)
 
@@ -247,23 +253,6 @@ def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _mix(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer (Steele, Lea & Flood 2014), in place on a
-    uint64 array ``z``."""
-    t = z >> np.uint64(30)
-    z ^= t
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    np.right_shift(z, np.uint64(27), out=t)
-    z ^= t
-    z *= np.uint64(0x94D049BB133111EB)
-    np.right_shift(z, np.uint64(31), out=t)
-    z ^= t
-    return z
-
-
 class Rng:
     """SplitMix64 stream: output i is mix(seed + i * golden_gamma).
 
@@ -277,28 +266,27 @@ class Rng:
         self.counter = np.uint64(0)
 
     def _raw(self, n: int) -> np.ndarray:
-        z = np.arange(1, n + 1, dtype=np.uint64)
-        z += self.counter
+        """The next n integer draws: the reference, checked against a
+        scalar loop, for the draws the kernel entries turn into doubles."""
+        z = splitmix64(self.seed, self.counter, n)
         self.counter += np.uint64(n)
-        z *= _GOLDEN
-        z += self.seed
-        return _mix(z)
+        return z
 
     def uniform(self, n: int) -> np.ndarray:
-        """n float64 samples in [0, 1) with 53-bit resolution."""
-        return (self._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        """n float64 samples in [0, 1) with 53-bit resolution:
+        (draw >> 11) * 2^-53, from the active kernel module."""
+        out = np.empty(n)
+        _backend.active.uniform_f64(self.seed, self.counter, out)
+        self.counter += np.uint64(n)
+        return out
 
     def normal(self, n: int, std: float = 1.0) -> np.ndarray:
         """n float64 N(0, std^2) samples via Box-Muller (cosine branch)."""
         # std * sqrt(-2 log(u1)) * cos(2 pi u2), one rounded operation at a
         # time in that order, in place: the pinned draws keep their bits.
-        f = self._raw(2 * n)
-        f >>= np.uint64(11)
-        f = f.astype(np.float64)  # and the uint64 draws are freed
-        u1, u2 = f[:n], f[n:]
-        u1 += 1.0
-        u1 *= 2.0**-53  # (0, 1]
-        u2 *= 2.0**-53
+        u = self.uniform(2 * n)
+        u1, u2 = u[:n], u[n:]
+        u1 += 2.0**-53  # (0, 1]; (k + 1) * 2^-53 exactly
         np.log(u1, out=u1)
         u1 *= -2.0
         np.sqrt(u1, out=u1)
@@ -314,5 +302,5 @@ class Rng:
     def child(self, stream: int) -> "Rng":
         """Independent sub-stream keyed by a small integer tag."""
         with np.errstate(over="ignore"):
-            tag = _mix(np.array([np.uint64((stream + 1) & 0xFFFFFFFFFFFFFFFF) * _GOLDEN]))
-            return Rng(int(_mix(self.seed ^ tag)[0]))
+            tag = mix(np.array([np.uint64((stream + 1) & 0xFFFFFFFFFFFFFFFF) * GOLDEN]))
+            return Rng(int(mix(self.seed ^ tag)[0]))

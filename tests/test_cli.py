@@ -520,8 +520,8 @@ class TestErrorsAndEntryPoint:
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         with pyproject.open("rb") as f:
             data = tomllib.load(f)["tool"]["setuptools"]["package-data"]["finermoe"]
-        assert "_matmul.c" in data
-        assert (Path(finermoe.__file__).resolve().parent / "_matmul.c").is_file()
+        assert "_kernels.c" in data
+        assert (Path(finermoe.__file__).resolve().parent / "_kernels.c").is_file()
 
     @pytest.mark.skipif(shutil.which("finermoe") is None, reason="finermoe script not installed")
     def test_installed_console_script(self, tmp_path):

@@ -30,7 +30,7 @@ def _cpu_flags():
     return next((set(line.split(":", 1)[1].split()) for line in lines if line.startswith("flags")), set())
 
 
-# The C kernel's inner-loop variants, widest first, as _matmul.c clones them
+# The C kernel's inner-loop variants, widest first, as _kernels.c clones them
 # (CLONES) and names them (gemm_isa); the loader runs the first the CPU
 # supports, and plain products of two or more rows run on the packed
 # register tile where that is avx512f. A test builds each variant from a
@@ -57,9 +57,9 @@ def c_kernels():
 
 @pytest.fixture(scope="session")
 def isa_kernels(tmp_path_factory):
-    """{isa: its matmul_f32 and matmul_f64} for each variant this CPU runs,
-    each built once from the source without CLONES, with -Wall -Wextra and
-    no warning."""
+    """{isa: its matmul_f32, matmul_f64 and uniform_f64} for each variant
+    this CPU runs, each built once from the source without CLONES, with
+    -Wall -Wextra and no warning."""
     gcc = shutil.which("gcc")
     if gcc is None:
         pytest.skip("no gcc on PATH, so the C kernels cannot build")
@@ -86,7 +86,8 @@ def isa_kernels(tmp_path_factory):
     assert {isa: lib.gemm_isa().decode() for isa, lib in libs.items()} == {isa: isa for isa in HOST_ISAS}
     return {
         isa: SimpleNamespace(matmul_f32=_kernels_c._entry(lib.gemm_f32, np.dtype(np.float32)),
-                             matmul_f64=_kernels_c._entry(lib.gemm_f64, np.dtype(np.float64)))
+                             matmul_f64=_kernels_c._entry(lib.gemm_f64, np.dtype(np.float64)),
+                             uniform_f64=_kernels_c._draws(lib.uniform_f64))
         for isa, lib in libs.items()
     }
 
@@ -527,7 +528,7 @@ def _draw_case(rng, dtype, layout, path):
 
 
 def _source_constant(name):
-    """The value of ``#define name v`` or ``#define name (1L << e)`` in _matmul.c."""
+    """The value of ``#define name v`` or ``#define name (1L << e)`` in _kernels.c."""
     from finermoe import _kernels_c
 
     value = re.search(rf"^#define {name} (?:(\d+)|\(1L << (\d+)\))$", _kernels_c._SRC.read_text(), re.M)
@@ -600,7 +601,7 @@ class TestDeterminismContract:
 
 
 class TestRegisterTile:
-    """Plain products around the AVX-512F register tile of _matmul.c (8
+    """Plain products around the AVX-512F register tile of _kernels.c (8
     rows by 2 vectors, NR = 32 f32 or 16 f64 columns; 4-, 2- and 1-row
     tiles for the rows left over, the i-p-j block for the m % NR columns
     left over): the active C kernels and every C variant this CPU runs
@@ -636,7 +637,7 @@ class TestRegisterTile:
 
 
 class TestWidePanels:
-    """Plain products around the blocks of the packed tile of _matmul.c.
+    """Plain products around the blocks of the packed tile of _kernels.c.
     Under AVX-512F, products of two or more rows read b in blocks of kc
     rows, kc = WIDE_BUF // (mt * itemsize) for the mt = m - m % NR columns
     the register tile covers; each block is packed into panels of NR
@@ -815,23 +816,23 @@ class TestKernelBuild:
     def test_second_import_loads_the_cached_library(self, tmp_path):
         pkg = _package_copy(tmp_path)
         assert _child(pkg, BACKEND) == C_BACKEND
-        (lib,) = (pkg / "__pycache__").glob("_matmul-*.so")
+        (lib,) = (pkg / "__pycache__").glob("_kernels-*.so")
         before = lib.stat()
         # Without gcc on PATH, the C backend means nothing was compiled.
         assert _child(pkg, BACKEND, gcc=False) == C_BACKEND
-        assert list((pkg / "__pycache__").glob("_matmul-*.so")) == [lib]
+        assert list((pkg / "__pycache__").glob("_kernels-*.so")) == [lib]
         assert (lib.stat().st_ino, lib.stat().st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
     @needs_gcc
     def test_truncated_library_is_rebuilt_or_falls_back(self, tmp_path):
         pkg = _package_copy(tmp_path)
         assert _child(pkg, BACKEND) == C_BACKEND
-        (lib,) = (pkg / "__pycache__").glob("_matmul-*.so")
+        (lib,) = (pkg / "__pycache__").glob("_kernels-*.so")
         good = lib.read_bytes()
         lib.write_bytes(good[: len(good) // 2])
         assert _child(pkg, BACKEND, gcc=False) == "python (gcc not found on PATH)"
         assert _child(pkg, BACKEND) == C_BACKEND
-        assert [p.read_bytes() for p in (pkg / "__pycache__").glob("_matmul-*.so")] == [good]
+        assert [p.read_bytes() for p in (pkg / "__pycache__").glob("_kernels-*.so")] == [good]
 
     @needs_gcc
     def test_a_build_removes_the_libraries_of_other_sources(self, tmp_path):
@@ -844,10 +845,10 @@ class TestKernelBuild:
         (pkg / "__pycache__").mkdir()
         old = Path(shutil.copy(_kernels_c._library(), pkg / "__pycache__"))
         assert _child(pkg, BACKEND, gcc=False) == C_BACKEND
-        with open(pkg / "_matmul.c", "a", encoding="utf-8") as fh:
+        with open(pkg / "_kernels.c", "a", encoding="utf-8") as fh:
             fh.write("/* edited */\n")
         assert _child(pkg, BACKEND) == C_BACKEND
-        (lib,) = (pkg / "__pycache__").glob("_matmul-*.so")
+        (lib,) = (pkg / "__pycache__").glob("_kernels-*.so")
         assert lib.name != old.name
 
     def test_the_library_holds_no_fused_multiply_add(self):
@@ -875,7 +876,7 @@ class TestKernelBuild:
         if shutil.which("gcc") is None:
             pytest.skip("no gcc on PATH")
         if why == "compile fails":
-            with open(pkg / "_matmul.c", "a", encoding="utf-8") as fh:
+            with open(pkg / "_kernels.c", "a", encoding="utf-8") as fh:
                 fh.write("#error deliberately broken\n")
             assert _child(pkg, BACKEND).startswith("python (gcc exited 1: ")
         else:
@@ -1031,6 +1032,84 @@ class TestRng:
         b = base.child(1).uniform(1000)
         assert not np.array_equal(a, b)
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.1
+
+
+def _scalar_uniform(seed: int, counter: int, n: int) -> list[float]:
+    """Draws counter + 1 .. counter + n as uniform doubles, from the
+    plain-int stream above."""
+    mask = (1 << 64) - 1
+    start = (seed + counter * 0x9E3779B97F4A7C15) & mask
+    return [(z >> 11) * 2.0**-53 for z in _splitmix64_scalar(start, n)]
+
+
+class TestUniformDraws:
+    """The uniform_f64 entries: every C build gives _kernels_py's bytes, and
+    Rng's draws are the same whichever kernel module is active."""
+
+    M = 1 << 64
+
+    def _cases(self):
+        rng = np.random.default_rng(2028)
+        for seed in (0, 1, self.M - 1, int(rng.integers(self.M, dtype=np.uint64))):
+            for n in (0, 1, 2 * int(rng.integers(1, 500)) + 1, 262144):
+                wrap = self.M - int(rng.integers(1, 2 * n + 2))
+                for counter in (0, int(rng.integers(self.M, dtype=np.uint64)), wrap):
+                    yield seed, counter, n
+
+    def _uniform(self, kernels, seed, counter, n):
+        out = np.empty(n)
+        kernels.uniform_f64(seed, counter, out)
+        return out
+
+    def test_numpy_entry_matches_the_scalar_stream(self):
+        for seed, counter, n in self._cases():
+            if n < 1000:
+                assert self._uniform(_kernels_py, seed, counter, n).tolist() == _scalar_uniform(seed, counter, n)
+
+    def test_every_c_build_gives_the_numpy_entrys_bytes(self, c_kernels, isa_kernels):
+        for seed, counter, n in self._cases():
+            want = self._uniform(_kernels_py, seed, counter, n).tobytes()
+            for kern in (c_kernels, *isa_kernels.values()):
+                assert self._uniform(kern, seed, counter, n).tobytes() == want, (seed, counter, n)
+
+    @pytest.mark.parametrize("kernels", ["python", "c"])
+    def test_entries_refuse_an_out_they_cannot_fill(self, request, kernels):
+        kern = _kernel_module(request, kernels)
+        for out in (np.empty(4, np.float32), np.empty((2, 2)), np.empty(8)[::2]):
+            with pytest.raises(ValueError, match="float64 out"):
+                kern.uniform_f64(1, 0, out)
+        frozen = np.empty(4)
+        frozen.flags.writeable = False
+        with pytest.raises(ValueError, match="float64 out"):
+            kern.uniform_f64(1, 0, frozen)
+
+    def test_normal_is_box_muller_of_the_integer_stream(self):
+        for seed, counter, n in self._cases():
+            if n > 1000:
+                continue
+            ref, rng = Rng(seed), Rng(seed)
+            ref.counter = rng.counter = np.uint64(counter)
+            with np.errstate(over="ignore"):
+                k = (ref._raw(2 * n) >> np.uint64(11)).astype(np.float64)
+                got = rng.normal(n, std=0.5)
+            want = 0.5 * np.sqrt(-2.0 * np.log((k[:n] + 1.0) * 2.0**-53)) * np.cos(k[n:] * 2.0**-53 * (2.0 * np.pi))
+            assert got.tobytes() == want.tobytes() and rng.counter == ref.counter
+
+    def test_rng_draws_are_the_same_under_the_numpy_kernels(self, c_kernels, monkeypatch):
+        def draws():
+            out = []
+            for seed, counter, n in self._cases():
+                rng = Rng(seed)
+                rng.counter = np.uint64(counter)
+                with np.errstate(over="ignore"):
+                    out += [rng.uniform(n), rng.normal(n, std=0.02), rng.matrix(3, 5, std=2.0).a, rng.counter]
+            dense = random_dense(256, 1024, 7)
+            return [np.asarray(x).tobytes() for x in out] + [dense.w1.a.tobytes(), dense.wg.a.tobytes(),
+                                                               dense.w2.a.tobytes()]
+
+        here = draws()
+        monkeypatch.setattr(_backend, "active", _kernels_py)
+        assert draws() == here
 
 
 class TestMatrix:
