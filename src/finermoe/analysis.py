@@ -30,7 +30,7 @@ def expert_similarity(model: MoEModel) -> SimilarityReport:
     score exactly 1.0 and negated ones exactly -1.0.
     """
     stack = model.experts
-    n = len(stack)
+    n = len(stack.w1)
     if n < 2:
         raise ValueError(f"similarity needs at least 2 experts, got {n}")
     vecs = np.concatenate(

@@ -57,10 +57,6 @@ class CheckpointError(ValueError):
     """Malformed or inconsistent checkpoint file."""
 
 
-class TruncatedPayloadError(CheckpointError):
-    pass
-
-
 def _manifest(model: DenseFfnWeights | MoEModel) -> str:
     """The manifest of ``model``'s FRM1 file: format, kind and config, then
     five lines per ``named_parameters`` tensor, each tensor starting where
@@ -177,15 +173,15 @@ def read_model(path) -> DenseFfnWeights | MoEModel:
             raise CheckpointError(f"bad magic {magic!r}, expected {MAGIC!r}")
         mlen_bytes = fh.read(8)
         if len(mlen_bytes) != 8:
-            raise TruncatedPayloadError("file ends inside the header")
+            raise CheckpointError("file ends inside the header")
         mlen = int.from_bytes(mlen_bytes, "little")
         if mlen > size - _HEADER:
-            raise TruncatedPayloadError(
+            raise CheckpointError(
                 f"manifest length {mlen} exceeds the {size - _HEADER} bytes after the header"
             )
         manifest = fh.read(mlen)
         if len(manifest) != mlen:
-            raise TruncatedPayloadError("file ends inside the manifest")
+            raise CheckpointError("file ends inside the manifest")
         try:
             text = manifest.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -201,10 +197,10 @@ def read_model(path) -> DenseFfnWeights | MoEModel:
         start = _HEADER + mlen + (-(_HEADER + mlen)) % _ALIGN
         left = size - start
         if left < 0:
-            raise TruncatedPayloadError("file ends inside the manifest padding")
+            raise CheckpointError("file ends inside the manifest padding")
         # Dims the payload cannot hold fail before anything is mapped.
         if 4 * n_params > left:
-            raise TruncatedPayloadError(f"payload has {left} bytes, {kv['kind']} dims need {4 * n_params}")
+            raise CheckpointError(f"payload has {left} bytes, {kv['kind']} dims need {4 * n_params}")
         # The header was read, so the file is not empty and can be mapped.
         mapped = mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_COPY)
     flat = np.frombuffer(mapped, dtype="<f4", count=n_params, offset=start)
@@ -234,6 +230,6 @@ def read_model(path) -> DenseFfnWeights | MoEModel:
     # all of it.
     if isinstance(model, MoEModel):
         for r in (model.router, model.router_cc):
-            if r is not None and not np.isfinite(r.w.a).all():
+            if r is not None and not np.isfinite(r.a).all():
                 raise CheckpointError("router weights hold NaN or infinity")
     return model

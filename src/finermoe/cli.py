@@ -150,7 +150,7 @@ def _cmd_route_stats(args) -> int:
 def _cmd_similarity(args) -> int:
     model = _load_moe(args.model)
     rep = analysis.expert_similarity(model)
-    print(f"experts = {len(model.experts)}")
+    print(f"experts = {model.dims.N}")
     print(f"pairs = {rep.n_pairs}")
     print(f"mean_cosine = {rep.mean:.10g}")
     if args.csv:

@@ -2,12 +2,14 @@
 finer-grained sparse experts.
 
 Per row: y_inner = (x W1) * silu(x Wg), y = y_inner W2. No bias terms;
-the activation is fixed to SiLU.
+the activation is fixed to SiLU. ``swiglu`` takes the three weights as
+operands: a dense FFN's matrices, one expert's slices of an
+``ExpertStack``, or the stacks' ``Grouped`` views for all experts at once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,39 +53,15 @@ class DenseFfnWeights:
         return DenseFfnWeights(self.w1.copy(), self.wg.copy(), self.w2.copy())
 
 
-@dataclass
-class ExpertWeights:
-    """One sparse expert: W1, Wg of shape h x H_e; W2 of shape H_e x h_e.
-
-    Models store their experts in an ExpertStack, whose ``[k]`` returns one
-    of these wrapping slice k of the stacks without copying, and whose
-    ``grouped(offsets)`` returns one of Grouped operands: all experts at
-    once, each on its own rows.
-    """
-
-    w1: Matrix
-    wg: Matrix
-    w2: Matrix
-
-    def __post_init__(self):
-        h, H_e = self.w1.shape
-        if self.wg.shape != (h, H_e) or self.w2.rows != H_e:
-            raise ValueError(
-                f"inconsistent expert shapes: w1 {self.w1.shape}, wg {self.wg.shape}, "
-                f"w2 {self.w2.shape}"
-            )
-
-
 @dataclass(eq=False)
-class ExpertStack(Sequence):
+class ExpertStack:
     """All N sparse experts of a layer as three arrays: w1, wg of shape
-    N x h x H_e and w2 of shape N x H_e x h_e. Each expert's slice ``w1[k]``
-    etc. is C-contiguous; the stacks themselves are C-contiguous, or, as
-    ``MoEModel.over`` lays them out (``read_model``, ``MoEModel.zeros``),
-    views strided by one expert's w1+wg+w2.
-
-    ``stack[k]`` is expert k as an ExpertWeights of views, so writing
-    through it writes the stack; ``len(stack)`` is N.
+    N x h x H_e and w2 of shape N x H_e x h_e. Expert k is ``w1[k]``,
+    ``wg[k]`` and ``w2[k]``, each C-contiguous, so ``Matrix.wrap`` adopts
+    it without copying and writing through it writes the stack. The stacks
+    themselves are C-contiguous, or, as ``MoEModel.over`` lays them out
+    (``read_model``, ``MoEModel.zeros``), views strided by one expert's
+    w1+wg+w2.
     """
 
     w1: np.ndarray
@@ -96,17 +74,11 @@ class ExpertStack(Sequence):
             np.zeros((n, h, H_e), dtype), np.zeros((n, h, H_e), dtype), np.zeros((n, H_e, h_e), dtype)
         )
 
-    def __len__(self) -> int:
-        return self.w1.shape[0]
-
-    def __getitem__(self, k: int) -> ExpertWeights:
-        return ExpertWeights(Matrix.wrap(self.w1[k]), Matrix.wrap(self.wg[k]), Matrix.wrap(self.w2[k]))
-
-    def grouped(self, offsets: np.ndarray) -> ExpertWeights:
-        """Every expert as one ExpertWeights of Grouped views of the stacks:
-        ``swiglu`` of expert-major rows split by ``offsets`` then runs each
-        expert on its own rows, three grouped products in all."""
-        return ExpertWeights(*(Grouped(w, offsets) for w in (self.w1, self.wg, self.w2)))
+    def grouped(self, offsets: np.ndarray) -> tuple[Grouped, Grouped, Grouped]:
+        """w1, wg and w2 as Grouped operands split by ``offsets``: ``swiglu``
+        of expert-major rows with them runs each expert on its own rows,
+        three grouped products in all."""
+        return tuple(Grouped(a, offsets) for a in (self.w1, self.wg, self.w2))
 
     def astype(self, dtype) -> "ExpertStack":
         return ExpertStack(*(np.ascontiguousarray(a, dtype=dtype) for a in (self.w1, self.wg, self.w2)))
@@ -125,23 +97,19 @@ class SwiGLUTape:
     out: Matrix
 
 
-def swiglu(x: Matrix, w: ExpertWeights | DenseFfnWeights) -> SwiGLUTape:
-    """SwiGLU forward of a token batch with its intermediates; with
-    ``ExpertStack.grouped`` weights, of every expert's batch at once."""
-    if x.cols != w.w1.rows:
-        raise ValueError(f"input width {x.cols} does not match expert input dim {w.w1.rows}")
-    up = matmul(x, w.w1).a
-    gate = matmul(x, w.wg).a
+def swiglu(x: Matrix, w1: Matrix | Grouped, wg: Matrix | Grouped, w2: Matrix | Grouped) -> SwiGLUTape:
+    """SwiGLU forward of a token batch with its intermediates: one expert's
+    or a dense FFN's matrices, or, with ``ExpertStack.grouped`` operands,
+    every expert's batch at once."""
+    if x.cols != w1.rows:
+        raise ValueError(f"input width {x.cols} does not match expert input dim {w1.rows}")
+    up = matmul(x, w1).a
+    gate = matmul(x, wg).a
     inner = Matrix.wrap(up * silu(gate))
-    return SwiGLUTape(up, gate, inner, matmul(inner, w.w2))
-
-
-def expert_forward(x: Matrix, w: ExpertWeights | DenseFfnWeights) -> Matrix:
-    """SwiGLU forward of a token batch; output is L x h_e (L x h for a dense FFN)."""
-    return swiglu(x, w).out
+    return SwiGLUTape(up, gate, inner, matmul(inner, w2))
 
 
 def shared_forward(x: Matrix, w: DenseFfnWeights) -> SwiGLUTape:
     """Full-size SwiGLU forward; identical computation at (H, h). The
     output is ``.out``, the rest is the tape ``backward`` reads."""
-    return swiglu(x, w)
+    return swiglu(x, w.w1, w.wg, w.w2)

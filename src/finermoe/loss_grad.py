@@ -24,7 +24,7 @@ from finermoe.config import FineRConfig, expert_component
 from finermoe.experts import DenseFfnWeights, ExpertStack, SwiGLUTape
 from finermoe.moe_layer import LayerOutput, MoEModel, decide, forward, named_parameters
 from finermoe.numerics import Grouped, Matrix, Rng, matmul, sigmoid
-from finermoe.router import RouterState, RoutingDecision
+from finermoe.router import RoutingDecision
 
 
 @dataclass
@@ -61,22 +61,23 @@ class LayerGradients:
     d_x: Matrix | None
 
 
-def _swiglu_backward(x_rows: np.ndarray, w, t: SwiGLUTape, d_out: np.ndarray, input_grad: bool, offsets=None):
-    """SwiGLU chain rule on a forward tape. Returns (dW1, dWg, dW2, d_x_rows),
-    with d_x_rows None unless ``input_grad``.
+def _swiglu_backward(x_rows: np.ndarray, w1, wg, w2, t: SwiGLUTape, d_out: np.ndarray, input_grad: bool):
+    """SwiGLU chain rule on a forward tape of ``swiglu(x, w1, wg, w2)``.
+    Returns (dW1, dWg, dW2, d_x_rows), with d_x_rows None unless
+    ``input_grad``.
 
-    With ``offsets``, ``w`` is ``ExpertStack.grouped(offsets)`` and the rows
-    are expert-major pairs: every product is grouped, and the weight
+    With ``ExpertStack.grouped`` operands the rows are expert-major pairs:
+    every product is grouped by the operands' offsets, and the weight
     gradients come back as Grouped stacks, zero for an expert with no pair.
     Transposed operands are ``.T`` views; nothing is copied to transpose it.
     """
 
     def rows_t(rows):  # rows^T as a left operand, split by expert if grouped
-        return Matrix.wrap(rows).T if offsets is None else Grouped(rows.T, offsets)
+        return Grouped(rows.T, w1.offsets) if isinstance(w1, Grouped) else Matrix.wrap(rows).T
 
     d_out_m = Matrix.wrap(d_out)
     d_w2 = matmul(rows_t(t.inner.a), d_out_m)
-    d_inner = matmul(d_out_m, w.w2.T).a
+    d_inner = matmul(d_out_m, w2.T).a
     # silu(g) = g * s and silu'(g) = s * (1 + g * (1 - s)): one sigmoid for both.
     s = sigmoid(t.gate)
     d_up = Matrix.wrap(d_inner * (t.gate * s))
@@ -85,7 +86,7 @@ def _swiglu_backward(x_rows: np.ndarray, w, t: SwiGLUTape, d_out: np.ndarray, in
     d_wg = matmul(rows_t(x_rows), d_gate)
     d_x = None
     if input_grad:
-        d_x = matmul(d_up, w.w1.T).a + matmul(d_gate, w.wg.T).a
+        d_x = matmul(d_up, w1.T).a + matmul(d_gate, wg.T).a
     return d_w1, d_wg, d_w2, d_x
 
 
@@ -97,7 +98,7 @@ def _router_backward(x: Matrix, model: MoEModel, decision: RoutingDecision, d_sc
     d_logits = s_full * (d_score - (d_score * s_full).sum(axis=1, keepdims=True))
     d_logits_m = Matrix.wrap(np.ascontiguousarray(d_logits.astype(x.dtype)))
     if d_x is not None:
-        d_x += matmul(d_logits_m, model.router.w.T).a
+        d_x += matmul(d_logits_m, model.router.T).a
     return matmul(x.T, d_logits_m)
 
 
@@ -149,7 +150,8 @@ def backward(
 
     d_shared = None
     if model.shared is not None:
-        d_w1, d_wg, d_w2, d_x_s = _swiglu_backward(x.a, model.shared, tape.shared, upstream.a, input_grad)
+        sh = model.shared
+        d_w1, d_wg, d_w2, d_x_s = _swiglu_backward(x.a, sh.w1, sh.wg, sh.w2, tape.shared, upstream.a, input_grad)
         d_shared = DenseFfnWeights(d_w1, d_wg, d_w2)
         if d_x is not None:
             d_x += d_x_s
@@ -162,8 +164,7 @@ def backward(
     u_rows = d_cat.reshape(L, cfg.G_O, dims.h_e)[tokens, expert_component(cfg, experts)]
     w_rows = decision.score[tokens, experts].astype(dtype)
     d_w1, d_wg, d_w2, d_x_rows = _swiglu_backward(
-        tape.sparse.x_rows, model.experts.grouped(plan.offsets), t, u_rows * w_rows[:, None], input_grad,
-        plan.offsets,
+        tape.sparse.x_rows, *model.experts.grouped(plan.offsets), t, u_rows * w_rows[:, None], input_grad
     )
     d_experts = ExpertStack(d_w1.a, d_wg.a, d_w2.a)
     if d_x is not None:
@@ -179,13 +180,10 @@ def backward(
         d_score = d_score + d_score_extra
     d_router = _router_backward(x, model, decision, d_score, d_x)
 
-    d_router_cc = None
-    if model.router_cc is not None:
-        d_router_cc = RouterState(Matrix.zeros(cfg.h, dims.n_groups, dtype=dtype))
+    d_router_cc = None if model.router_cc is None else Matrix.zeros(cfg.h, dims.n_groups, dtype=dtype)
 
     d_model = MoEModel(
-        cfg=cfg, shared=d_shared, experts=d_experts, router=RouterState(d_router),
-        router_cc=d_router_cc, concat_proj=d_proj,
+        cfg=cfg, shared=d_shared, experts=d_experts, router=d_router, router_cc=d_router_cc, concat_proj=d_proj,
     ).astype(dtype)
     return LayerGradients(d_model=d_model, d_x=None if d_x is None else Matrix.wrap(d_x))
 
@@ -227,7 +225,7 @@ def balance_loss_fn(alpha: float = 0.001) -> LossFn:
         d_score = balance_loss_score_grad(decision, model.cfg, alpha)
         d_model = MoEModel.zeros(model.cfg).astype(x.dtype)
         d_x = np.zeros((x.rows, model.cfg.h), dtype=x.dtype)
-        d_model.router = RouterState(_router_backward(x, model, decision, d_score, d_x))
+        d_model.router = _router_backward(x, model, decision, d_score, d_x)
         return LayerGradients(d_model=d_model, d_x=Matrix.wrap(d_x))
 
     return LossFn(value=value, grads=grads)

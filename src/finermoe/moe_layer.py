@@ -22,7 +22,7 @@ import numpy as np
 from finermoe.config import FineRConfig, DerivedDims, derive, with_updates
 from finermoe.experts import DenseFfnWeights, ExpertStack, SwiGLUTape, shared_forward, swiglu
 from finermoe.numerics import Matrix, matmul
-from finermoe.router import RouterState, RoutingDecision, route, route_separate, score
+from finermoe.router import RoutingDecision, route, route_separate, score
 
 _SWIGLU = ("w1", "wg", "w2")
 
@@ -36,8 +36,8 @@ class MoEModel:
     cfg: FineRConfig
     shared: DenseFfnWeights | None
     experts: ExpertStack
-    router: RouterState
-    router_cc: RouterState | None = None  # second router, separate mode only
+    router: Matrix  # h x N
+    router_cc: Matrix | None = None  # h x n_groups, second router, separate mode only
     concat_proj: Matrix | None = None  # optional h x h projection after concat
 
     @classmethod
@@ -55,9 +55,8 @@ class MoEModel:
         experts = ExpertStack(
             per[:, :a].reshape(N, h, H_e), per[:, a:b].reshape(N, h, H_e), per[:, b:].reshape(N, H_e, h_e)
         )
-        router = RouterState(Matrix.wrap(take(h, N)))
-        separate = cfg.router_mode == "separate"
-        router_cc = RouterState(Matrix.wrap(take(h, dims.n_groups))) if separate else None
+        router = Matrix.wrap(take(h, N))
+        router_cc = Matrix.wrap(take(h, dims.n_groups)) if cfg.router_mode == "separate" else None
         concat_proj = Matrix.wrap(take(h, h)) if cfg.concat_proj else None
         return cls(cfg, shared, experts, router, router_cc, concat_proj)
 
@@ -106,10 +105,10 @@ def named_parameters(model: MoEModel | DenseFfnWeights) -> list[tuple[str, Matri
     if model.shared is not None:
         params += [(f"shared.{w}", getattr(model.shared, w)) for w in _SWIGLU]
     stacks = [(w, getattr(model.experts, w)) for w in _SWIGLU]
-    params += [(f"expert.{k}.{w}", Matrix.wrap(s[k])) for k in range(len(model.experts)) for w, s in stacks]
-    params.append(("router.w", model.router.w))
+    params += [(f"expert.{k}.{w}", Matrix.wrap(s[k])) for k in range(len(model.experts.w1)) for w, s in stacks]
+    params.append(("router.w", model.router))
     if model.router_cc is not None:
-        params.append(("router_cc.w", model.router_cc.w))
+        params.append(("router_cc.w", model.router_cc))
     if model.concat_proj is not None:
         params.append(("concat_proj.w", model.concat_proj))
     return params
@@ -216,7 +215,7 @@ def sparse_experts_forward(x: Matrix, model: MoEModel, decision: RoutingDecision
     """
     plan = build_dispatch_plan(decision)
     x_rows = x.a[plan.tokens_by_expert]
-    tape = swiglu(Matrix.wrap(x_rows), model.experts.grouped(plan.offsets))
+    tape = swiglu(Matrix.wrap(x_rows), *model.experts.grouped(plan.offsets))
     # The sparse output keeps the input's dtype, also for an f64 model.
     out_pairs = tape.out.a.astype(x.dtype, copy=False)
     return SparseTape(plan, x_rows, tape, combine(out_pairs, decision, plan, model.cfg))

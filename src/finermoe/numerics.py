@@ -30,6 +30,7 @@ from finermoe import _backend
 from finermoe._kernels_py import GOLDEN, mix, splitmix64
 
 _DTYPES = (np.float32, np.float64)
+_MASK64 = (1 << 64) - 1
 
 
 def get_num_threads() -> int:
@@ -262,14 +263,16 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        self.seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-        self.counter = np.uint64(0)
+        self.seed = np.uint64(seed & _MASK64)
+        # A Python int, advanced modulo 2^64 as one: it wraps without an
+        # overflow warning, also when a caller set it as an np.uint64.
+        self.counter = 0
 
     def _raw(self, n: int) -> np.ndarray:
         """The next n integer draws: the reference, checked against a
         scalar loop, for the draws the kernel entries turn into doubles."""
         z = splitmix64(self.seed, self.counter, n)
-        self.counter += np.uint64(n)
+        self.counter = (int(self.counter) + n) & _MASK64
         return z
 
     def uniform(self, n: int) -> np.ndarray:
@@ -277,7 +280,7 @@ class Rng:
         (draw >> 11) * 2^-53, from the active kernel module."""
         out = np.empty(n)
         _backend.active.uniform_f64(self.seed, self.counter, out)
-        self.counter += np.uint64(n)
+        self.counter = (int(self.counter) + n) & _MASK64
         return out
 
     def normal(self, n: int, std: float = 1.0) -> np.ndarray:
@@ -302,5 +305,5 @@ class Rng:
     def child(self, stream: int) -> "Rng":
         """Independent sub-stream keyed by a small integer tag."""
         with np.errstate(over="ignore"):
-            tag = mix(np.array([np.uint64((stream + 1) & 0xFFFFFFFFFFFFFFFF) * GOLDEN]))
+            tag = mix(np.array([np.uint64((stream + 1) & _MASK64) * GOLDEN]))
             return Rng(int(mix(self.seed ^ tag)[0]))

@@ -24,16 +24,6 @@ from finermoe.numerics import Matrix, matmul, softmax
 
 
 @dataclass
-class RouterState:
-    """Linear router: w maps a hidden state to one logit per expert."""
-
-    w: Matrix
-
-    def astype(self, dtype) -> "RouterState":
-        return RouterState(self.w.astype(dtype))
-
-
-@dataclass
 class RoutingDecision:
     """Everything the routing pass decided for a batch of L tokens.
 
@@ -60,9 +50,10 @@ class RoutingDecision:
         return self.score.shape[1]
 
 
-def score(x: Matrix, router: RouterState) -> Matrix:
-    """Per-token softmax over the N router logits of x @ w."""
-    logits = matmul(x, router.w)
+def score(x: Matrix, router: Matrix) -> Matrix:
+    """Per-token softmax over the router logits of x @ router: one per
+    expert, or one per group for a separate-mode candidate router."""
+    logits = matmul(x, router)
     return Matrix.wrap(np.ascontiguousarray(softmax(logits.a, axis=1)))
 
 

@@ -22,7 +22,6 @@ from finermoe.config import FineRConfig, derive, expert_component, validate
 from finermoe.experts import DenseFfnWeights, ExpertStack
 from finermoe.moe_layer import MoEModel
 from finermoe.numerics import Matrix, Rng
-from finermoe.router import RouterState
 
 ROUTER_INIT_STD = 0.02
 
@@ -71,14 +70,10 @@ def upcycle(dense: DenseFfnWeights, cfg: FineRConfig, seed: int) -> MoEModel:
         experts.w1[k] = dense.w1.a[:, c0:c1]
         experts.wg[k] = dense.wg.a[:, c0:c1]
         experts.w2[k] = dense.w2.a[c0:c1, o0:o1]
-    router = RouterState(
-        rng.child(_STREAM_ROUTER).matrix(cfg.h, dims.N, std=ROUTER_INIT_STD)
-    )
+    router = rng.child(_STREAM_ROUTER).matrix(cfg.h, dims.N, std=ROUTER_INIT_STD)
     router_cc = None
     if cfg.router_mode == "separate":
-        router_cc = RouterState(
-            rng.child(_STREAM_ROUTER_CC).matrix(cfg.h, dims.n_groups, std=ROUTER_INIT_STD)
-        )
+        router_cc = rng.child(_STREAM_ROUTER_CC).matrix(cfg.h, dims.n_groups, std=ROUTER_INIT_STD)
     model = MoEModel(
         cfg=cfg,
         shared=dense.copy() if cfg.share_expert else None,
@@ -109,17 +104,17 @@ def drop_upcycle(
     cfg = FineRConfig(h=dense.h, H=dense.H, G_I=1, R_I=n_experts, G_O=1, R_O=1, T_I=n_active)
     model = upcycle(dense, cfg, seed)
     rng = Rng(seed)
-    for k, ex in enumerate(model.experts):
-        for m_idx, mat in enumerate((ex.w1, ex.wg, ex.w2)):
+    stacks = (model.experts.w1, model.experts.wg, model.experts.w2)
+    for k in range(n_experts):
+        for m_idx, stack in enumerate(stacks):
             child = rng.child(_STREAM_EXPERT_BASE + 3 * k + m_idx)
-            n = mat.a.size
-            mask = child.uniform(n) < drop_ratio
+            mat = stack[k]
+            mask = child.uniform(mat.size) < drop_ratio
             if not mask.any():
                 continue
-            std = float(mat.a.astype(np.float64).std())
-            redrawn = child.normal(n, std=std)
-            flat = mat.a.ravel()
-            flat[mask] = redrawn[mask].astype(mat.dtype)
+            std = float(mat.astype(np.float64).std())
+            redrawn = child.normal(mat.size, std=std)
+            mat.ravel()[mask] = redrawn[mask].astype(mat.dtype)
     return model
 
 

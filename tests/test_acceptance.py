@@ -10,7 +10,6 @@ import io
 import time
 
 import numpy as np
-import pytest
 
 from finermoe.analysis import expert_similarity, scaled_params
 from finermoe.cli import run as cli_run
@@ -148,16 +147,16 @@ def test_08_upcycling_structure():
     if expert_similarity(c32).mean != 1.0:
         problems.append("C32A2 similarity != 1.0")
     donor = random_dense(64, 128, 108)
-    for e in c32.experts:
-        if e.w1.a.tobytes() != donor.w1.a.tobytes():
+    for w1 in c32.experts.w1:
+        if w1.tobytes() != donor.w1.a.tobytes():
             problems.append("C32A2 expert differs from donor")
             break
 
     s16_donor = random_dense(64, 128, 109)
     s16 = upcycle(s16_donor, baseline_preset("S16A4", h=64, H=128), 109)
-    w1_cat = np.concatenate([e.w1.a for e in s16.experts], axis=1)
-    wg_cat = np.concatenate([e.wg.a for e in s16.experts], axis=1)
-    w2_cat = np.concatenate([e.w2.a for e in s16.experts], axis=0)
+    w1_cat = np.concatenate(list(s16.experts.w1), axis=1)
+    wg_cat = np.concatenate(list(s16.experts.wg), axis=1)
+    w2_cat = np.concatenate(list(s16.experts.w2), axis=0)
     if (
         w1_cat.tobytes() != s16_donor.w1.a.tobytes()
         or wg_cat.tobytes() != s16_donor.wg.a.tobytes()
@@ -167,8 +166,8 @@ def test_08_upcycling_structure():
 
     nv = upcycle(random_dense(64, 128, 110), baseline_preset("NVShard", h=64, H=128), 110)
     for k in range(64):
-        twin = nv.experts[(k + 8) % 64]
-        if nv.experts[k].w1.a.tobytes() != twin.w1.a.tobytes():
+        twin = nv.experts.w1[(k + 8) % 64]
+        if nv.experts.w1[k].tobytes() != twin.tobytes():
             problems.append(f"NVShard experts {k} and {(k + 8) % 64} differ")
             break
 

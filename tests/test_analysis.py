@@ -14,7 +14,7 @@ from finermoe.config import FineRConfig, baseline_preset, derive, with_updates
 from finermoe.experts import ExpertStack
 from finermoe.moe_layer import MoEModel, decide, sparse_experts_forward
 from finermoe.numerics import Matrix, Rng
-from finermoe.router import RouterState, RoutingDecision, route, score
+from finermoe.router import RoutingDecision, route, score
 from finermoe.upcycle import random_dense, upcycle
 
 BASE_FULL = baseline_preset("FineRMoE-base")  # h=1536, H=8960
@@ -40,7 +40,7 @@ def _two_expert_model(u: np.ndarray, v: np.ndarray) -> MoEModel:
             w[:, 4:8].reshape(2, 2, 2).copy(),
             w[:, 8:12].reshape(2, 2, 2).copy(),
         ),
-        router=RouterState(Matrix.zeros(2, 2)),
+        router=Matrix.zeros(2, 2),
     )
 
 
@@ -86,7 +86,7 @@ class TestExpertSimilarity:
             cfg=cfg,
             shared=random_dense(2, 8, 4),
             experts=ExpertStack(pos, zeros, zeros.copy()),
-            router=RouterState(Matrix.zeros(2, 4)),
+            router=Matrix.zeros(2, 4),
         )
         rep = expert_similarity(model)
         assert rep.mean == 0.0

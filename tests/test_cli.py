@@ -265,7 +265,7 @@ class TestSimilarity:
         finermoe.write_model(model, model_file)
         csv_p = tmp_path / "sim.csv"
         assert _run(["similarity", "--model", str(model_file), "--csv", str(csv_p)])[0] == 0
-        n = len(model.experts)
+        n = model.dims.N
         vecs = np.concatenate(
             [a.reshape(n, -1) for a in (model.experts.w1, model.experts.wg, model.experts.w2)], axis=1
         ).astype(np.float64)

@@ -115,7 +115,7 @@ class TestBackward:
         g = backward(model, Rng(9).matrix(4, TOY.h), out)
         active = set(out.decision.indices.ravel().tolist())
         for k in range(model.dims.N):
-            touched = g.d_model.experts[k].w1.a.any() or g.d_model.experts[k].w2.a.any()
+            touched = g.d_model.experts.w1[k].any() or g.d_model.experts.w2[k].any()
             assert touched == (k in active), k
 
     def test_single_expert_w2_gradient_formula(self):
@@ -128,15 +128,14 @@ class TestBackward:
         upstream = Rng(12).matrix(1, cfg.h, dtype=np.float64)
         g = backward(model, upstream, out)
 
-        e = model.experts[k]
-        up = x.a @ e.w1.a
-        gate = x.a @ e.wg.a
+        up = x.a @ model.experts.w1[k]
+        gate = x.a @ model.experts.wg[k]
         from finermoe.numerics import silu as _silu
 
         inner = up * _silu(gate)
         w = out.decision.score[0, k]
         want = inner.T @ (upstream.a * w)
-        assert np.allclose(g.d_model.experts[k].w2.a, want, rtol=1e-10)
+        assert np.allclose(g.d_model.experts.w2[k], want, rtol=1e-10)
 
     def test_separate_mode_cc_router_gradient_is_zero(self):
         cfg = with_updates(TOY, router_mode="separate")
@@ -144,8 +143,8 @@ class TestBackward:
         x = Rng(14).matrix(4, cfg.h)
         out = forward(x, model)
         g = backward(model, Rng(15).matrix(4, cfg.h), out)
-        assert not g.d_model.router_cc.w.a.any()
-        assert g.d_model.router.w.a.any()
+        assert not g.d_model.router_cc.a.any()
+        assert g.d_model.router.a.any()
 
     def test_upstream_shape_checked(self):
         model = _model(seed=16)
@@ -382,7 +381,7 @@ class TestFiniteDifferences:
         # perturbation; the harness must skip such router coordinates.
         cfg = FineRConfig(h=2, H=4, G_I=2, R_I=1, G_O=1, R_O=2, T_I=1)
         model = _model(cfg, seed=27).astype(np.float64)
-        model.router.w.a[:] = 0.0  # exact ties: any router nudge flips routing
+        model.router.a[:] = 0.0  # exact ties: any router nudge flips routing
         x = Rng(28).matrix(2, cfg.h)
         rep = fd_check(x, model, mean_squared_output_loss(), seed=29, n_coords=64)
         assert rep.n_skipped > 0

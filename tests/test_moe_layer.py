@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from finermoe.config import FineRConfig, baseline_preset, derive, preset_names, with_updates
-from finermoe.experts import ExpertStack, expert_forward, shared_forward
+from finermoe.experts import ExpertStack, shared_forward, swiglu
 from finermoe.moe_layer import (
     MoEModel,
     build_dispatch_plan,
@@ -24,6 +24,11 @@ def _model(cfg=TOY, seed=0):
 
 def _decision(x, model):
     return route(score(x, model.router), model.cfg)
+
+
+def _expert(model, k):
+    """Expert k's w1, wg and w2: no-copy views of the model's stacks."""
+    return (Matrix.wrap(s[k]) for s in (model.experts.w1, model.experts.wg, model.experts.w2))
 
 
 class TestDispatchPlan:
@@ -66,7 +71,7 @@ class TestDispatchPlan:
 
 class TestSparseForward:
     def test_single_expert_groups_scale_expert_output(self):
-        # T_I=1: each selected component is score * expert_forward.
+        # T_I=1: each selected component is score * swiglu.
         model = _model(seed=7)
         x = Rng(8).matrix(4, TOY.h)
         d = _decision(x, model)
@@ -77,7 +82,7 @@ class TestSparseForward:
             for i in range(TOY.G_O):
                 g = i * TOY.R_O + int(d.cc_act[t, i])
                 (k,) = [int(k) for k in d.indices[t] if int(k) // dims.group_size == g]
-                want = d.score[t, k] * expert_forward(row, model.experts[k]).a[0]
+                want = d.score[t, k] * swiglu(row, *_expert(model, k)).out.a[0]
                 got = out.a[t, i * dims.h_e : (i + 1) * dims.h_e]
                 assert np.allclose(got, want, atol=1e-7)
 
@@ -99,9 +104,9 @@ class TestSparseForward:
                 selected.add(i * TOY.R_O + int(d.cc_act[t, i]))
         for k in range(dims.N):
             if k // dims.group_size not in selected:
-                zeroed.experts[k].w1.a[:] = 0
-                zeroed.experts[k].wg.a[:] = 0
-                zeroed.experts[k].w2.a[:] = 0
+                zeroed.experts.w1[k] = 0
+                zeroed.experts.wg[k] = 0
+                zeroed.experts.w2[k] = 0
         again = sparse_experts_forward(x, zeroed, d).out
         assert base.a.tobytes() == again.a.tobytes()
 
@@ -119,7 +124,7 @@ class TestSparseForward:
             cand = np.zeros((dims.n_groups, dims.h_e), dtype=np.float32)
             for k in d.indices[t]:  # ascending, matching the dispatch order
                 k = int(k)
-                cand[k // dims.group_size] += d.score[t, k] * expert_forward(row, model.experts[k]).a[0]
+                cand[k // dims.group_size] += d.score[t, k] * swiglu(row, *_expert(model, k)).out.a[0]
             for i in range(cfg.G_O):
                 g = i * cfg.R_O + int(d.cc_act[t, i])
                 naive[t, i * dims.h_e : (i + 1) * dims.h_e] = cand[g]
@@ -136,18 +141,16 @@ class TestForward:
 
     def test_zero_experts_leave_shared_only(self):
         model = _model(seed=17)
-        for e in model.experts:
-            e.w1.a[:] = 0
-            e.wg.a[:] = 0
-            e.w2.a[:] = 0
+        model.experts.w1[:] = 0
+        model.experts.wg[:] = 0
+        model.experts.w2[:] = 0
         x = Rng(18).matrix(4, TOY.h)
         assert forward(x, model).y.a.tobytes() == shared_forward(x, model.shared).out.a.tobytes()
 
     def test_no_share_zero_experts_is_zero(self):
         cfg = with_updates(TOY, share_expert=False)
         model = _model(cfg, seed=19)
-        for e in model.experts:
-            e.w2.a[:] = 0
+        model.experts.w2[:] = 0
         assert not forward(Rng(20).matrix(3, cfg.h), model).y.a.any()
 
     def test_identity_concat_proj_is_noop(self):
@@ -177,14 +180,14 @@ class TestForward:
             got = forward(x, model).y.a
 
             # Directly-written conventional reference.
-            logits = x.a @ model.router.w.a
+            logits = x.a @ model.router.a
             probs = softmax(logits, axis=1)
             want = np.zeros((5, cfg.h))
             for t in range(5):
                 order = np.argsort(-probs[t], kind="stable")[: cfg.T_I]
                 row = Matrix.wrap(x.a[t : t + 1].copy())
                 for k in sorted(order.tolist()):
-                    want[t] += probs[t, k] * expert_forward(row, model.experts[k]).a[0]
+                    want[t] += probs[t, k] * swiglu(row, *_expert(model, k)).out.a[0]
                 want[t] += shared_forward(row, model.shared).out.a[0]
             assert np.allclose(got, want, rtol=1e-10, atol=1e-12), (seed, t_i)
 
@@ -211,14 +214,14 @@ class TestForwardForced:
         for k in range(dims.N):
             g = k // dims.group_size
             if g % cfg.R_O != 0:
-                model.experts[k].w2.a[:] = 0
+                model.experts.w2[k] = 0
         assert forward_forced(x, model).a.tobytes() == base
 
     @pytest.mark.parametrize("L", [1, 7])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("name", preset_names())
     def test_equals_the_per_expert_sum_bitwise(self, name, dtype, L):
-        # The bypass as one expert_forward call per expert: from zeros, add
+        # The bypass as one swiglu call per expert: from zeros, add
         # each component's candidate-0 experts in ascending index, then
         # concatenate and add the shared expert.
         cfg = baseline_preset(name, h=16, H=64)
@@ -233,7 +236,7 @@ class TestForwardForced:
             g = i * cfg.R_O
             acc = np.zeros((L, dims.h_e), dtype=dtype)
             for k in range(g * dims.group_size, (g + 1) * dims.group_size):
-                acc += expert_forward(x, model.experts[k]).a
+                acc += swiglu(x, *_expert(model, k)).out.a
             parts.append(acc)
         want = np.concatenate(parts, axis=1)
         if model.shared is not None:

@@ -3,6 +3,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -457,7 +458,7 @@ class TestGroupedAndTransposedKernels:
         stack = read_model(tmp_path / "m.frm").experts
         assert not stack.w1.flags.c_contiguous
         rng = np.random.default_rng(6)
-        offsets = _offsets(rng.multinomial(40, np.full(len(stack), 1.0 / len(stack))))
+        offsets = _offsets(rng.multinomial(40, np.full(len(stack.w1), 1.0 / len(stack.w1))))
         for w in (stack.w1, stack.wg, stack.w2, stack.w2.transpose(0, 2, 1)):
             a = _operand(rng, (40, w.shape[1]), np.float32)
             got = _kernel_grouped(kernels, a, w, offsets)
@@ -1089,11 +1090,25 @@ class TestUniformDraws:
                 continue
             ref, rng = Rng(seed), Rng(seed)
             ref.counter = rng.counter = np.uint64(counter)
-            with np.errstate(over="ignore"):
-                k = (ref._raw(2 * n) >> np.uint64(11)).astype(np.float64)
-                got = rng.normal(n, std=0.5)
+            k = (ref._raw(2 * n) >> np.uint64(11)).astype(np.float64)
+            got = rng.normal(n, std=0.5)
             want = 0.5 * np.sqrt(-2.0 * np.log((k[:n] + 1.0) * 2.0**-53)) * np.cos(k[n:] * 2.0**-53 * (2.0 * np.pi))
             assert got.tobytes() == want.tobytes() and rng.counter == ref.counter
+
+    @pytest.mark.parametrize("kernels", ["python", "c"])
+    @pytest.mark.parametrize("as_uint64", [False, True], ids=["int", "uint64"])
+    def test_counter_wraps_past_2_64_without_a_warning(self, request, monkeypatch, kernels, as_uint64):
+        monkeypatch.setattr(_backend, "active", _kernel_module(request, kernels))
+        for seed in (0, self.M - 1, 2028):
+            for counter, n in ((self.M - 1, 1), (self.M - 3, 8), (self.M - 100, 257)):
+                start = (seed + counter * 0x9E3779B97F4A7C15) % self.M
+                raw, uni = Rng(seed), Rng(seed)
+                raw.counter = uni.counter = np.uint64(counter) if as_uint64 else counter
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert raw._raw(n).tolist() == _splitmix64_scalar(start, n)
+                    assert uni.uniform(n).tolist() == _scalar_uniform(seed, counter, n)
+                assert raw.counter == uni.counter == (counter + n) % self.M
 
     def test_rng_draws_are_the_same_under_the_numpy_kernels(self, c_kernels, monkeypatch):
         def draws():
@@ -1101,8 +1116,7 @@ class TestUniformDraws:
             for seed, counter, n in self._cases():
                 rng = Rng(seed)
                 rng.counter = np.uint64(counter)
-                with np.errstate(over="ignore"):
-                    out += [rng.uniform(n), rng.normal(n, std=0.02), rng.matrix(3, 5, std=2.0).a, rng.counter]
+                out += [rng.uniform(n), rng.normal(n, std=0.02), rng.matrix(3, 5, std=2.0).a, rng.counter]
             dense = random_dense(256, 1024, 7)
             return [np.asarray(x).tobytes() for x in out] + [dense.w1.a.tobytes(), dense.wg.a.tobytes(),
                                                                dense.w2.a.tobytes()]

@@ -1,7 +1,7 @@
 """Repository hygiene: nothing that .gitignore excludes is tracked, so a
 build or test leftover can never be committed as if it were source; no
-library module imports a name it never uses, so a deletion cannot leave one
-behind; every CLI example in the README parses, so a stale flag cannot
+library module or test file imports a name it never uses, so a deletion
+cannot leave one behind; every CLI example in the README parses, so a stale flag cannot
 linger there; and the README's Python examples run, so a stale call cannot
 either."""
 
@@ -45,8 +45,8 @@ def test_no_module_imports_a_name_it_never_uses():
     # No linter runs here, so this is what catches an import a deletion orphans.
     assert _unused_imports("from x import derive, y\nimport a.b\ny(a)\n") == ["line 1: derive"]
     unused = {
-        path.name: names
-        for path in sorted((ROOT / "src" / "finermoe").glob("*.py"))
+        str(path.relative_to(ROOT)): names
+        for path in sorted([*(ROOT / "src" / "finermoe").glob("*.py"), *(ROOT / "tests").glob("*.py")])
         if (names := _unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}

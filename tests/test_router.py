@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from finermoe.config import FineRConfig, baseline_preset, derive, preset_names, with_updates
 from finermoe.numerics import Matrix, Rng
 from finermoe.oracle import route_reference
-from finermoe.router import RouterState, route, route_separate, score
+from finermoe.router import route, route_separate, score
 from finermoe.verify import decisions_equal, dyadic_scores
 
 
@@ -18,12 +18,12 @@ def _cfg(g_i, r_i, g_o, r_o, t_i, **kw):
 
 class TestScore:
     def test_zero_router_gives_uniform(self):
-        r = RouterState(Matrix.zeros(4, 8))
+        r = Matrix.zeros(4, 8)
         s = score(Rng(1).matrix(3, 4), r)
         assert np.allclose(s.a, 1.0 / 8, atol=1e-7)
 
     def test_rows_sum_to_one(self):
-        r = RouterState(Rng(2).matrix(4, 6))
+        r = Rng(2).matrix(4, 6)
         s = score(Rng(3).matrix(5, 4), r)
         assert np.abs(s.a.sum(axis=1) - 1.0).max() < 1e-6
 
@@ -31,7 +31,7 @@ class TestScore:
         # One input row and a router that reproduces [0, ln2, 0, 0].
         w = np.zeros((1, 4), dtype=np.float32)
         w[0, 1] = np.log(2.0)
-        s = score(Matrix([[1.0]]), RouterState(Matrix.wrap(w)))
+        s = score(Matrix([[1.0]]), Matrix.wrap(w))
         assert s.a[0] == pytest.approx([0.2, 0.4, 0.2, 0.2], abs=1e-6)
 
 

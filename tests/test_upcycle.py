@@ -46,19 +46,19 @@ class TestUpcycle:
         cfg = baseline_preset("C32A2", h=16, H=32)
         dense = random_dense(16, 32, 1)
         model = upcycle(dense, cfg, 2)
-        assert len(model.experts) == 32
-        for e in model.experts:
-            assert e.w1.a.tobytes() == dense.w1.a.tobytes()
-            assert e.wg.a.tobytes() == dense.wg.a.tobytes()
-            assert e.w2.a.tobytes() == dense.w2.a.tobytes()
+        assert len(model.experts.w1) == 32
+        for k in range(32):
+            assert model.experts.w1[k].tobytes() == dense.w1.a.tobytes()
+            assert model.experts.wg[k].tobytes() == dense.wg.a.tobytes()
+            assert model.experts.w2[k].tobytes() == dense.w2.a.tobytes()
 
     def test_split_preset_tiles_dense_exactly(self):
         cfg = baseline_preset("S16A4", h=16, H=32)
         dense = random_dense(16, 32, 3)
         model = upcycle(dense, cfg, 4)
-        w1_cat = np.concatenate([e.w1.a for e in model.experts], axis=1)
-        wg_cat = np.concatenate([e.wg.a for e in model.experts], axis=1)
-        w2_cat = np.concatenate([e.w2.a for e in model.experts], axis=0)
+        w1_cat = np.concatenate(list(model.experts.w1), axis=1)
+        wg_cat = np.concatenate(list(model.experts.wg), axis=1)
+        w2_cat = np.concatenate(list(model.experts.w2), axis=0)
         assert w1_cat.tobytes() == dense.w1.a.tobytes()
         assert wg_cat.tobytes() == dense.wg.a.tobytes()
         assert w2_cat.tobytes() == dense.w2.a.tobytes()
@@ -68,11 +68,11 @@ class TestUpcycle:
         cfg = baseline_preset("NVShard", h=16, H=32)
         dense = random_dense(16, 32, 5)
         model = upcycle(dense, cfg, 6)
-        assert len(model.experts) == 64
+        assert len(model.experts.w1) == 64
         for k in range(64):
-            twin = model.experts[(k + 8) % 64]
-            assert model.experts[k].w1.a.tobytes() == twin.w1.a.tobytes()
-            assert model.experts[k].w2.a.tobytes() == twin.w2.a.tobytes()
+            twin = (k + 8) % 64
+            assert model.experts.w1[k].tobytes() == model.experts.w1[twin].tobytes()
+            assert model.experts.w2[k].tobytes() == model.experts.w2[twin].tobytes()
 
     def test_two_dim_partition_tiles_w2(self):
         cfg = FineRConfig(h=16, H=32, G_I=4, R_I=1, G_O=2, R_O=1, T_I=1)
@@ -80,12 +80,12 @@ class TestUpcycle:
         model = upcycle(dense, cfg, 8)
         dims = derive(cfg)
         rebuilt = np.zeros_like(dense.w2.a)
-        for k, e in enumerate(model.experts):
+        for k, w2 in enumerate(model.experts.w2):
             a = expert_slice_indices(k, cfg)
             rebuilt[
                 a.i_slice * dims.H_e : (a.i_slice + 1) * dims.H_e,
                 a.j_slice * dims.h_e : (a.j_slice + 1) * dims.h_e,
-            ] = e.w2.a
+            ] = w2
         assert rebuilt.tobytes() == dense.w2.a.tobytes()
 
     def test_reconstruction_identity(self):
@@ -112,8 +112,8 @@ class TestUpcycle:
         cfg = FineRConfig(h=8, H=8, G_I=1, R_I=2, G_O=1, R_O=1, T_I=1)
         dense = random_dense(8, 8, 12)
         model = upcycle(dense, cfg, 13)
-        model.experts[0].w1.a[0, 0] += 1.0
-        assert model.experts[1].w1.a[0, 0] == dense.w1.a[0, 0]
+        model.experts.w1[0, 0, 0] += 1.0
+        assert model.experts.w1[1, 0, 0] == dense.w1.a[0, 0]
         assert model.shared.w1.a[0, 0] == dense.w1.a[0, 0]
 
     def test_dims_mismatch_rejected(self):
@@ -126,15 +126,15 @@ class TestUpcycle:
         a = upcycle(dense, cfg, 15)
         b = upcycle(dense, cfg, 15)
         c = upcycle(dense, cfg, 16)
-        assert a.router.w.a.tobytes() == b.router.w.a.tobytes()
-        assert a.router.w.a.tobytes() != c.router.w.a.tobytes()
-        assert abs(float(a.router.w.a.std()) - ROUTER_INIT_STD) < 0.002
+        assert a.router.a.tobytes() == b.router.a.tobytes()
+        assert a.router.a.tobytes() != c.router.a.tobytes()
+        assert abs(float(a.router.a.std()) - ROUTER_INIT_STD) < 0.002
 
     def test_separate_mode_gets_second_router(self):
         cfg = FineRConfig(h=16, H=16, G_I=2, R_I=1, G_O=2, R_O=2, T_I=1, router_mode="separate")
         model = upcycle(random_dense(16, 16, 17), cfg, 18)
         assert model.router_cc is not None
-        assert model.router_cc.w.shape == (16, derive(cfg).n_groups)
+        assert model.router_cc.shape == (16, derive(cfg).n_groups)
 
 
 class TestDropUpcycle:
@@ -142,38 +142,38 @@ class TestDropUpcycle:
         dense = random_dense(8, 16, 20)
         dropped = drop_upcycle(dense, 4, 0.0, 2, seed=21)
         plain = upcycle(dense, FineRConfig(h=8, H=16, G_I=1, R_I=4, T_I=2), seed=21)
-        for a, b in zip(dropped.experts, plain.experts):
-            assert a.w1.a.tobytes() == b.w1.a.tobytes()
-            assert a.w2.a.tobytes() == b.w2.a.tobytes()
+        for k in range(4):
+            assert dropped.experts.w1[k].tobytes() == plain.experts.w1[k].tobytes()
+            assert dropped.experts.w2[k].tobytes() == plain.experts.w2[k].tobytes()
 
     def test_full_ratio_replaces_everything(self):
         dense = random_dense(8, 16, 22)
         model = drop_upcycle(dense, 3, 1.0, 2, seed=23)
-        for e in model.experts:
-            assert not np.any(e.w1.a == dense.w1.a)
-            assert not np.any(e.w2.a == dense.w2.a)
+        for k in range(3):
+            assert not np.any(model.experts.w1[k] == dense.w1.a)
+            assert not np.any(model.experts.w2[k] == dense.w2.a)
         # Shared expert is untouched by the re-init.
         assert model.shared.w1.a.tobytes() == dense.w1.a.tobytes()
 
     def test_half_ratio_binomial_concentration(self):
         dense = random_dense(64, 256, 24)  # 16384 entries per up/gate matrix
         model = drop_upcycle(dense, 2, 0.5, 1, seed=25)
-        for e in model.experts:
-            kept = float(np.mean(e.w1.a == dense.w1.a))
+        for w1 in model.experts.w1:
+            kept = float(np.mean(w1 == dense.w1.a))
             assert abs(kept - 0.5) < 0.02
 
     def test_redrawn_entries_match_donor_std(self):
         dense = random_dense(64, 256, 26)
         model = drop_upcycle(dense, 1, 1.0, 1, seed=27)
         donor_std = float(dense.w1.a.std())
-        drawn_std = float(model.experts[0].w1.a.std())
+        drawn_std = float(model.experts.w1[0].std())
         assert abs(drawn_std - donor_std) / donor_std < 0.05
 
     def test_experts_draw_independent_masks(self):
         dense = random_dense(16, 64, 28)
         model = drop_upcycle(dense, 2, 0.5, 1, seed=29)
-        mask0 = model.experts[0].w1.a == dense.w1.a
-        mask1 = model.experts[1].w1.a == dense.w1.a
+        mask0 = model.experts.w1[0] == dense.w1.a
+        mask1 = model.experts.w1[1] == dense.w1.a
         assert not np.array_equal(mask0, mask1)
 
     def test_config_shape(self):
