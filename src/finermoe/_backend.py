@@ -1,4 +1,6 @@
-"""The active matmul kernel module, read by ``numerics.matmul``.
+"""The active kernel module, read by ``numerics``: its matrix products
+(``matmul``), its uniform draws (``Rng.uniform``) and its SGD step
+(``sum_squares`` and ``sub_scaled``).
 
 Two kernel modules give the same bits: ``_kernels_c``, the plain-C
 kernels built with gcc on first import, and ``_kernels_py``, the NumPy

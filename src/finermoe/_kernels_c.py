@@ -2,7 +2,12 @@
 
 The entries have the signature, the checks and the bits of
 ``_kernels_py``'s. ``uniform_f64(seed, counter, out)`` writes SplitMix64
-uniform draws into ``out``. ``matmul_f32(a, b, out, offsets=None)``
+uniform draws into ``out``. ``sum_squares_f32(arrays)`` returns the
+squared global norm of a list of float32 arrays, summed per array in
+NumPy's pairwise order, and ``sub_scaled_f32(params, grads, scale)`` does
+``p -= scale * g`` in place with NumPy's promotion of ``scale``: one call
+each per train-demo step, over every tensor of the model, where NumPy
+makes a pass or two per tensor. ``matmul_f32(a, b, out, offsets=None)``
 writes a plain, grouped-rows or grouped-inner-index product into ``out``,
 summing every output element over the inner index in ascending order from
 +0.0, on one thread. A transposed operand reaches the C loop as swapped
@@ -43,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from finermoe._kernels_py import check, check_draws
+from finermoe._kernels_py import check, check_draws, check_sub_scaled, check_sum_squares
 
 _SRC = Path(__file__).with_name("_kernels.c")
 _CACHE = _SRC.parent / "__pycache__"
@@ -106,6 +111,10 @@ def _load(path) -> ctypes.CDLL:
     lib.gemm_isa.restype = ctypes.c_char_p
     lib.uniform_f64.argtypes = (ctypes.c_uint64, ctypes.c_uint64, _ptr, _long)
     lib.uniform_f64.restype = None
+    lib.sum_squares_f32.argtypes = (_ptr, _ptr, _long)
+    lib.sum_squares_f32.restype = ctypes.c_double
+    lib.sub_scaled_f32.argtypes = (_ptr, _ptr, _ptr, _long, ctypes.c_double, ctypes.c_int)
+    lib.sub_scaled_f32.restype = None
     return lib
 
 
@@ -143,8 +152,34 @@ def _draws(fn):
     return uniform_f64
 
 
+def _addresses(arrays):
+    return (_ptr * len(arrays))(*[a.ctypes.data for a in arrays])
+
+
+def _sizes(arrays):
+    return (_long * len(arrays))(*[a.size for a in arrays])
+
+
+def _sum_squares(fn):
+    def sum_squares_f32(arrays):
+        check_sum_squares(arrays)
+        return fn(_addresses(arrays), _sizes(arrays), len(arrays))
+
+    return sum_squares_f32
+
+
+def _sub_scaled(fn):
+    def sub_scaled_f32(params, grads, scale):
+        wide = check_sub_scaled(params, grads, scale)
+        fn(_addresses(params), _addresses(grads), _sizes(params), len(params), float(scale), wide)
+
+    return sub_scaled_f32
+
+
 _lib = _load(_library())
 BACKEND = f"c ({_lib.gemm_isa().decode()})"
 matmul_f32 = _entry(_lib.gemm_f32, np.dtype(np.float32))
 matmul_f64 = _entry(_lib.gemm_f64, np.dtype(np.float64))
 uniform_f64 = _draws(_lib.uniform_f64)
+sum_squares_f32 = _sum_squares(_lib.sum_squares_f32)
+sub_scaled_f32 = _sub_scaled(_lib.sub_scaled_f32)

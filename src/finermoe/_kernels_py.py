@@ -1,6 +1,7 @@
 """Pure-NumPy kernels: the fallback when the C kernels of ``_kernels_c``
-cannot be built, and their reference in the tests. There are two kinds:
-matrix products and SplitMix64 uniform draws.
+cannot be built, and their reference in the tests. There are three kinds:
+matrix products, SplitMix64 uniform draws and the two passes of
+train-demo's clipped SGD step.
 
 ``matmul_f32(a, b, out, offsets=None)`` and ``matmul_f64`` write into
 ``out`` one of three products:
@@ -33,6 +34,19 @@ of draws counter + 1 .. counter + len(out) of seed's SplitMix64 stream
 ``(mix(seed + i * GOLDEN) >> 11) * 2**-53``, modulo 2**64. Integer mixing
 is exact, so the C entry gives the same bits, about 7x faster
 (``BENCH_c_draws.json``).
+
+``sum_squares_f32(arrays)`` and ``sub_scaled_f32(params, grads, scale)``
+are train-demo's per-tensor loops over lists of float32 arrays. The first
+returns ``sq``, which starts at 0.0 and takes
+``sq += float((a.astype(np.float64) ** 2).sum())`` per array in list
+order; NumPy's reduction adds its pairwise sum of the exact squares to the
+identity 0.0 (Higham, SIAM J. Sci. Comput. 14(4), 1993), an order the C
+entry rebuilds. The second does ``p -= scale * g`` per pair in list order,
+which NumPy computes in float32 with ``float32(scale)`` for a Python float
+``scale``, and in float64, rounded to float32 once, for an ``np.float64``.
+``check_sub_scaled`` tells the C entry which, by
+``np.result_type(scale, np.float32)``. So both entries give the same bits
+in either module.
 """
 
 import numpy as np
@@ -153,3 +167,46 @@ def uniform_f64(seed, counter, out) -> None:
     z = splitmix64(seed, counter, len(out))
     z >>= np.uint64(11)
     np.multiply(z, 2.0**-53, out=out)  # below 2**53, so converted exactly
+
+
+def _contiguous_f32(a) -> bool:
+    return isinstance(a, np.ndarray) and a.dtype == np.float32 and a.flags.c_contiguous
+
+
+def check_sum_squares(arrays) -> None:
+    """Raise ValueError unless every array is a C-contiguous float32 array."""
+    if not all(map(_contiguous_f32, arrays)):
+        raise ValueError("a sum of squares needs C-contiguous float32 arrays")
+
+
+def sum_squares_f32(arrays) -> float:
+    check_sum_squares(arrays)
+    sq = 0.0
+    for a in arrays:
+        sq += float((a.astype(np.float64) ** 2).sum())
+    return sq
+
+
+def check_sub_scaled(params, grads, scale) -> bool:
+    """Raise ValueError unless ``sub_scaled_f32`` can take these operands:
+    as many params as grads, each pair C-contiguous float32 arrays of one
+    shape that do not overlap, each param writeable, and a Python or NumPy
+    float ``scale`` that NumPy multiplies a float32 array by in float32 or
+    float64. Return whether that is float64."""
+    wide = np.result_type(scale, np.float32) if isinstance(scale, (float, np.floating)) else None
+    if wide not in (np.float32, np.float64):
+        raise ValueError(f"an SGD update needs a float32 or float64 scale, got {type(scale).__name__}")
+    if len(params) != len(grads):
+        raise ValueError(f"an SGD update needs as many grads as params, got {len(grads)} and {len(params)}")
+    for p, g in zip(params, grads):
+        if not (_contiguous_f32(p) and _contiguous_f32(g) and p.flags.writeable):
+            raise ValueError("an SGD update needs C-contiguous float32 arrays, its params writeable")
+        if p.shape != g.shape or np.may_share_memory(p, g):
+            raise ValueError(f"an SGD update needs a grad of its param's shape {p.shape} apart from it, got {g.shape}")
+    return wide == np.float64
+
+
+def sub_scaled_f32(params, grads, scale) -> None:
+    check_sub_scaled(params, grads, scale)
+    for p, g in zip(params, grads):
+        p -= scale * g

@@ -18,7 +18,7 @@ from finermoe import config as config_mod
 from finermoe.config import ConfigError
 from finermoe.loss_grad import balance_loss, balance_loss_score_grad, backward
 from finermoe.moe_layer import MoEModel, decide, forward, named_parameters
-from finermoe.numerics import Matrix, Rng, matmul
+from finermoe.numerics import Matrix, Rng, matmul, sub_scaled, sum_squares
 from finermoe.upcycle import drop_upcycle, random_dense, upcycle
 
 
@@ -220,10 +220,8 @@ def _cmd_train_demo(args) -> int:
         )
         # Clipped SGD keeps the toy run stable at demo learning rates. The
         # norm sums per tensor in registry order, which fixes its rounding.
-        d_params = named_parameters(grads.d_model)
-        sq = 0.0
-        for _, g in d_params:
-            sq += float((g.a.astype(np.float64) ** 2).sum())
+        d_params = [g.a for _, g in named_parameters(grads.d_model)]
+        sq = sum_squares(d_params)
         # Too large an --lr overflows the loss or the gradient norm before
         # the weights stop being finite.
         if not (np.isfinite(task) and np.isfinite(sq)):
@@ -231,9 +229,10 @@ def _cmd_train_demo(args) -> int:
                 f"training diverged at step {step} (task loss {task:.3g}, squared gradient norm {sq:.3g}); "
                 f"lower --lr (now {args.lr:g})"
             )
+        # A Python float when the step does not clip, else an np.float64:
+        # sub_scaled keeps NumPy's promotion of each.
         scale = args.lr * min(1.0, args.clip / max(np.sqrt(sq), 1e-12))
-        for (_, param), (_, g) in zip(named_parameters(model), d_params):
-            param.a -= scale * g.a
+        sub_scaled([p.a for _, p in named_parameters(model)], d_params, scale)
         rows.append((step, task, bal.loss))
 
     if args.csv:

@@ -18,6 +18,10 @@ Design constraints that everything downstream leans on:
   which gives the same bits. Box-Muller's ``log`` and ``cos`` are NumPy's
   under either, so normal draws also depend on how NumPy rounds them,
   which can change with the CPU features NumPy dispatches on.
+* ``sum_squares`` and ``sub_scaled``, the two passes of train-demo's
+  clipped SGD step, run in the active kernel module as well, with the bits
+  of NumPy's per-tensor loops: its pairwise summation order and its
+  promotion of the step's scale.
 """
 
 from __future__ import annotations
@@ -219,6 +223,22 @@ def matmul(a: Matrix | Grouped, b: Matrix | Grouped) -> Matrix | Grouped:
     else:
         kernel(aa, bb, out)
     return Matrix.wrap(out)
+
+
+def sum_squares(arrays) -> float:
+    """The squared global norm of a list of float32 arrays, from the active
+    kernel module: from 0.0, per array in list order,
+    ``sq += float((a.astype(np.float64) ** 2).sum())``, with the bits of
+    NumPy's pairwise summation."""
+    return _backend.active.sum_squares_f32(arrays)
+
+
+def sub_scaled(params, grads, scale) -> None:
+    """``p -= scale * g`` in place for each pair of float32 arrays, in list
+    order, from the active kernel module, with the bits of NumPy's
+    promotion: in float32 for a Python float ``scale``, in float64 and
+    rounded to float32 for an ``np.float64``."""
+    _backend.active.sub_scaled_f32(params, grads, scale)
 
 
 def sigmoid(x):

@@ -321,6 +321,25 @@ class TestTrainDemo:
         last = float(lines[-1].split(",")[1])
         assert last < first * 0.5
 
+    @staticmethod
+    def _nvshard_run(tmp_path, monkeypatch, *argv):
+        """(exit code, stdout, stderr, loss.csv bytes or None) of a train-demo
+        run in tmp_path on NVShard h=32 H=128, 3 steps, batch 8."""
+        monkeypatch.chdir(tmp_path)
+        csv_p = tmp_path / "loss.csv"
+        csv_p.unlink(missing_ok=True)
+        assert _run(["preset", "NVShard", "--h", "32", "--H", "128", "--out", "nv.cfg"])[0] == 0
+        code, out, err = _run(["train-demo", "--config", "nv.cfg", "--steps", "3", "--batch", "8", "--csv", "loss.csv",
+                               *argv])
+        return code, out, err, csv_p.read_bytes() if csv_p.exists() else None
+
+    def _digest(self, tmp_path, monkeypatch, *argv):
+        import hashlib
+
+        code, text, _, csv = self._nvshard_run(tmp_path, monkeypatch, *argv)
+        assert code == 0
+        return hashlib.sha256(csv + text.encode()).hexdigest()
+
     # sha256 of loss.csv then stdout, NVShard h=32 H=128, 3 steps, batch 8.
     PINNED = {
         0: "73f2b75767f4d908e76a871ffd80d94551b06f4f8093c9b546dccfa1b786bca6",
@@ -329,18 +348,28 @@ class TestTrainDemo:
 
     @pytest.mark.parametrize("seed", sorted(PINNED))
     def test_pinned_digest(self, seed, tmp_path, monkeypatch):
-        import hashlib
+        assert self._digest(tmp_path, monkeypatch, "--seed", str(seed)) == self.PINNED[seed]
 
-        cfg_p = tmp_path / "nv.cfg"
-        assert _run(["preset", "NVShard", "--h", "32", "--H", "128", "--out", str(cfg_p)])[0] == 0
-        monkeypatch.chdir(tmp_path)
-        code, text, _ = _run(
-            ["train-demo", "--config", str(cfg_p), "--steps", "3", "--batch", "8",
-             "--seed", str(seed), "--csv", "loss.csv"]
-        )
-        assert code == 0
-        digest = hashlib.sha256((tmp_path / "loss.csv").read_bytes() + text.encode()).hexdigest()
-        assert digest == self.PINNED[seed]
+    # As PINNED, with --clip 0.001: every step clips, so its SGD update runs
+    # in float64 (an np.float64 scale), where an unclipped one runs in float32.
+    PINNED_CLIPPED = {
+        0: "e0cac3fd921d4e96386dbc03e2574f02743366188bbd5245450e92d5c43df411",
+        1: "f33e04835842836b2ee306327267993f66c6d2fce9fbd9a5b2ac58d2c4da20a0",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_CLIPPED))
+    def test_pinned_clipped_digest(self, seed, tmp_path, monkeypatch):
+        digest = self._digest(tmp_path, monkeypatch, "--seed", str(seed), "--clip", "0.001")
+        assert digest == self.PINNED_CLIPPED[seed]
+
+    # Unclipped, clipped, and an --lr whose unclipped scale overflows float32.
+    @pytest.mark.parametrize("argv", [[], ["--clip", "0.001"], ["--lr", "1e39"]], ids=["unclipped", "clipped", "inf"])
+    def test_same_bytes_under_the_numpy_kernels(self, argv, tmp_path, monkeypatch):
+        from finermoe import _backend, _kernels_py
+
+        here = self._nvshard_run(tmp_path, monkeypatch, "--seed", "1", *argv)
+        monkeypatch.setattr(_backend, "active", _kernels_py)
+        assert self._nvshard_run(tmp_path, monkeypatch, "--seed", "1", *argv) == here
 
     # 1e10 overflows the loss and the gradient norm at step 2; 1e39 leaves
     # them finite but makes the step-1 forward overflow.

@@ -16,7 +16,7 @@ import finermoe
 from finermoe import _backend, _kernels_py, kernel_backend
 from finermoe.config import baseline_preset, preset_names, with_updates
 from finermoe.loss_grad import backward, balance_loss_score_grad
-from finermoe.moe_layer import forward, named_parameters
+from finermoe.moe_layer import MoEModel, forward, named_parameters
 from finermoe.numerics import Grouped, Matrix, Rng, count_flops, matmul, sigmoid, silu, softmax
 from finermoe.upcycle import random_dense, upcycle
 
@@ -58,9 +58,9 @@ def c_kernels():
 
 @pytest.fixture(scope="session")
 def isa_kernels(tmp_path_factory):
-    """{isa: its matmul_f32, matmul_f64 and uniform_f64} for each variant
-    this CPU runs, each built once from the source without CLONES, with
-    -Wall -Wextra and no warning."""
+    """{isa: its matmul_f32, matmul_f64, uniform_f64, sum_squares_f32 and
+    sub_scaled_f32} for each variant this CPU runs, each built once from the
+    source without CLONES, with -Wall -Wextra and no warning."""
     gcc = shutil.which("gcc")
     if gcc is None:
         pytest.skip("no gcc on PATH, so the C kernels cannot build")
@@ -88,7 +88,9 @@ def isa_kernels(tmp_path_factory):
     return {
         isa: SimpleNamespace(matmul_f32=_kernels_c._entry(lib.gemm_f32, np.dtype(np.float32)),
                              matmul_f64=_kernels_c._entry(lib.gemm_f64, np.dtype(np.float64)),
-                             uniform_f64=_kernels_c._draws(lib.uniform_f64))
+                             uniform_f64=_kernels_c._draws(lib.uniform_f64),
+                             sum_squares_f32=_kernels_c._sum_squares(lib.sum_squares_f32),
+                             sub_scaled_f32=_kernels_c._sub_scaled(lib.sub_scaled_f32))
         for isa, lib in libs.items()
     }
 
@@ -1124,6 +1126,112 @@ class TestUniformDraws:
         here = draws()
         monkeypatch.setattr(_backend, "active", _kernels_py)
         assert draws() == here
+
+
+def _signed_magnitudes(rng, shape):
+    """float32 values of random sign whose magnitudes spread from the
+    smallest subnormal to 1e18, about a tenth of them zero."""
+    vals = np.where(rng.random(shape) < 0.5, -1.0, 1.0) * 10.0 ** rng.uniform(-46, 18, shape)
+    vals[rng.random(shape) < 0.1] = 0.0
+    return vals.astype(np.float32)
+
+
+class TestOptimizerEntries:
+    """The sum_squares_f32 and sub_scaled_f32 entries of train-demo's SGD
+    step: every C build gives the bytes of _kernels_py's, which are NumPy's
+    per-tensor loops."""
+
+    SIZES = (*range(1, 10), 127, 128, 129, 255, 256, 257, 8191, 8192, 8193, (1 << 20) - 1, (1 << 20) + 1)
+    SCALES = (0.1, 1 / 3, 0.0, np.float64(0.1), np.float64(1 / 3), np.float64(0.0))
+
+    def _tensor_sets(self):
+        """Lists of tensors: each size on its own, at three scales of value,
+        then every NVShard and FineRMoE-base tensor shape at h=256 H=1024."""
+        rng = np.random.default_rng(2029)
+        shapes = sorted({
+            m.shape for name in ("NVShard", "FineRMoE-base")
+            for _, m in named_parameters(MoEModel.zeros(baseline_preset(name, h=256, H=1024)))
+        })
+        for n in self.SIZES:
+            yield [_signed_magnitudes(rng, n)]
+            yield [rng.standard_normal(n).astype(np.float32)]
+            yield [(1e-3 * rng.standard_normal(n)).astype(np.float32)]
+        yield [_signed_magnitudes(rng, shape) for shape in shapes]
+        yield [(1e-3 * rng.standard_normal(shape)).astype(np.float32) for shape in shapes]
+
+    def test_every_c_build_gives_the_numpy_entrys_bytes(self, c_kernels, isa_kernels):
+        builds = (c_kernels, *isa_kernels.values())
+        rng = np.random.default_rng(2030)
+        for tensors in self._tensor_sets():
+            want = _kernels_py.sum_squares_f32(tensors).hex()
+            assert all(kern.sum_squares_f32(tensors).hex() == want for kern in builds), [t.shape for t in tensors]
+            grads = [_signed_magnitudes(rng, t.shape) for t in tensors]
+            for scale in self.SCALES:
+                want = [t.copy() for t in tensors]
+                _kernels_py.sub_scaled_f32(want, grads, scale)
+                for kern in builds:
+                    got = [t.copy() for t in tensors]
+                    kern.sub_scaled_f32(got, grads, scale)
+                    assert [g.tobytes() for g in got] == [w.tobytes() for w in want], (type(scale), scale)
+
+    def test_the_numpy_entries_are_the_per_tensor_loops(self):
+        # The sum of squares is NumPy's pairwise sum of each widened tensor,
+        # which adds in another order than a running sum; the update
+        # follows NumPy's promotion of a Python float and of an np.float64,
+        # which give other bits. So the cases above tell each apart.
+        rng = np.random.default_rng(2031)
+        g, p0 = rng.standard_normal(1000).astype(np.float32), rng.standard_normal(1000).astype(np.float32)
+        squares = g.astype(np.float64) ** 2
+        running = 0.0
+        for x in squares:
+            running += x
+        assert _kernels_py.sum_squares_f32([g, g]) == 2 * float(squares.sum()) != 2 * running
+        narrow, wide = p0.copy(), p0.copy()
+        _kernels_py.sub_scaled_f32([narrow], [g], 1 / 3)
+        _kernels_py.sub_scaled_f32([wide], [g], np.float64(1 / 3))
+        assert narrow.tobytes() == (p0 - np.float32(1 / 3) * g).tobytes()
+        assert wide.tobytes() == (p0 - (1 / 3) * g.astype(np.float64)).astype(np.float32).tobytes()
+        assert narrow.tobytes() != wide.tobytes()
+
+    def _refusals(self):
+        """(params, grads, scale) that sub_scaled_f32 refuses; the first
+        pair of each is valid, so a refusal after it would have written."""
+        p = np.full((4, 6), 7.0, np.float32)
+        g = np.ones((4, 6), np.float32)
+        frozen = p.copy()
+        frozen.flags.writeable = False
+        wide = np.full((4, 12), 7.0, np.float32)
+        yield [p, p.astype(np.float64)], [g, g], 0.1
+        yield [p, p.copy()], [g, g.astype(np.float64)], 0.1
+        yield [p, wide[:, ::2]], [g, g], 0.1
+        yield [p, p.copy()], [g, np.ones((6, 8), np.float32)[:4, :6]], 0.1
+        yield [p, p.copy().T], [g, g.T], 0.1
+        yield [p, frozen], [g, g], 0.1
+        yield [p, p.copy()], [g, np.ones((6, 4), np.float32)], 0.1
+        yield [p, p.copy()], [g], 0.1
+        flat = np.ones(30, np.float32)
+        yield [p, flat[:24].reshape(4, 6)], [g, flat[6:].reshape(4, 6)], 0.1
+        q = p.copy()
+        yield [p, q], [g, q], 0.1
+        yield [p], [g], 1
+        yield [p], [g], np.longdouble(0.1)
+        yield [p], [g], "0.1"
+
+    def test_refused_before_any_write(self, kernels):
+        for params, grads, scale in self._refusals():
+            before = [x.copy() for x in params]
+            with pytest.raises(ValueError, match="an SGD update needs"):
+                kernels.sub_scaled_f32(params, grads, scale)
+            assert [x.tobytes() for x in params] == [x.tobytes() for x in before]
+        for arrays in ([np.ones(4), np.ones(4, np.float32)], [np.ones((4, 8), np.float32)[:, ::2]], [[1.0, 2.0]]):
+            with pytest.raises(ValueError, match="a sum of squares needs"):
+                kernels.sum_squares_f32(arrays)
+
+    def test_read_only_and_empty_tensors_are_summed(self, kernels):
+        a = np.arange(12, dtype=np.float32).reshape(3, 4)
+        a.flags.writeable = False
+        assert kernels.sum_squares_f32([a, np.empty((0, 4), np.float32)]) == 506.0
+        assert kernels.sum_squares_f32([]) == 0.0
 
 
 class TestMatrix:

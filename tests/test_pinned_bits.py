@@ -7,11 +7,22 @@ loss and the balance loss), then, in f32 and f64 at 1 and 7 tokens,
 ``forward``'s output, ``forward_forced``'s output and every ``backward``
 gradient, ``d_x`` included, with a balance-loss term on the scores. The
 models are upcycled at h=16, H=64 and then perturbed, so no gradient is
-zero by symmetry. Like the pinned train-demo digest, the constants depend on
-NumPy's ``exp`` (softmax, sigmoid) and on ``log``/``cos`` (the Box-Muller
-draws of ``Rng``), so a NumPy whose transcendentals round differently
-changes them; the matmul kernels do not, which the NumPy-kernel case
-checks.
+zero by symmetry. Like the pinned train-demo digests, the constants depend
+on NumPy's ``exp`` (softmax, sigmoid) and on ``log``/``cos`` (the Box-Muller
+draws of ``Rng``); the matmul kernels do not, which the NumPy-kernel case
+checks. NumPy picks the code of those functions by the CPU it runs on, so
+the same NumPy can change their bits on another host. Measured with NumPy
+2.4.6 on an AVX-512 host, in child processes with
+``NPY_DISABLE_CPU_FEATURES`` set:
+
+- without ``X86_V4`` (and ``AVX512_ICL``, ``AVX512_SPR``), float64 ``exp``
+  and ``log`` change bits, and all 8 cases here fail;
+- without ``X86_V3`` as well, float32 ``exp`` changes too, and the 4
+  train-demo pins of ``tests/test_cli.py`` (``test_pinned_digest`` and
+  ``test_pinned_clipped_digest``, seeds 0 and 1) fail besides: 12 in all.
+
+float64 ``cos`` and ``sqrt``, sums and basic arithmetic kept their bits on
+2**20-element samples; every other tier-1 test passed at both levels.
 """
 
 import hashlib
