@@ -17,7 +17,7 @@ from finermoe.moe_layer import (
 )
 from finermoe.numerics import Matrix, Rng, matmul, silu, softmax
 from finermoe.router import RoutingDecision, route, route_separate, score
-from finermoe.upcycle import SliceAssignment, drop_upcycle, expert_slice_indices, random_dense, upcycle
+from finermoe.upcycle import drop_upcycle, expert_slice_indices, random_dense, upcycle
 
 __version__ = "0.1.0"
 
@@ -25,8 +25,7 @@ __all__ = [
     "BalanceLossReport", "CostReport", "DenseFfnWeights", "DerivedDims",
     "DispatchPlan", "ExpertStack", "FineRConfig", "LayerGradients",
     "LayerOutput", "LoadReport", "Matrix", "MoEModel", "Rng",
-    "RoutingDecision", "SimilarityReport",
-    "SliceAssignment", "backward", "balance_loss",
+    "RoutingDecision", "SimilarityReport", "backward", "balance_loss",
     "baseline_preset", "build_dispatch_plan", "cost_report", "decide", "derive",
     "drop_upcycle", "expert_similarity",
     "expert_slice_indices", "fd_check", "forward", "forward_forced",

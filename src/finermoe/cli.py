@@ -94,6 +94,8 @@ def _cmd_upcycle(args) -> int:
             c = config_mod.load_config(args.config)
             dense = random_dense(c.h, c.H, args.dense_seed)
         else:
+            # Dims below 1 are a config error, refused before anything is drawn.
+            config_mod.validate(config_mod.FineRConfig(h=args.h, H=args.H))
             dense = random_dense(args.h, args.H, args.dense_seed)
     else:
         raise ValueError("either --dense or --dense-seed is required")

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields, replace
 
+import numpy as np
+
 
 class ConfigError(ValueError):
     """A configuration invariant is violated; message names the invariant."""
@@ -71,8 +73,9 @@ def derive(cfg: FineRConfig) -> DerivedDims:
     )
 
 
-def expert_component(cfg: FineRConfig, k: int) -> int:
-    """Output component the expert's group feeds."""
+def expert_component(cfg: FineRConfig, k: int | np.ndarray) -> int | np.ndarray:
+    """Output component the expert's group feeds, for one expert index or
+    elementwise for an array of them."""
     return k // (cfg.G_I * cfg.R_I * cfg.R_O)
 
 

@@ -68,12 +68,6 @@ class ExpertStack:
     wg: np.ndarray
     w2: np.ndarray
 
-    @classmethod
-    def zeros(cls, n: int, h: int, H_e: int, h_e: int, dtype=np.float32) -> "ExpertStack":
-        return cls(
-            np.zeros((n, h, H_e), dtype), np.zeros((n, h, H_e), dtype), np.zeros((n, H_e, h_e), dtype)
-        )
-
     def grouped(self, offsets: np.ndarray) -> tuple[Grouped, Grouped, Grouped]:
         """w1, wg and w2 as Grouped operands split by ``offsets``: ``swiglu``
         of expert-major rows with them runs each expert on its own rows,

@@ -38,7 +38,7 @@ def dense_ffn_forward(x: Matrix, dense: DenseFfnWeights) -> Matrix:
     return Matrix.wrap(np.ascontiguousarray(out, dtype=x.dtype))
 
 
-def route_reference(score_mat: Matrix | np.ndarray, cfg: FineRConfig) -> RoutingDecision:
+def route_reference(arr: np.ndarray, cfg: FineRConfig) -> RoutingDecision:
     """Re-derivation of the routing decision by naive per-token enumeration.
 
     No masking arithmetic: group winners come from a full sort, candidate
@@ -46,7 +46,6 @@ def route_reference(score_mat: Matrix | np.ndarray, cfg: FineRConfig) -> Routing
     survivor set is checked to have exactly n_active members.
     """
     dims = derive(cfg)
-    arr = score_mat.a if isinstance(score_mat, Matrix) else np.asarray(score_mat)
     L, N = arr.shape
     if N != dims.N:
         raise ValueError(f"score width {N} does not match expert count {dims.N}")

@@ -50,11 +50,11 @@ class RoutingDecision:
         return self.score.shape[1]
 
 
-def score(x: Matrix, router: Matrix) -> Matrix:
-    """Per-token softmax over the router logits of x @ router: one per
-    expert, or one per group for a separate-mode candidate router."""
-    logits = matmul(x, router)
-    return Matrix.wrap(np.ascontiguousarray(softmax(logits.a, axis=1)))
+def score(x: Matrix, router: Matrix) -> np.ndarray:
+    """Per-token softmax over the router logits of x @ router, as an L x N
+    array: one per expert, or one per group for a separate-mode candidate
+    router."""
+    return softmax(matmul(x, router).a, axis=1)
 
 
 def _top_k_mask(values: np.ndarray, k: int) -> np.ndarray:
@@ -66,10 +66,6 @@ def _top_k_mask(values: np.ndarray, k: int) -> np.ndarray:
     mask = np.zeros(values.shape, dtype=bool)
     np.put_along_axis(mask, order[..., :k], True, axis=-1)
     return mask
-
-
-def _array(m: Matrix | np.ndarray) -> np.ndarray:
-    return m.a if isinstance(m, Matrix) else np.asarray(m)
 
 
 def _route(score_arr: np.ndarray, cc_arr: np.ndarray | None, cfg: FineRConfig, name: str) -> RoutingDecision:
@@ -125,19 +121,17 @@ def _route(score_arr: np.ndarray, cc_arr: np.ndarray | None, cfg: FineRConfig, n
     )
 
 
-def route(score_mat: Matrix | np.ndarray, cfg: FineRConfig) -> RoutingDecision:
-    """Run the single-router mechanism on an L x N score matrix: each
+def route(score_arr: np.ndarray, cfg: FineRConfig) -> RoutingDecision:
+    """Run the single-router mechanism on an L x N score array: each
     component's candidate scores are its R_O groups' score sums."""
-    return _route(_array(score_mat), None, cfg, "score")
+    return _route(score_arr, None, cfg, "score")
 
 
-def route_separate(
-    score_sum: Matrix | np.ndarray, score_cc: Matrix | np.ndarray, cfg: FineRConfig
-) -> RoutingDecision:
+def route_separate(score_sum: np.ndarray, score_cc: np.ndarray, cfg: FineRConfig) -> RoutingDecision:
     """Two-router variant: expert activation and candidate selection read
     different score vectors, so the selected group's experts can carry low
     sum-router scores (the conflict this library's single-router design
     avoids). The candidate scores are score_cc, L x n_groups, and probs are
     taken from score_sum; everything else is ``route``'s body.
     """
-    return _route(_array(score_sum), _array(score_cc), cfg, "score_sum")
+    return _route(score_sum, score_cc, cfg, "score_sum")

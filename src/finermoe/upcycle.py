@@ -14,8 +14,6 @@ small-normal (std 0.02) so initial scores are near-uniform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from finermoe.config import FineRConfig, derive, expert_component, validate
@@ -35,26 +33,18 @@ _STREAM_DENSE_W2 = 10
 _STREAM_EXPERT_BASE = 16
 
 
-@dataclass(frozen=True)
-class SliceAssignment:
-    """Which dense-FFN slices expert k is built from."""
-
-    k: int
-    i_slice: int  # intermediate slice, in [0, G_I)
-    j_slice: int  # output slice, in [0, G_O)
-
-
-def expert_slice_indices(k: int, cfg: FineRConfig) -> SliceAssignment:
-    dims = derive(cfg)
-    if not 0 <= k < dims.N:
-        raise ValueError(f"expert index {k} out of range [0, {dims.N})")
-    i = (k % (cfg.G_I * cfg.R_I)) % cfg.G_I
-    j = expert_component(cfg, k)
-    return SliceAssignment(k=k, i_slice=i, j_slice=j)
+def expert_slice_indices(cfg: FineRConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The dense-FFN slices of every expert: for k = 0..N-1, its
+    intermediate slice i[k] in [0, G_I) and output slice j[k] in [0, G_O)."""
+    k = np.arange(derive(cfg).N)
+    return k % (cfg.G_I * cfg.R_I) % cfg.G_I, expert_component(cfg, k)
 
 
 def upcycle(dense: DenseFfnWeights, cfg: FineRConfig, seed: int) -> MoEModel:
-    """Slice/replicate the dense FFN into a full MoE model."""
+    """Slice/replicate the dense FFN into a full MoE model. Each expert
+    stack is one gather from a view of the dense matrix that puts the
+    slices on a leading axis, so the stacks are C-contiguous, own their
+    storage and keep the dense dtype."""
     validate(cfg)
     dims = derive(cfg)
     if (dense.h, dense.H) != (cfg.h, cfg.H):
@@ -62,14 +52,12 @@ def upcycle(dense: DenseFfnWeights, cfg: FineRConfig, seed: int) -> MoEModel:
             f"dense FFN dims {(dense.h, dense.H)} do not match config {(cfg.h, cfg.H)}"
         )
     rng = Rng(seed)
-    experts = ExpertStack.zeros(dims.N, cfg.h, dims.H_e, dims.h_e, dense.w1.dtype)
-    for k in range(dims.N):
-        a = expert_slice_indices(k, cfg)
-        c0, c1 = a.i_slice * dims.H_e, (a.i_slice + 1) * dims.H_e
-        o0, o1 = a.j_slice * dims.h_e, (a.j_slice + 1) * dims.h_e
-        experts.w1[k] = dense.w1.a[:, c0:c1]
-        experts.wg[k] = dense.wg.a[:, c0:c1]
-        experts.w2[k] = dense.w2.a[c0:c1, o0:o1]
+    i, j = expert_slice_indices(cfg)
+    # Views with the slices on leading axes: W1/Wg as G_I column blocks
+    # (G_I x h x H_e), W2 as G_I x G_O blocks (G_I x G_O x H_e x h_e).
+    w1, wg = (w.a.reshape(cfg.h, cfg.G_I, dims.H_e).transpose(1, 0, 2) for w in (dense.w1, dense.wg))
+    w2 = dense.w2.a.reshape(cfg.G_I, dims.H_e, cfg.G_O, dims.h_e).transpose(0, 2, 1, 3)
+    experts = ExpertStack(w1[i], wg[i], w2[i, j])
     router = rng.child(_STREAM_ROUTER).matrix(cfg.h, dims.N, std=ROUTER_INIT_STD)
     router_cc = None
     if cfg.router_mode == "separate":

@@ -347,7 +347,9 @@ _FAULTS = {
     "shared-missing": lambda m: replace(m, shared=None),
     "shared-extra": lambda m: replace(m, cfg=with_updates(m.cfg, share_expert=False)),
     "shared-dims": lambda m: replace(m, shared=random_dense(16, 32, 1)),
-    "experts-shape": lambda m: replace(m, experts=ExpertStack.zeros(128, 16, 4, 8)),
+    "experts-shape": lambda m: replace(
+        m, experts=ExpertStack(*(np.zeros(s, np.float32) for s in ((128, 16, 4), (128, 16, 4), (128, 4, 8))))
+    ),
     "router-shape": lambda m: replace(m, router=Matrix.zeros(16, 64)),
     "router_cc-missing": lambda m: replace(m, router_cc=None),
     "router_cc-in-single-mode": lambda m: replace(m, cfg=with_updates(m.cfg, router_mode="single")),

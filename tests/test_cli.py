@@ -110,6 +110,17 @@ class TestUpcycle:
         model = read_model(out_p)
         assert model.cfg.R_I == 8 and model.cfg.T_I == 2
 
+    @pytest.mark.parametrize("h, H", [("-3", "8"), ("-3", "-8"), ("0", "8")])
+    def test_drop_mode_dims_below_one_are_a_config_error(self, tmp_path, h, H):
+        out_p = tmp_path / "du.frm"
+        code, text, err = _run(
+            ["upcycle", "--dense-seed", "5", "--h", h, "--H", H,
+             "--drop-ratio", "0.5", "--n-experts", "2", "--n-active", "1", "--out", str(out_p)]
+        )
+        assert (code, text) == (2, "")
+        assert err == f"error: h and H must be >= 1, got h={h}, H={H}\n"
+        assert not out_p.exists()
+
     def test_missing_inputs_rejected(self, tmp_path, base_cfg):
         code, _, err = _run(
             ["upcycle", "--config", str(base_cfg), "--out", str(tmp_path / "x.frm")]

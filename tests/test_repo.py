@@ -1,7 +1,9 @@
 """Repository hygiene: nothing that .gitignore excludes is tracked, so a
 build or test leftover can never be committed as if it were source; no
 library module or test file imports a name it never uses, so a deletion
-cannot leave one behind; every CLI example in the README parses, so a stale flag cannot
+cannot leave one behind; no library module outside the oracle computes a
+product but through ``numerics.matmul``, so none escapes its kernels;
+every CLI example in the README parses, so a stale flag cannot
 linger there; and the README's Python examples run, so a stale call cannot
 either."""
 
@@ -50,6 +52,41 @@ def test_no_module_imports_a_name_it_never_uses():
         if (names := _unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+_NUMPY_PRODUCTS = {"dot", "matmul", "einsum", "inner", "tensordot", "vdot"}
+
+
+def _products(source: str) -> list[str]:
+    """Products a module computes past ``numerics.matmul``: ``@``, ``@=``,
+    NumPy's product functions and any ``.dot``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp | ast.AugAssign) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and (
+            node.attr == "dot"
+            or node.attr in _NUMPY_PRODUCTS and getattr(node.value, "id", None) in ("np", "numpy")
+        ):
+            found.append((node.lineno, f".{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [(node.lineno, a.name) for a in node.names if a.name in _NUMPY_PRODUCTS]
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_every_product_goes_through_numerics_matmul():
+    # Comments and docstrings may name a product; the oracle's np.dot loops
+    # are the independent reference the kernels are checked against.
+    assert _products(
+        "# a @ b\ny = x.a @ w.a\ny @= w\nz = np.einsum('ij', a) + numpy.inner(a, b)\n"
+        "t = a.dot(b)\nfrom numpy import vdot, zeros\n"
+    ) == ["line 2: @", "line 3: @", "line 4: .einsum", "line 4: .inner", "line 5: .dot", "line 6: vdot"]
+    found = {
+        path.name: products
+        for path in sorted((ROOT / "src" / "finermoe").glob("*.py"))
+        if path.name != "oracle.py" and (products := _products(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
 
 
 def _readme_cli_commands() -> list[list[str]]:

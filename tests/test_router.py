@@ -20,19 +20,20 @@ class TestScore:
     def test_zero_router_gives_uniform(self):
         r = Matrix.zeros(4, 8)
         s = score(Rng(1).matrix(3, 4), r)
-        assert np.allclose(s.a, 1.0 / 8, atol=1e-7)
+        assert s.shape == (3, 8)
+        assert np.allclose(s, 1.0 / 8, atol=1e-7)
 
     def test_rows_sum_to_one(self):
         r = Rng(2).matrix(4, 6)
         s = score(Rng(3).matrix(5, 4), r)
-        assert np.abs(s.a.sum(axis=1) - 1.0).max() < 1e-6
+        assert np.abs(s.sum(axis=1) - 1.0).max() < 1e-6
 
     def test_closed_form_logits(self):
         # One input row and a router that reproduces [0, ln2, 0, 0].
         w = np.zeros((1, 4), dtype=np.float32)
         w[0, 1] = np.log(2.0)
         s = score(Matrix([[1.0]]), Matrix.wrap(w))
-        assert s.a[0] == pytest.approx([0.2, 0.4, 0.2, 0.2], abs=1e-6)
+        assert s[0] == pytest.approx([0.2, 0.4, 0.2, 0.2], abs=1e-6)
 
 
 class TestRouteHandTraces:

@@ -17,14 +17,13 @@ from finermoe.upcycle import (
 class TestSliceIndices:
     def test_two_by_two_grid(self):
         cfg = FineRConfig(h=8, H=8, G_I=2, R_I=1, G_O=2, R_O=1)
-        got = [(a.i_slice, a.j_slice) for a in (expert_slice_indices(k, cfg) for k in range(4))]
-        assert got == [(0, 0), (1, 0), (0, 1), (1, 1)]
+        i, j = expert_slice_indices(cfg)
+        assert list(zip(i.tolist(), j.tolist())) == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
     def test_pure_replication(self):
         cfg = FineRConfig(h=8, H=8, G_I=1, R_I=2, G_O=1, R_O=1)
-        for k in (0, 1):
-            a = expert_slice_indices(k, cfg)
-            assert (a.i_slice, a.j_slice) == (0, 0)
+        i, j = expert_slice_indices(cfg)
+        assert (i.tolist(), j.tolist()) == ([0, 0], [0, 0])
 
     def test_expert_zero_is_always_origin(self):
         for cfg in [
@@ -32,13 +31,45 @@ class TestSliceIndices:
             FineRConfig(h=8, H=8, G_I=4, R_I=1, G_O=1, R_O=2),
             FineRConfig(h=8, H=8),
         ]:
-            a = expert_slice_indices(0, cfg)
-            assert (a.i_slice, a.j_slice) == (0, 0)
+            i, j = expert_slice_indices(cfg)
+            assert (i[0], j[0]) == (0, 0)
 
-    def test_out_of_range(self):
-        cfg = FineRConfig(h=8, H=8, G_I=2, R_I=1, G_O=1, R_O=1)
-        with pytest.raises(ValueError, match="out of range"):
-            expert_slice_indices(2, cfg)
+
+def _expert_slices(dense, cfg):
+    """The three expert stacks built one expert at a time, as the module
+    docstring states them: expert k takes W1/Wg column block i and the
+    (i, j) block of W2."""
+    dims = derive(cfg)
+    stacks = ([], [], [])
+    for k in range(dims.N):
+        i = (k % (cfg.G_I * cfg.R_I)) % cfg.G_I
+        j = k // (cfg.R_O * cfg.G_I * cfg.R_I)
+        cols = slice(i * dims.H_e, (i + 1) * dims.H_e)
+        stacks[0].append(dense.w1.a[:, cols])
+        stacks[1].append(dense.wg.a[:, cols])
+        stacks[2].append(dense.w2.a[cols, j * dims.h_e : (j + 1) * dims.h_e])
+    return [np.stack(s) for s in stacks]
+
+
+_GRID = [
+    (g_i, r_i, g_o, r_o)
+    for g_i in (1, 2, 4) for r_i in (1, 2) for g_o in (1, 2, 4) for r_o in (1, 2)
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("g_i, r_i, g_o, r_o", _GRID)
+def test_stacks_are_the_per_expert_slices_byte_for_byte(g_i, r_i, g_o, r_o, dtype):
+    cfg = FineRConfig(h=8, H=16, G_I=g_i, R_I=r_i, G_O=g_o, R_O=r_o)
+    dense = random_dense(8, 16, 40).astype(dtype)
+    experts = upcycle(dense, cfg, 41).experts
+    for got, want in zip((experts.w1, experts.wg, experts.w2), _expert_slices(dense, cfg)):
+        assert got.dtype == dtype
+        # So each expert's matrix is C-contiguous, as the grouped kernel's
+        # operand check requires.
+        assert got.flags.c_contiguous
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestUpcycle:
@@ -80,12 +111,8 @@ class TestUpcycle:
         model = upcycle(dense, cfg, 8)
         dims = derive(cfg)
         rebuilt = np.zeros_like(dense.w2.a)
-        for k, w2 in enumerate(model.experts.w2):
-            a = expert_slice_indices(k, cfg)
-            rebuilt[
-                a.i_slice * dims.H_e : (a.i_slice + 1) * dims.H_e,
-                a.j_slice * dims.h_e : (a.j_slice + 1) * dims.h_e,
-            ] = w2
+        for w2, i, j in zip(model.experts.w2, *expert_slice_indices(cfg)):
+            rebuilt[i * dims.H_e : (i + 1) * dims.H_e, j * dims.h_e : (j + 1) * dims.h_e] = w2
         assert rebuilt.tobytes() == dense.w2.a.tobytes()
 
     def test_reconstruction_identity(self):
