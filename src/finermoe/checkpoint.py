@@ -68,11 +68,11 @@ def _manifest(model: DenseFfnWeights | MoEModel) -> str:
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
     offset = 0
-    for n, (name, mat) in enumerate(named_parameters(model)):
-        length = mat.rows * mat.cols * 4
+    for n, (name, p) in enumerate(named_parameters(model)):
+        length = p.size * 4
         lines += [
             f"tensor.{n}.name = {name}",
-            f"tensor.{n}.shape = {mat.rows}x{mat.cols}",
+            f"tensor.{n}.shape = {p.shape[0]}x{p.shape[1]}",
             f"tensor.{n}.dtype = f32",
             f"tensor.{n}.offset = {offset}",
             f"tensor.{n}.length = {length}",
@@ -106,8 +106,8 @@ def write_model(model: DenseFfnWeights | MoEModel, path) -> None:
             fh.write(len(manifest).to_bytes(8, "little"))
             fh.write(manifest)
             fh.write(b"\x00" * pad)
-            for _, mat in named_parameters(model):
-                fh.write(np.ascontiguousarray(mat.a, dtype="<f4").tobytes())
+            for _, p in named_parameters(model):
+                fh.write(np.ascontiguousarray(p, dtype="<f4").tobytes())
         try:  # open(path, "wb") keeps the mode of a file it truncates
             os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         except FileNotFoundError:

@@ -24,7 +24,7 @@ from finermoe.upcycle import drop_upcycle, random_dense, upcycle
 
 def read_matrix(path) -> Matrix:
     """Input format: one ASCII header line 'rows cols', then row-major
-    little-endian f32."""
+    little-endian f32, and nothing after it."""
     with open(path, "rb") as fh:
         try:
             rows, cols = map(int, fh.readline().split())
@@ -36,6 +36,8 @@ def read_matrix(path) -> Matrix:
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         if need > left:
             raise ValueError(f"{path}: payload truncated ({left} of {need} bytes)")
+        if need < left:
+            raise ValueError(f"{path}: {left - need} bytes after the {rows} x {cols} payload")
         raw = fh.read(need)
     return Matrix.wrap(np.frombuffer(raw, dtype="<f4").reshape(rows, cols).astype(np.float32))
 
@@ -118,10 +120,10 @@ def _cmd_upcycle(args) -> int:
 def _cmd_forward(args) -> int:
     model = _load_moe(args.model)
     x = read_matrix(args.input)
-    if not x.allfinite():
+    if not np.isfinite(x.a).all():
         raise ValueError(f"{args.input}: input holds inf or NaN")
     out = forward(x, model)
-    if not out.y.allfinite():
+    if not np.isfinite(out.y.a).all():
         raise ValueError("forward output holds inf or NaN (inputs or weights overflow); wrote no file")
     write_matrix(out.y, args.out)
     print(f"wrote {args.out}: {out.y.rows} x {out.y.cols}")
@@ -222,7 +224,7 @@ def _cmd_train_demo(args) -> int:
         )
         # Clipped SGD keeps the toy run stable at demo learning rates. The
         # norm sums per tensor in registry order, which fixes its rounding.
-        d_params = [g.a for _, g in named_parameters(grads.d_model)]
+        d_params = [g for _, g in named_parameters(grads.d_model)]
         sq = sum_squares(d_params)
         # Too large an --lr overflows the loss or the gradient norm before
         # the weights stop being finite.
@@ -234,7 +236,7 @@ def _cmd_train_demo(args) -> int:
         # A Python float when the step does not clip, else an np.float64:
         # sub_scaled keeps NumPy's promotion of each.
         scale = args.lr * min(1.0, args.clip / max(np.sqrt(sq), 1e-12))
-        sub_scaled([p.a for _, p in named_parameters(model)], d_params, scale)
+        sub_scaled([p for _, p in named_parameters(model)], d_params, scale)
         rows.append((step, task, bal.loss))
 
     if args.csv:

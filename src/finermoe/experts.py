@@ -49,9 +49,6 @@ class DenseFfnWeights:
     def astype(self, dtype) -> "DenseFfnWeights":
         return DenseFfnWeights(self.w1.astype(dtype), self.wg.astype(dtype), self.w2.astype(dtype))
 
-    def copy(self) -> "DenseFfnWeights":
-        return DenseFfnWeights(self.w1.copy(), self.wg.copy(), self.w2.copy())
-
 
 @dataclass(eq=False)
 class ExpertStack:

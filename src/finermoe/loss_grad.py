@@ -180,7 +180,7 @@ def backward(
         d_score = d_score + d_score_extra
     d_router = _router_backward(x, model, decision, d_score, d_x)
 
-    d_router_cc = None if model.router_cc is None else Matrix.zeros(cfg.h, dims.n_groups, dtype=dtype)
+    d_router_cc = None if model.router_cc is None else Matrix.wrap(np.zeros((cfg.h, dims.n_groups), dtype))
 
     d_model = MoEModel(
         cfg=cfg, shared=d_shared, experts=d_experts, router=d_router, router_cc=d_router_cc, concat_proj=d_proj,
@@ -267,8 +267,8 @@ def fd_check(x: Matrix, model: MoEModel, loss_fn: LossFn, n_coords: int = 24, se
     analytic = loss_fn.grads(x, model)
 
     groups: list[tuple[str, np.ndarray, np.ndarray]] = [
-        (name, mat.a.ravel(), grad.a.ravel())
-        for (name, mat), (_, grad) in zip(named_parameters(model), named_parameters(analytic.d_model))
+        (name, p.ravel(), grad.ravel())
+        for (name, p), (_, grad) in zip(named_parameters(model), named_parameters(analytic.d_model))
     ]
     groups.append(("x", x.a.ravel(), analytic.d_x.a.ravel()))
 

@@ -74,7 +74,9 @@ class MoEModel:
         is not the one ``over`` lays out for the config."""
         # np.empty touches no page of the layout; only its shapes are read.
         want = MoEModel.over(self.cfg, lambda rows, cols: np.empty((rows, cols), np.float32))
-        shapes = ([f"{name} {m.rows}x{m.cols}" for name, m in named_parameters(x)] for x in (self, want))
+        shapes = (
+            [f"{name} {'x'.join(map(str, p.shape))}" for name, p in named_parameters(m)] for m in (self, want)
+        )
         for n, (got, exp) in enumerate(zip_longest(*shapes)):
             if got != exp:
                 raise ValueError(
@@ -92,25 +94,26 @@ class MoEModel:
         )
 
 
-def named_parameters(model: MoEModel | DenseFfnWeights) -> list[tuple[str, Matrix]]:
+def named_parameters(model: MoEModel | DenseFfnWeights) -> list[tuple[str, np.ndarray]]:
     """The one tensor registry: every weight of a model, or of its gradients
-    (``LayerGradients.d_model``), by name in FRM1 file order.
+    (``LayerGradients.d_model``), as a 2-D array by name in FRM1 file order.
 
-    Expert entries are views of the stacks, so writing through them writes
-    the model. A dense FFN lists ffn.w1, ffn.wg, ffn.w2.
+    Each entry is the model's own memory: a matrix's ``.a`` or a slice of
+    an expert stack, so writing through it writes the model. A dense FFN
+    lists ffn.w1, ffn.wg, ffn.w2.
     """
     if isinstance(model, DenseFfnWeights):
-        return [(f"ffn.{w}", getattr(model, w)) for w in _SWIGLU]
+        return [(f"ffn.{w}", getattr(model, w).a) for w in _SWIGLU]
     params = []
     if model.shared is not None:
-        params += [(f"shared.{w}", getattr(model.shared, w)) for w in _SWIGLU]
+        params += [(f"shared.{w}", getattr(model.shared, w).a) for w in _SWIGLU]
     stacks = [(w, getattr(model.experts, w)) for w in _SWIGLU]
-    params += [(f"expert.{k}.{w}", Matrix.wrap(s[k])) for k in range(len(model.experts.w1)) for w, s in stacks]
-    params.append(("router.w", model.router))
+    params += [(f"expert.{k}.{w}", s[k]) for k in range(len(model.experts.w1)) for w, s in stacks]
+    params.append(("router.w", model.router.a))
     if model.router_cc is not None:
-        params.append(("router_cc.w", model.router_cc))
+        params.append(("router_cc.w", model.router_cc.a))
     if model.concat_proj is not None:
-        params.append(("concat_proj.w", model.concat_proj))
+        params.append(("concat_proj.w", model.concat_proj.a))
     return params
 
 

@@ -1,4 +1,5 @@
-"""Dense numeric core: matrices, matmul, SiLU, softmax, and a seeded RNG.
+"""Dense numeric core: the matmul operand, matmul, SiLU, softmax, and a
+seeded RNG.
 
 Design constraints that everything downstream leans on:
 
@@ -43,25 +44,15 @@ def get_num_threads() -> int:
 
 
 class Matrix:
-    """2-D row-major float matrix backed by a contiguous NumPy array.
+    """A matmul operand: a C-contiguous 2-D f32/f64 NumPy array ``a``, or,
+    through ``.T``, its transposed view.
 
-    The only numeric container used by the library. ``a`` exposes the
-    underlying array for elementwise work; all matrix products must go
-    through :func:`matmul` to keep reductions reproducible. ``.T`` is the
-    one exception to row-major: a transposed view, for use as an operand.
+    It holds nothing beyond what a product reads: the parameter registry
+    and all elementwise work use plain ndarrays. All matrix products go
+    through :func:`matmul` to keep reductions reproducible.
     """
 
     __slots__ = ("a",)
-
-    def __init__(self, data, dtype=None):
-        arr = np.array(data, dtype=dtype, order="C", copy=True)
-        if arr.dtype not in _DTYPES:
-            arr = arr.astype(np.float32)
-        if arr.ndim != 2:
-            raise ValueError(f"Matrix must be 2-D, got shape {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"Matrix dims must be positive, got shape {arr.shape}")
-        self.a = arr
 
     @classmethod
     def wrap(cls, arr: np.ndarray) -> "Matrix":
@@ -71,14 +62,6 @@ class Matrix:
             raise ValueError("wrap() needs a C-contiguous 2-D f32/f64 array")
         m.a = arr
         return m
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, dtype=np.float32) -> "Matrix":
-        return cls.wrap(np.zeros((rows, cols), dtype=dtype))
-
-    @classmethod
-    def identity(cls, n: int, dtype=np.float32) -> "Matrix":
-        return cls.wrap(np.eye(n, dtype=dtype))
 
     @property
     def rows(self) -> int:
@@ -99,30 +82,12 @@ class Matrix:
     def astype(self, dtype) -> "Matrix":
         return Matrix.wrap(np.ascontiguousarray(self.a, dtype=dtype))
 
-    def copy(self) -> "Matrix":
-        return Matrix.wrap(self.a.copy())
-
     @property
     def T(self) -> "Matrix":
         """The transpose as a no-copy view of ``a``, for use as a matmul operand."""
         m = Matrix.__new__(Matrix)
         m.a = self.a.T
         return m
-
-    def tobytes(self) -> bytes:
-        return self.a.tobytes()
-
-    def allfinite(self) -> bool:
-        return bool(np.isfinite(self.a).all())
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (
-            self.a.dtype == other.a.dtype
-            and self.a.shape == other.a.shape
-            and self.a.tobytes() == other.a.tobytes()
-        )
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.a.dtype})"

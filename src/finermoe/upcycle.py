@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from finermoe.config import FineRConfig, derive, expert_component, validate
+from finermoe.config import ConfigError, FineRConfig, derive, expert_component, validate
 from finermoe.experts import DenseFfnWeights, ExpertStack
-from finermoe.moe_layer import MoEModel
+from finermoe.moe_layer import MoEModel, named_parameters
 from finermoe.numerics import Matrix, Rng
 
 ROUTER_INIT_STD = 0.02
@@ -48,9 +48,7 @@ def upcycle(dense: DenseFfnWeights, cfg: FineRConfig, seed: int) -> MoEModel:
     validate(cfg)
     dims = derive(cfg)
     if (dense.h, dense.H) != (cfg.h, cfg.H):
-        raise ValueError(
-            f"dense FFN dims {(dense.h, dense.H)} do not match config {(cfg.h, cfg.H)}"
-        )
+        raise ConfigError(f"dense FFN dims {(dense.h, dense.H)} do not match config {(cfg.h, cfg.H)}")
     rng = Rng(seed)
     i, j = expert_slice_indices(cfg)
     # Views with the slices on leading axes: W1/Wg as G_I column blocks
@@ -62,13 +60,16 @@ def upcycle(dense: DenseFfnWeights, cfg: FineRConfig, seed: int) -> MoEModel:
     router_cc = None
     if cfg.router_mode == "separate":
         router_cc = rng.child(_STREAM_ROUTER_CC).matrix(cfg.h, dims.n_groups, std=ROUTER_INIT_STD)
+    shared = None
+    if cfg.share_expert:  # a verbatim copy
+        shared = DenseFfnWeights(*(Matrix.wrap(w.copy()) for _, w in named_parameters(dense)))
     model = MoEModel(
         cfg=cfg,
-        shared=dense.copy() if cfg.share_expert else None,
+        shared=shared,
         experts=experts,
         router=router,
         router_cc=router_cc,
-        concat_proj=Matrix.identity(cfg.h) if cfg.concat_proj else None,
+        concat_proj=Matrix.wrap(np.eye(cfg.h, dtype=np.float32)) if cfg.concat_proj else None,
     )
     model.validate()
     return model

@@ -40,7 +40,7 @@ def _two_expert_model(u: np.ndarray, v: np.ndarray) -> MoEModel:
             w[:, 4:8].reshape(2, 2, 2).copy(),
             w[:, 8:12].reshape(2, 2, 2).copy(),
         ),
-        router=Matrix.zeros(2, 2),
+        router=Matrix.wrap(np.zeros((2, 2), np.float32)),
     )
 
 
@@ -86,7 +86,7 @@ class TestExpertSimilarity:
             cfg=cfg,
             shared=random_dense(2, 8, 4),
             experts=ExpertStack(pos, zeros, zeros.copy()),
-            router=Matrix.zeros(2, 4),
+            router=Matrix.wrap(np.zeros((2, 4), np.float32)),
         )
         rep = expert_similarity(model)
         assert rep.mean == 0.0

@@ -2,6 +2,7 @@ import contextlib
 import importlib
 import io
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -121,6 +122,19 @@ class TestUpcycle:
         assert err == f"error: h and H must be >= 1, got h={h}, H={H}\n"
         assert not out_p.exists()
 
+    # A dense checkpoint that does not fit the config is a config fault.
+    def test_dense_file_of_other_dims_exits_2(self, tmp_path, base_cfg):
+        from finermoe.checkpoint import write_model
+        from finermoe.upcycle import random_dense
+
+        dense_p, out_p = tmp_path / "d.frm", tmp_path / "m.frm"
+        write_model(random_dense(16, 64, 5), dense_p)
+        code, text, err = _run(
+            ["upcycle", "--config", str(base_cfg), "--dense", str(dense_p), "--out", str(out_p)]
+        )
+        assert (code, text, err) == (2, "", "error: dense FFN dims (16, 64) do not match config (32, 64)\n")
+        assert not out_p.exists()
+
     def test_missing_inputs_rejected(self, tmp_path, base_cfg):
         code, _, err = _run(
             ["upcycle", "--config", str(base_cfg), "--out", str(tmp_path / "x.frm")]
@@ -163,6 +177,21 @@ class TestForward:
         )
         assert code != 0
         assert "truncated" in err
+
+    # A header of 1 x 16 over 32 values is refused, not read as its first 16.
+    def test_bytes_after_the_payload_are_refused(self, tmp_path):
+        p = tmp_path / "x.mat"
+        p.write_bytes(b"1 16\n" + bytes(32 * 4))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: 64 bytes after the 1 x 16 payload$"):
+            read_matrix(p)
+
+    def test_forward_refuses_bytes_after_the_payload(self, tmp_path, model_file):
+        p, yp = tmp_path / "x.mat", tmp_path / "y.mat"
+        write_matrix(Rng(11).matrix(3, 32), p)
+        p.write_bytes(p.read_bytes() + bytes(4))
+        code, out, err = _run(["forward", "--model", str(model_file), "--input", str(p), "--out", str(yp)])
+        assert (code, out, err) == (3, "", f"error: {p}: 4 bytes after the 3 x 32 payload\n")
+        assert not yp.exists()
 
     @pytest.mark.parametrize("header", [b"", b"3\n", b"3 5 7\n", b"\xff\xfe 5\n", b"3 x\n", b"1.5 32\n"],
                              ids=["no header", "one dim", "three dims", "non-ASCII", "non-integer", "float"])

@@ -8,24 +8,24 @@ from finermoe.numerics import Matrix, Rng, silu
 
 def _toy_expert():
     return (
-        Matrix.identity(2),
-        Matrix.identity(2),
-        Matrix([[1.0], [1.0]]),
+        Matrix.wrap(np.eye(2, dtype=np.float32)),
+        Matrix.wrap(np.eye(2, dtype=np.float32)),
+        Matrix.wrap(np.array([[1.0], [1.0]])),
     )
 
 
 class TestExpertForward:
     def test_hand_evaluation(self):
-        out = swiglu(Matrix([[1.0, 0.0]]), *_toy_expert()).out
+        out = swiglu(Matrix.wrap(np.array([[1.0, 0.0]])), *_toy_expert()).out
         assert out.a[0, 0] == pytest.approx(silu(1.0), rel=1e-6)
 
     def test_zero_input(self):
         w = (Rng(1).matrix(4, 6), Rng(2).matrix(4, 6), Rng(3).matrix(6, 2))
-        out = swiglu(Matrix.zeros(3, 4), *w).out
+        out = swiglu(Matrix.wrap(np.zeros((3, 4), np.float32)), *w).out
         assert not out.a.any()
 
     def test_zero_down_projection(self):
-        w = (Rng(1).matrix(4, 6), Rng(2).matrix(4, 6), Matrix.zeros(6, 2))
+        w = (Rng(1).matrix(4, 6), Rng(2).matrix(4, 6), Matrix.wrap(np.zeros((6, 2), np.float32)))
         out = swiglu(Rng(4).matrix(3, 4), *w).out
         assert not out.a.any()
 
@@ -41,7 +41,7 @@ class TestExpertForward:
     def test_shape_mismatch(self):
         w = _toy_expert()
         with pytest.raises(ValueError, match="does not match"):
-            swiglu(Matrix.zeros(1, 3), *w)
+            swiglu(Matrix.wrap(np.zeros((1, 3), np.float32)), *w)
 
     def test_identity_gate_makes_forward_bilinear(self, monkeypatch):
         # With the gate nonlinearity removed the map is linear in W1 and
@@ -63,7 +63,7 @@ class TestExpertForward:
 class TestSharedForward:
     def test_zero_input(self):
         w = DenseFfnWeights(Rng(1).matrix(4, 8), Rng(2).matrix(4, 8), Rng(3).matrix(8, 4))
-        assert not shared_forward(Matrix.zeros(2, 4), w).out.a.any()
+        assert not shared_forward(Matrix.wrap(np.zeros((2, 4), np.float32)), w).out.a.any()
 
     def test_batch_row_decomposition(self):
         w = DenseFfnWeights(Rng(4).matrix(4, 8), Rng(5).matrix(4, 8), Rng(6).matrix(8, 4))
@@ -82,4 +82,4 @@ class TestSharedForward:
 class TestWeightContainers:
     def test_dense_shape_check(self):
         with pytest.raises(ValueError, match="inconsistent"):
-            DenseFfnWeights(Matrix.zeros(4, 8), Matrix.zeros(4, 8), Matrix.zeros(4, 8))
+            DenseFfnWeights(*(Matrix.wrap(np.zeros((4, 8), np.float32)) for _ in range(3)))

@@ -103,9 +103,9 @@ class TestBackward:
         model = _model(seed=5)
         x = Rng(6).matrix(4, TOY.h)
         out = forward(x, model)
-        g = backward(model, Matrix.zeros(4, TOY.h), out)
+        g = backward(model, Matrix.wrap(np.zeros((4, TOY.h), np.float32)), out)
         for name, grad in named_parameters(g.d_model):
-            assert not grad.a.any(), name
+            assert not grad.any(), name
         assert not g.d_x.a.any()
 
     def test_inactive_experts_get_zero_gradient(self):
@@ -151,7 +151,7 @@ class TestBackward:
         x = Rng(17).matrix(4, TOY.h)
         out = forward(x, model)
         with pytest.raises(ValueError, match="upstream"):
-            backward(model, Matrix.zeros(4, 3), out)
+            backward(model, Matrix.wrap(np.zeros((4, 3), np.float32)), out)
 
 
 def _grid_cfg(name, mode, proj, h=16, H=64):
@@ -179,12 +179,12 @@ def _grid_model(cfg, dtype):
     """Perturbed off the upcycled point, so no gradient is zero by symmetry."""
     model = _model(cfg, seed=40)
     for i, (_, p) in enumerate(named_parameters(model)):
-        p.a += Rng(41 + i).matrix(*p.shape, std=0.01).a
+        p += Rng(41 + i).matrix(*p.shape, std=0.01).a
     return model.astype(dtype)
 
 
 def _grad_bytes(g):
-    return [(name, m.a.tobytes()) for name, m in named_parameters(g.d_model)]
+    return [(name, p.tobytes()) for name, p in named_parameters(g.d_model)]
 
 
 class TestInputGradOff:
@@ -211,7 +211,7 @@ class TestInputGradOff:
         x = Rng(52).matrix(10, cfg.h, dtype=dtype)
         out = forward(x, model)
         d_score = balance_loss_score_grad(out.decision, cfg, 0.01)
-        want = backward(model, Matrix.zeros(10, cfg.h, dtype=dtype), out, d_score_extra=d_score)
+        want = backward(model, Matrix.wrap(np.zeros((10, cfg.h), dtype)), out, d_score_extra=d_score)
         got = balance_loss_fn(0.01).grads(x, model)
         assert _grad_bytes(got) == _grad_bytes(want)
         assert got.d_x.a.tobytes() == want.d_x.a.tobytes()
@@ -362,7 +362,7 @@ class TestFiniteDifferences:
         # checked coordinate's central difference.
         model = _model(seed=30).astype(np.float64)
         x = Rng(31).matrix(4, TOY.h).astype(np.float64)
-        before = [m.a.tobytes() for _, m in named_parameters(model)] + [x.a.tobytes()]
+        before = [p.tobytes() for _, p in named_parameters(model)] + [x.a.tobytes()]
         loss = mean_squared_output_loss()
         calls = []
 
@@ -374,7 +374,7 @@ class TestFiniteDifferences:
 
         with pytest.raises(RuntimeError, match="third call"):
             fd_check(x, model, LossFn(value=value, grads=loss.grads), seed=32, n_coords=8)
-        assert [m.a.tobytes() for _, m in named_parameters(model)] + [x.a.tobytes()] == before
+        assert [p.tobytes() for _, p in named_parameters(model)] + [x.a.tobytes()] == before
 
     def test_unstable_coordinates_are_reported_not_failed(self):
         # A near-tie between the two candidates of a component flips under

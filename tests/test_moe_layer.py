@@ -202,7 +202,7 @@ class TestForwardForced:
         model = _model(seed=31)
         cfg = with_updates(TOY, share_expert=False)
         model = _model(cfg, seed=31)
-        assert not forward_forced(Matrix.zeros(2, cfg.h), model).a.any()
+        assert not forward_forced(Matrix.wrap(np.zeros((2, cfg.h), np.float32)), model).a.any()
 
     def test_candidate_zero_only(self):
         # Zeroing every non-candidate-0 expert must not change the forced path.
@@ -227,7 +227,7 @@ class TestForwardForced:
         cfg = baseline_preset(name, h=16, H=64)
         model = _model(cfg, seed=36)
         for i, (_, p) in enumerate(named_parameters(model)):
-            p.a += Rng(37 + i).matrix(*p.shape, std=0.05).a
+            p += Rng(37 + i).matrix(*p.shape, std=0.05).a
         model = model.astype(dtype)
         x = Rng(38).matrix(L, cfg.h, dtype=dtype)
         dims = model.dims

@@ -184,17 +184,17 @@ def _rank1_inner(a, b, offsets):
 class TestMatmul:
     def test_identity_exact(self):
         a = Rng(1).matrix(7, 7)
-        out = matmul(a, Matrix.identity(7))
+        out = matmul(a, Matrix.wrap(np.eye(7, dtype=np.float32)))
         assert out.a.tobytes() == a.a.tobytes()
 
     def test_hand_product(self):
-        a = Matrix([[1.0, 2.0], [3.0, 4.0]])
-        b = Matrix([[1.0], [1.0]])
+        a = Matrix.wrap(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        b = Matrix.wrap(np.array([[1.0], [1.0]]))
         assert matmul(a, b).a.tolist() == [[3.0], [7.0]]
 
     def test_dimension_mismatch_names_shapes(self):
-        a = Matrix.zeros(1, 3)
-        b = Matrix.zeros(2, 2)
+        a = Matrix.wrap(np.zeros((1, 3), np.float32))
+        b = Matrix.wrap(np.zeros((2, 2), np.float32))
         with pytest.raises(ValueError, match="1x3.*2x2"):
             matmul(a, b)
 
@@ -213,7 +213,7 @@ class TestMatmul:
 
     def test_flop_counter(self):
         with count_flops() as c:
-            matmul(Matrix.zeros(3, 4), Matrix.zeros(4, 5))
+            matmul(Matrix.wrap(np.zeros((3, 4), np.float32)), Matrix.wrap(np.zeros((4, 5), np.float32)))
         assert c.flops == 2 * 3 * 4 * 5
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -599,7 +599,7 @@ class TestDeterminismContract:
                 d_score = balance_loss_score_grad(out.decision, cfg, 0.01)
                 grads = backward(model, upstream, out, d_score_extra=d_score)
                 got[name] = [out.y.a.tobytes(), grads.d_x.a.tobytes(),
-                             *(g.a.tobytes() for _, g in named_parameters(grads.d_model))]
+                             *(g.tobytes() for _, g in named_parameters(grads.d_model))]
             assert all(v == got["python"] for v in got.values()), (case, cfg, dtype, L)
 
 
@@ -1237,20 +1237,25 @@ class TestOptimizerEntries:
 class TestMatrix:
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
-            Matrix([1.0, 2.0])
-
-    def test_rejects_empty_dims(self):
-        with pytest.raises(ValueError):
-            Matrix(np.zeros((0, 3), dtype=np.float32))
+            Matrix.wrap(np.array([1.0, 2.0], np.float32))
 
     def test_transpose_round_trip(self):
         m = Rng(12).matrix(3, 5)
         assert m.T.shape == (5, 3) and np.shares_memory(m.T.a, m.a)
-        assert m.T.T == m
+        assert m.T.T.shape == m.shape and m.T.T.a.tobytes() == m.a.tobytes()
 
     def test_astype_preserves_values(self):
         m = Rng(13).matrix(4, 4)
         assert np.allclose(m.astype(np.float64).a, m.a)
+
+    # Matrix is only the matmul operand; everything else is an ndarray.
+    # perfbench wraps inputs and reads a product's .a, .rows and .cols
+    # (workloads.py, spans.py), which its library-name scan does not see.
+    def test_public_names_are_the_operand_surface(self):
+        kept = {"a", "wrap", "rows", "cols", "dtype", "shape", "T", "astype"}
+        assert {n for n in dir(Matrix) if not n.startswith("_")} == kept
+        assert {"wrap", "a", "rows", "cols"} <= kept
+        assert Matrix.__init__ is object.__init__ and Matrix.__eq__ is object.__eq__
 
     def test_wrap_rejects_non_contiguous(self):
         backing = Rng(14).matrix(4, 6).a

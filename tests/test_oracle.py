@@ -12,11 +12,12 @@ from finermoe.verify import decisions_equal, dyadic_scores, rel_err
 class TestDenseOracle:
     def test_zero_input(self):
         w = DenseFfnWeights(Rng(1).matrix(4, 8), Rng(2).matrix(4, 8), Rng(3).matrix(8, 4))
-        assert not dense_ffn_forward(Matrix.zeros(2, 4), w).a.any()
+        assert not dense_ffn_forward(Matrix.wrap(np.zeros((2, 4), np.float32)), w).a.any()
 
     def test_hand_instance(self):
-        w = DenseFfnWeights(Matrix.identity(2), Matrix.identity(2), Matrix([[1.0, 0.0], [1.0, 0.0]]))
-        out = dense_ffn_forward(Matrix([[1.0, 0.0]]), w)
+        eye = Matrix.wrap(np.eye(2, dtype=np.float32))
+        w = DenseFfnWeights(eye, eye, Matrix.wrap(np.array([[1.0, 0.0], [1.0, 0.0]])))
+        out = dense_ffn_forward(Matrix.wrap(np.array([[1.0, 0.0]])), w)
         assert out.a[0, 0] == pytest.approx(silu(1.0), rel=1e-6)
 
     def test_agrees_with_production_forward_f64(self):
@@ -40,7 +41,7 @@ class TestDenseOracle:
     def test_shape_check(self):
         w = DenseFfnWeights(Rng(6).matrix(4, 8), Rng(7).matrix(4, 8), Rng(8).matrix(8, 4))
         with pytest.raises(ValueError, match="does not match"):
-            dense_ffn_forward(Matrix.zeros(2, 5), w)
+            dense_ffn_forward(Matrix.wrap(np.zeros((2, 5), np.float32)), w)
 
 
 class TestRouteReference:

@@ -126,7 +126,7 @@ def test_traced_matmul_spans_count_every_flop(name, mode, proj):
     cfg = with_updates(baseline_preset(name, h=16, H=64), router_mode=mode, concat_proj=proj)
     model = upcycle(random_dense(16, 64, 1, std=0.3), cfg, 2)
     for i, (_, p) in enumerate(finermoe.named_parameters(model)):
-        p.a += Rng(3 + i).matrix(*p.shape, std=0.05).a
+        p += Rng(3 + i).matrix(*p.shape, std=0.05).a
     x, upstream = Rng(4).matrix(11, 16), Rng(5).matrix(11, 16)
     counted = {}
 

@@ -55,7 +55,7 @@ def _digest(name):
             cfg = with_updates(baseline_preset(name, h=16, H=64), router_mode=mode, concat_proj=proj)
             base = upcycle(random_dense(16, 64, 1, std=0.3), cfg, 2)
             for i, (_, p) in enumerate(named_parameters(base)):
-                p.a += Rng(3 + i).matrix(*p.shape, std=0.05).a
+                p += Rng(3 + i).matrix(*p.shape, std=0.05).a
             x = Rng(4).matrix(5, 16)
             for loss in (mean_squared_output_loss(), balance_loss_fn(0.01)):
                 h.update(repr(fd_check(x, base, loss, n_coords=12)).encode())
@@ -70,7 +70,7 @@ def _digest(name):
                     h.update(out.y.a.tobytes())
                     h.update(forward_forced(x, model).a.tobytes())
                     for _, g in named_parameters(grads.d_model):
-                        h.update(g.a.tobytes())
+                        h.update(g.tobytes())
                     h.update(grads.d_x.a.tobytes())
     return h.hexdigest()
 

@@ -65,8 +65,8 @@ def test_update_through_registry_writes_the_stack():
     model = _model("single", seed=4)
     before = model.experts.w2.copy()
     slots = dict(named_parameters(model))
-    slots["expert.5.w2"].a -= 1.0
-    slots["expert.2.w1"].a[0, 0] = 7.0
+    slots["expert.5.w2"] -= 1.0
+    slots["expert.2.w1"][0, 0] = 7.0
     assert np.array_equal(model.experts.w2[5], before[5] - 1.0)
     assert np.array_equal(np.delete(model.experts.w2, 5, axis=0), np.delete(before, 5, axis=0))
     assert model.experts.w1[2, 0, 0] == 7.0

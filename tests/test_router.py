@@ -18,7 +18,7 @@ def _cfg(g_i, r_i, g_o, r_o, t_i, **kw):
 
 class TestScore:
     def test_zero_router_gives_uniform(self):
-        r = Matrix.zeros(4, 8)
+        r = Matrix.wrap(np.zeros((4, 8), np.float32))
         s = score(Rng(1).matrix(3, 4), r)
         assert s.shape == (3, 8)
         assert np.allclose(s, 1.0 / 8, atol=1e-7)
@@ -32,7 +32,7 @@ class TestScore:
         # One input row and a router that reproduces [0, ln2, 0, 0].
         w = np.zeros((1, 4), dtype=np.float32)
         w[0, 1] = np.log(2.0)
-        s = score(Matrix([[1.0]]), Matrix.wrap(w))
+        s = score(Matrix.wrap(np.array([[1.0]])), Matrix.wrap(w))
         assert s[0] == pytest.approx([0.2, 0.4, 0.2, 0.2], abs=1e-6)
 
 
