@@ -34,10 +34,12 @@
  * four multiply-adds (register blocking over rows, after Goto and van de
  * Geijn, ACM TOMS 2008, and Van Zee and van de Geijn, ACM TOMS 2015); the
  * rows left over run one at a time. When b is a transposed view
- * (bcs != 1), panels of up to PANEL of its columns are first packed into
- * a row-major buffer, which the same loop then reads. Each output element
- * is still summed by its own sequence of adds, so neither the blocking
- * nor the packing changes a bit.
+ * (bcs != 1), panels of up to PANEL of its columns are first gathered into
+ * a row-major buffer, which the same loop then reads; the gather copies
+ * GATHER inner indices of a column at a time, so that each read of the
+ * stored matrix is a contiguous run. Each output element is still summed
+ * by its own sequence of adds, so neither the blocking nor the gather
+ * changes a bit.
  *
  * On x86-64 that loop is built three times, for AVX-512F (16 f32 lanes),
  * AVX2 (8) and the x86-64 baseline SSE2 (4), by GCC's target_clones, and
@@ -49,44 +51,57 @@
  * test in the same priority order as the resolver. Other architectures
  * build the loop once, as "default".
  *
- * Where gemm_isa names avx512f, every plain product of two or more rows
- * runs instead on a register tile (the micro-kernel of the two papers
- * above) over a packed copy of b (their packing): an MR x 2L block of o,
- * L the 16 f32 or 8 f64 lanes of a 64-byte vector, stays in 2 * MR vector
- * registers while the tile reads one panel. For p0 in steps of kc rows,
- * the first mt = m - m % 2L columns of b[p0:p0+kc, :] are copied, one
- * contiguous run per row, into panels of kc x 2L elements in a buffer of
- * WIDE_BUF bytes or less (or of one row, where a row is larger), which
- * stays in L2; a product with fewer than kc rows of b packs them all. The tile runs over each panel, starting from +0.0 at
- * p0 == 0 and from the running sums it stored to o after the block
- * before. Each term is one broadcast of a[i, p], then a separate multiply
- * and add per vector of b[p, :]; a sum stored and reloaded is the same
- * value, so the tile adds the same terms in the same order and gives the
- * same bits. Rows left over run on 4-, 2- and 1-row tiles, the m % 2L
- * columns left over on the i-p-j loop. Each row of b is read once and
- * each panel is contiguous, where read in place a panel of b would be a
- * walk over rows a whole row of b apart. At 8 rows the reference dims'
- * f32 shared-expert products took 6.3-6.5 ms against 10.7-12.7 on the loop
- * (BENCH_wide_panels.json), and infer-fine's, 64 x 256 @ 256 x 1024 and
- * 64 x 1024 @ 1024 x 256, 0.55 and 0.49 ms against 0.66 and 0.63 with
- * the tile reading b in place (BENCH_one_schedule.json). A transposed b
- * (bcs != 1) is first gathered into row-major panels of PANEL columns, as
- * for the loop, and each of them is then packed like any other b:
- * gathering it straight into the tile's panels reads it by columns, and
- * in a prototype 8 x 1536 @ (8960 x 1536)^T took 40-105 ms that way,
- * against 36 through the PANEL gather.
+ * Where gemm_isa names avx512f, products of two or more rows run instead
+ * on a register tile (the micro-kernel of the two papers above): an MR x
+ * 2L block of o, L the 16 f32 or 8 f64 lanes of a 64-byte vector, stays
+ * in 2 * MR vector registers while the tile reads 2L columns of b, one row
+ * of b at a time. Each term is one broadcast of a[i, p], then a separate
+ * multiply and add per vector of b[p, :], so the tile adds the same terms
+ * in the same order and gives the same bits. Rows left over run on 4-, 2-
+ * and 1-row tiles, the m % 2L columns left over on the i-p-j loop.
+ *
+ * A plain product runs the tile over a packed copy of b (the papers'
+ * packing). For p0 in steps of kc rows, the first mt = m - m % 2L columns
+ * of b[p0:p0+kc, :] are copied, one contiguous run per row, into panels of
+ * kc x 2L elements in a buffer of WIDE_BUF bytes or less (or of one row,
+ * where a row is larger), which stays in L2; a product with fewer than kc
+ * rows of b packs them all. The tile runs over each panel, starting from
+ * +0.0 at p0 == 0 and from the running sums it stored to o after the block
+ * before; a sum stored and reloaded is the same value. Each row of b is
+ * read once and each panel is contiguous, where read in place a panel of
+ * b would be a walk over rows a whole row of b apart. At 8 rows the
+ * reference dims' f32 shared-expert products took 6.3-6.5 ms against
+ * 10.7-12.7 on the loop (BENCH_wide_panels.json), and infer-fine's, 64 x
+ * 256 @ 256 x 1024 and 64 x 1024 @ 1024 x 256, 0.55 and 0.49 ms against
+ * 0.66 and 0.63 with the tile reading b in place (BENCH_one_schedule.json).
+ * A transposed b is first gathered into row-major panels of PANEL
+ * columns, as for the loop, and each of them is then packed like any
+ * other b: gathering it straight into the tile's panels reads it by
+ * columns, and in a prototype 8 x 1536 @ (8960 x 1536)^T took 40-105 ms
+ * that way, against 36 through the PANEL gather.
+ *
+ * A grouped product runs the tile over each expert's matrix in place, rows
+ * ldb apart, with nothing packed: each grouped-rows segment of two or more
+ * rows, and each segment of a grouped-inner-index product of two or more
+ * output rows (n >= 2). A segment is read by one tile or a few, so a
+ * packed copy would be read about as often as it was written, and an
+ * expert's matrix stays in L2 while they read it (256 x 128 f32, 128 KB,
+ * in train-coarse). A transposed stack matrix is gathered into its PANEL
+ * panels first, as for the loop. Over the 64 experts x 8 rows of a
+ * train-coarse step, min of 30 calls (BENCH_grouped_tile.json): x @ w1[k]
+ * took 0.93 ms against 1.22 on the loop, x_k^T @ d_up_k 1.06 against 1.63,
+ * h_k^T @ d_out_k 1.11 against 1.77 and d_out @ w2[k]^T 2.05 against 3.34;
+ * on the packed tile the same segments took 0.98, 1.06, 1.15 and 2.25,
+ * each allocating a buffer.
  *
  * Everything else stays on the i-p-j loop:
  *
- * - one-row products, which read b once either way, so the packing is a
- *   copy that nothing repays (1 x 1536 @ 1536 x 8960: 3.0 ms on the loop
- *   against 4.2 packed);
+ * - one-row products and one-row segments, which read b once either way,
+ *   so the packing is a copy that nothing repays (1 x 1536 @ 1536 x 8960:
+ *   3.0 ms on the loop against 4.2 packed);
  * - AVX2 and SSE2 hosts, where 64-byte vectors do not fit the registers
  *   (built for AVX2, 1.2-1.3 GFLOP/s against 14-19 for the i-p-j loop on
- *   the shared expert's f32 products);
- * - grouped products, whose time would scale less with the number of
- *   active experts: each call also reads every expert's weights from
- *   memory, a fixed cost that a faster loop leaves as a larger share.
+ *   the shared expert's f32 products).
  */
 
 #include <stdint.h>
@@ -96,6 +111,11 @@
 #define PANEL 256
 #define MR 8
 #define WIDE_BUF (1L << 19)
+#define GATHER 16
+
+/* The paths of a product: the i-p-j loop, or the register tile over a
+ * packed copy of b or over b in place. */
+enum { LOOP, PACKED, IN_PLACE };
 
 #if defined(__x86_64__)
 #define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
@@ -120,8 +140,8 @@ const char *gemm_isa(void)
     return "default";
 }
 
-/* Whether plain products run on the packed register tile: where gemm_isa
- * names avx512f, decided once when the library loads. */
+/* Whether products run on the register tile: where gemm_isa names
+ * avx512f, decided once when the library loads. */
 static int tiled;
 
 __attribute__((constructor)) static void choose_tile(void)
@@ -226,101 +246,120 @@ __attribute__((constructor)) static void choose_tile(void)
                         o + i * ldo, ldo, k);                                 \
     }                                                                         \
                                                                               \
-    /* As NAME##_block for m >= 2L, by blocks of kc rows of b: the first mt   \
-     * = m - m % 2L columns of each block are packed into a buffer of kc * mt \
-     * elements as panels of kc x 2L, each contiguous, which NAME##_rows      \
-     * then reads, carrying the running sums in o from one block to the       \
-     * next. An empty inner index is one empty block, which writes +0.0.      \
-     * Returns 0, or -1 when the buffer cannot be allocated. */               \
+    /* o[:, 0:m] = a @ b[:, 0:m] for m a multiple of 2L, by blocks of kc      \
+     * rows of b: each block is packed into a buffer of kc * m elements as    \
+     * panels of kc x 2L, each contiguous, which NAME##_rows then reads,      \
+     * carrying the running sums in o from one block to the next. An empty    \
+     * inner index is one empty block, which writes +0.0. Returns 0, or -1    \
+     * when the buffer cannot be allocated. */                                \
     AVX512F static int NAME##_packed(const T *a, long ars, long acs,          \
                                      const T *b, long ldb, T *o, long ldo,    \
                                      long n, long k, long m)                  \
     {                                                                         \
-        const long nr = 2 * (sizeof(V) / sizeof(T)), mt = m - m % nr;         \
-        const long q = WIDE_BUF / (sizeof(T) * mt), c = q < k ? q : k;        \
+        const long nr = 2 * (sizeof(V) / sizeof(T));                          \
+        const long q = WIDE_BUF / (sizeof(T) * m), c = q < k ? q : k;         \
         const long kc = c > 0 ? c : 1;                                        \
-        T *buf = aligned_alloc(64, sizeof(T) * kc * mt);                      \
+        T *buf = aligned_alloc(64, sizeof(T) * kc * m);                       \
         long p0 = 0, p, j, kb;                                                \
         if (!buf)                                                             \
             return -1;                                                        \
         do {                                                                  \
             kb = k - p0 < kc ? k - p0 : kc;                                   \
             for (p = 0; p < kb; p++)                                          \
-                for (j = 0; j < mt; j += nr)                                  \
+                for (j = 0; j < m; j += nr)                                   \
                     memcpy(buf + j * kb + p * nr, b + (p0 + p) * ldb + j,     \
                            sizeof(T) * nr);                                   \
-            for (j = 0; j < mt; j += nr)                                      \
+            for (j = 0; j < m; j += nr)                                       \
                 NAME##_rows(p0 > 0, a + p0 * acs, ars, acs, buf + j * kb, nr, \
                             o + j, ldo, n, kb);                               \
             p0 += kb;                                                         \
         } while (p0 < k);                                                     \
         free(buf);                                                            \
+        return 0;                                                             \
+    }                                                                         \
+                                                                              \
+    /* o = a @ b for b with contiguous rows of ldb: the first mt = m - m % 2L \
+     * columns on the register tile, over a packed copy of b (PACKED) or      \
+     * over b in place (IN_PLACE), rows ldb apart, and the other columns on   \
+     * the i-p-j loop, which takes them all on the LOOP path. Returns 0, or   \
+     * -1 when a packing buffer cannot be allocated. */                       \
+    static int NAME##_run(const T *a, long ars, long acs, const T *b,         \
+                          long ldb, T *o, long ldo, long n, long k, long m,   \
+                          int path)                                           \
+    {                                                                         \
+        const long nr = 2 * (sizeof(V) / sizeof(T));                          \
+        const long mt = path == LOOP ? 0 : m - m % nr;                        \
+        long j;                                                               \
+        if (path == PACKED && mt > 0 &&                                       \
+            NAME##_packed(a, ars, acs, b, ldb, o, ldo, n, k, mt))             \
+            return -1;                                                        \
+        if (path == IN_PLACE)                                                 \
+            for (j = 0; j < mt; j += nr)                                      \
+                NAME##_rows(0, a, ars, acs, b + j, ldb, o + j, ldo, n, k);    \
         if (mt < m)                                                           \
             NAME##_block(a, ars, acs, b + mt, ldb, o + mt, ldo, n, k,         \
                          m - mt);                                             \
         return 0;                                                             \
     }                                                                         \
                                                                               \
-    /* o = a @ b for b with contiguous rows of ldb: on the packed tile where  \
-     * tile is set and b is at least 2L wide, else on the i-p-j loop.         \
-     * Returns 0, or -1 when a packing buffer cannot be allocated. */         \
-    static int NAME##_run(const T *a, long ars, long acs, const T *b,         \
-                          long ldb, T *o, long ldo, long n, long k, long m,   \
-                          int tile)                                           \
-    {                                                                         \
-        if (tile && m >= 2 * (long)(sizeof(V) / sizeof(T)))                   \
-            return NAME##_packed(a, ars, acs, b, ldb, o, ldo, n, k, m);       \
-        NAME##_block(a, ars, acs, b, ldb, o, ldo, n, k, m);                   \
-        return 0;                                                             \
-    }                                                                         \
-                                                                              \
-    /* o = a @ b for any b strides; buf holds k x PANEL elements. Returns 0,  \
-     * or -1 when a packing buffer cannot be allocated. */                    \
+    /* o = a @ b for any b strides; buf holds k x PANEL elements, which a     \
+     * b with bcs != 1 is gathered into one panel of columns at a time, in    \
+     * blocks of GATHER inner indices so that each read of b is a run of      \
+     * GATHER elements where brs == 1. Returns 0, or -1 when a packing        \
+     * buffer cannot be allocated. */                                         \
     static int NAME##_product(const T *a, long ars, long acs, const T *b,     \
                               long brs, long bcs, T *o, long ldo, long n,     \
-                              long k, long m, T *buf, int tile)               \
+                              long k, long m, T *buf, int path)               \
     {                                                                         \
-        long j0, jj, p, w;                                                    \
+        long j0, jj, p0, p, w, pe;                                            \
         if (n == 0)                                                           \
             return 0;                                                         \
         if (bcs == 1)                                                         \
-            return NAME##_run(a, ars, acs, b, brs, o, ldo, n, k, m, tile);    \
+            return NAME##_run(a, ars, acs, b, brs, o, ldo, n, k, m, path);    \
         for (j0 = 0; j0 < m; j0 += w) {                                       \
             w = m - j0 < PANEL ? m - j0 : PANEL;                              \
-            for (p = 0; p < k; p++)                                           \
+            for (p0 = 0; p0 < k; p0 += GATHER) {                              \
+                pe = k - p0 < GATHER ? k : p0 + GATHER;                       \
                 for (jj = 0; jj < w; jj++)                                    \
-                    buf[p * w + jj] = b[p * brs + (j0 + jj) * bcs];           \
-            if (NAME##_run(a, ars, acs, buf, w, o + j0, ldo, n, k, w, tile))  \
+                    for (p = p0; p < pe; p++)                                 \
+                        buf[p * w + jj] = b[p * brs + (j0 + jj) * bcs];       \
+            }                                                                 \
+            if (NAME##_run(a, ars, acs, buf, w, o + j0, ldo, n, k, w, path))  \
                 return -1;                                                    \
         }                                                                     \
         return 0;                                                             \
     }                                                                         \
                                                                               \
-    /* Returns 0, or -1 when a packing buffer cannot be allocated. Only a     \
-     * plain product of two or more rows runs on the packed tile; grouped     \
-     * products run on the loop, which allocates nothing. */                  \
+    /* Returns 0, or -1 when a packing buffer cannot be allocated. A plain    \
+     * product of two or more rows runs on the packed tile, a grouped         \
+     * segment of two or more output rows on the tile reading b in place,     \
+     * and the rest on the loop. */                                           \
     int NAME(const T *a, long ars, long acs, const T *b, long brs, long bcs,  \
              long bks, T *o, long oks, const int64_t *off, long nseg,         \
              int inner, long n, long k, long m)                               \
     {                                                                         \
         T *buf = NULL;                                                        \
-        long s, nc = m < PANEL ? m : PANEL;                                   \
+        long s, rows, nc = m < PANEL ? m : PANEL;                             \
         int err = 0;                                                          \
         if (bcs != 1 && !(buf = malloc(sizeof(T) * (k > 0 ? k : 1) * nc)))    \
             return -1;                                                        \
         if (off == NULL)                                                      \
             err = NAME##_product(a, ars, acs, b, brs, bcs, o, m, n, k, m,     \
-                                 buf, tiled && n >= 2);                       \
+                                 buf, tiled && n >= 2 ? PACKED : LOOP);       \
         else if (!inner)                                                      \
-            for (s = 0; s < nseg; s++)                                        \
-                NAME##_product(a + off[s] * ars, ars, acs, b + s * bks, brs,  \
-                               bcs, o + off[s] * m, m, off[s + 1] - off[s],   \
-                               k, m, buf, 0);                                 \
+            for (s = 0; s < nseg && !err; s++) {                              \
+                rows = off[s + 1] - off[s];                                   \
+                err = NAME##_product(a + off[s] * ars, ars, acs, b + s * bks, \
+                                     brs, bcs, o + off[s] * m, m, rows, k, m, \
+                                     buf,                                     \
+                                     tiled && rows >= 2 ? IN_PLACE : LOOP);   \
+            }                                                                 \
         else                                                                  \
-            for (s = 0; s < nseg; s++)                                        \
-                NAME##_product(a + off[s] * acs, ars, acs, b + off[s] * brs,  \
-                               brs, bcs, o + s * oks, m, n,                   \
-                               off[s + 1] - off[s], m, buf, 0);               \
+            for (s = 0; s < nseg && !err; s++)                                \
+                err = NAME##_product(a + off[s] * acs, ars, acs,              \
+                                     b + off[s] * brs, brs, bcs, o + s * oks, \
+                                     m, n, off[s + 1] - off[s], m, buf,       \
+                                     tiled && n >= 2 ? IN_PLACE : LOOP);      \
         free(buf);                                                            \
         return err;                                                           \
     }

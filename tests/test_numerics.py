@@ -16,7 +16,7 @@ import finermoe
 from finermoe import _backend, _kernels_py, kernel_backend
 from finermoe.config import baseline_preset, preset_names, with_updates
 from finermoe.loss_grad import backward, balance_loss_score_grad
-from finermoe.moe_layer import MoEModel, forward, named_parameters
+from finermoe.moe_layer import MoEModel, build_dispatch_plan, decide, forward, named_parameters
 from finermoe.numerics import Grouped, Matrix, Rng, count_flops, matmul, sigmoid, silu, softmax
 from finermoe.upcycle import random_dense, upcycle
 
@@ -33,11 +33,11 @@ def _cpu_flags():
 
 # The C kernel's inner-loop variants, widest first, as _kernels.c clones them
 # (CLONES) and names them (gemm_isa); the loader runs the first the CPU
-# supports, and plain products of two or more rows run on the packed
-# register tile where that is avx512f. A test builds each variant from a
-# copy of the source without CLONES, with the variant's -m flag and with
-# gemm_isa's CPU tests pinned to the variant (CPU_TESTS), so that it names
-# the variant and tiles only as that variant.
+# supports, and products of two or more rows run on the register tile
+# where that is avx512f. A test builds each variant from a copy of the
+# source without CLONES, with the variant's -m flag and with gemm_isa's CPU
+# tests pinned to the variant (CPU_TESTS), so that it names the variant and
+# tiles only as that variant.
 ISAS = ("avx512f", "avx2", "default")
 HOST_ISAS = tuple(isa for isa in ISAS if isa == "default" or isa in _cpu_flags())
 C_BACKEND = f"c ({HOST_ISAS[0]})"
@@ -570,28 +570,37 @@ class TestDeterminismContract:
     # (h, H) of the small draws; the wide draw's shared-expert products
     # read b in more than one WIDE_BUF block of the packed tile, and its
     # presets hold a shared expert without replicating the whole FFN per
-    # expert.
+    # expert. The tile draw's NVShard layer (64 experts, 8 active, H_e =
+    # H / 8) sends two or more tokens to some expert and has h and H_e of
+    # at least NR, so its grouped products run on the tile in place.
     SMALL_DIMS = ((16, 64), (24, 96), (32, 160))
     WIDE_DIMS, WIDE_PRESETS = (128, 2304), ("FineRMoE-base", "NVShard")
+    TILE_DIMS, TILE_PRESETS = (40, 320), ("NVShard",)
 
     def test_random_layers_give_the_same_bytes_under_every_kernel(self, c_kernels, isa_kernels, monkeypatch):
         # Draws of preset, router mode, concat_proj, dtype and token count;
         # the first is wide, so the packed tile carries running sums from one
-        # block of b to the next in the layer.
+        # block of b to the next in the layer, and the second reaches the
+        # grouped tile.
         rng = np.random.default_rng(2027)
         kernels = {"python": _kernels_py, "c": c_kernels, **{f"c-{isa}": k for isa, k in isa_kernels.items()}}
-        for case in range(10):
-            (h, H), names = (self.WIDE_DIMS, self.WIDE_PRESETS) if case == 0 else (
-                self.SMALL_DIMS[rng.integers(len(self.SMALL_DIMS))], preset_names())
+        for case in range(11):
+            (h, H), names, least = {0: (self.WIDE_DIMS, self.WIDE_PRESETS, 2),
+                                    1: (self.TILE_DIMS, self.TILE_PRESETS, 16)}.get(case) or (
+                self.SMALL_DIMS[rng.integers(len(self.SMALL_DIMS))], preset_names(), 1)
             cfg = with_updates(baseline_preset(str(rng.choice(names)), h=h, H=H),
                                router_mode=str(rng.choice(["single", "separate"])), concat_proj=bool(rng.random() < 0.5))
             dtype = (np.float32, np.float64)[rng.integers(2)]
-            L = int(rng.integers(2 if case == 0 else 1, 18))
+            L = int(rng.integers(least, 18))
             model = upcycle(random_dense(h, H, case), cfg, case).astype(dtype)
             x, upstream = Rng(2 * case).matrix(L, h, dtype=dtype), Rng(2 * case + 1).matrix(L, h, dtype=dtype)
             if case == 0:
                 wide = h * H * np.dtype(dtype).itemsize > _source_constant("WIDE_BUF")
                 assert cfg.share_expert and L >= 2 and wide
+            if case == 1:
+                nr = 2 * 64 // np.dtype(dtype).itemsize
+                rows = np.diff(build_dispatch_plan(decide(x, model)).offsets)
+                assert min(h, model.dims.H_e) >= nr and rows.max() >= 2
             got = {}
             for name, kern in kernels.items():
                 monkeypatch.setattr(_backend, "active", kern)
@@ -714,6 +723,70 @@ class TestWidePanels:
                 seen.update(name for name, hit in (("nan", nan), ("inf", np.isinf(want)),
                                                    ("finite", np.isfinite(want))) if hit.any())
         assert seen == {"nan", "inf", "finite"}
+
+
+class TestGroupedTile:
+    """Grouped products around the AVX-512F register tile of _kernels.c,
+    which reads each expert's matrix in place (NR = 32 f32 or 16 f64
+    columns): a grouped-rows segment of two or more rows runs on 8-, 4-, 2-
+    and 1-row tiles over its stack matrix, a .T stack first gathered into
+    row-major panels, and a grouped-inner-index product of two or more
+    output rows on the same tiles over each segment of b. One-row segments
+    and the m % NR columns left over stay on the i-p-j loop. The active C
+    kernels and every C variant this CPU runs give _kernels_py's bytes,
+    NaN by position, with a few ±0, ±inf and NaN in each operand; an empty
+    segment of the inner index gives +0.0."""
+
+    LENGTHS = (*range(10), 15, 16, 17)
+    INNER = (0, 1, 19, 257)
+
+    def _widths(self, dtype):
+        nr = 2 * 64 // np.dtype(dtype).itemsize
+        return nr, (nr - 1, nr, nr + 1, 2 * nr + 3)
+
+    def _operand(self, rng, shape, dtype):
+        x = _operand(rng, shape, dtype)
+        where = rng.random(shape) < 0.01
+        x[where] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], where.sum())
+        return x
+
+    def _check(self, kernels, a, b, offsets):
+        with np.errstate(invalid="ignore"):
+            want = _kernel_grouped(_kernels_py, a, b, offsets)
+        got = _kernel_grouped(kernels, a, b, offsets)
+        nan = np.isnan(want)
+        assert (np.isnan(got) == nan).all()
+        assert np.where(nan, 0, got).tobytes() == np.where(nan, 0, want).tobytes()
+        return got
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_grouped_rows(self, c_variant, transposed, dtype):
+        nr, widths = self._widths(dtype)
+        rng = np.random.default_rng(nr + transposed)
+        for lengths in (self.LENGTHS, self.LENGTHS[::-1]):
+            offsets = _offsets(lengths)
+            for m in widths:
+                for k in self.INNER:
+                    a = self._operand(rng, (int(offsets[-1]), k), dtype)
+                    shape = (len(lengths), m, k) if transposed else (len(lengths), k, m)
+                    stack = self._operand(rng, shape, dtype)
+                    got = self._check(c_variant, a, stack.transpose(0, 2, 1) if transposed else stack, offsets)
+                    if k == 0:
+                        assert got.tobytes() == np.zeros_like(got).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 2, 8, 9, 17])
+    def test_grouped_inner_index(self, c_variant, n, dtype):
+        nr, widths = self._widths(dtype)
+        rng = np.random.default_rng(nr + n)
+        offsets = _offsets((*self.LENGTHS, 0))
+        for m in widths:
+            x = self._operand(rng, (int(offsets[-1]), n), dtype)
+            d = self._operand(rng, (int(offsets[-1]), m), dtype)
+            got = self._check(c_variant, x.T, d, offsets)
+            empty = np.diff(offsets) == 0
+            assert got[empty].tobytes() == np.zeros_like(got[empty]).tobytes()
 
 
 def _refusal_operands(case):
