@@ -85,31 +85,16 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_upcycle(args) -> int:
-    if args.dense:
+    cfg = config_mod.load_config(args.config)
+    if args.dense is not None:
         dense = checkpoint.read_model(args.dense)
         if isinstance(dense, MoEModel):
             raise checkpoint.CheckpointError(f"{args.dense} holds a MoE model, expected a dense FFN")
-    elif args.dense_seed is not None:
-        if args.config is None and args.drop_ratio is None:
-            raise ValueError("--dense-seed needs --config (or drop-mode flags) for dims")
-        if args.config is not None:
-            c = config_mod.load_config(args.config)
-            dense = random_dense(c.h, c.H, args.dense_seed)
-        else:
-            # Dims below 1 are a config error, refused before anything is drawn.
-            config_mod.validate(config_mod.FineRConfig(h=args.h, H=args.H))
-            dense = random_dense(args.h, args.H, args.dense_seed)
     else:
-        raise ValueError("either --dense or --dense-seed is required")
-
+        dense = random_dense(cfg.h, cfg.H, args.dense_seed)
     if args.drop_ratio is not None:
-        if args.n_experts is None or args.n_active is None:
-            raise ValueError("drop mode needs --n-experts and --n-active")
-        model = drop_upcycle(dense, args.n_experts, args.drop_ratio, args.n_active, args.seed)
+        model = drop_upcycle(dense, cfg, args.drop_ratio, args.seed)
     else:
-        if args.config is None:
-            raise ValueError("--config is required (unless --drop-ratio is given)")
-        cfg = config_mod.load_config(args.config)
         model = upcycle(dense, cfg, args.seed)
     checkpoint.write_model(model, args.out)
     dims = model.dims
@@ -180,7 +165,9 @@ def _cmd_bench(args) -> int:
 
 def _cmd_check(args) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    cfg = config_mod.load_config(args.config) if args.config else None
+    if args.config is not None and "reconstruction" not in names:
+        raise ValueError(f"--config applies only to the reconstruction suite, not --suite {args.suite}")
+    cfg = None if args.config is None else config_mod.load_config(args.config)
     results = verify.run_suites(names, args.seed, cfg=cfg)
     ok = True
     for r in results:
@@ -263,18 +250,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_preset)
 
     sp = sub.add_parser("upcycle", help="build a MoE model from a dense FFN")
-    sp.add_argument("--config", help="layer config file")
-    sp.add_argument("--dense", help="dense FFN checkpoint (FRM1)")
-    sp.add_argument("--dense-seed", type=int, default=None,
-                    help="synthesize a random dense FFN instead of reading one")
-    sp.add_argument("--h", type=int, default=config_mod.REF_H, help="dims for --dense-seed drop mode")
-    sp.add_argument("--H", type=int, default=config_mod.REF_INTERMEDIATE)
+    sp.add_argument("--config", required=True, help="layer config file")
+    donor = sp.add_mutually_exclusive_group(required=True)
+    donor.add_argument("--dense", help="dense FFN checkpoint (FRM1)")
+    donor.add_argument("--dense-seed", type=int, default=None,
+                       help="synthesize a random dense FFN of the config's h and H instead")
     sp.add_argument("--out", required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--drop-ratio", type=float, default=None,
                     help="re-init this fraction of each expert matrix (drop mode)")
-    sp.add_argument("--n-experts", type=int, default=None, help="drop mode: replica count")
-    sp.add_argument("--n-active", type=int, default=None, help="drop mode: activated experts")
     sp.set_defaults(fn=_cmd_upcycle)
 
     sp = sub.add_parser("forward", help="run the layer on a matrix file")

@@ -96,7 +96,7 @@ def _router_backward(x: Matrix, model: MoEModel, decision: RoutingDecision, d_sc
     unless it is None."""
     s_full = decision.score.astype(np.float64)
     d_logits = s_full * (d_score - (d_score * s_full).sum(axis=1, keepdims=True))
-    d_logits_m = Matrix.wrap(np.ascontiguousarray(d_logits.astype(x.dtype)))
+    d_logits_m = Matrix.wrap(d_logits.astype(model.router.dtype))
     if d_x is not None:
         d_x += matmul(d_logits_m, model.router.T).a
     return matmul(x.T, d_logits_m)
@@ -126,16 +126,17 @@ def backward(
     separate-router mode the candidate router is selection-only, so its
     gradient is identically zero. With ``input_grad=False`` the input
     gradient's matmuls are skipped and ``d_x`` is None; the weight
-    gradients are the same bytes. Every gradient, ``d_x`` included, takes
-    the input's dtype, also for a model of the other one.
+    gradients are the same bytes. The call runs in the one dtype of the
+    model and its input; ``upstream`` of another dtype is refused with
+    ValueError.
     """
     cfg, dims = model.cfg, model.dims
     tape, decision = out.tape, out.decision
     x = tape.x
     dtype = x.dtype
     L = x.rows
-    if upstream.shape != (L, cfg.h):
-        raise ValueError(f"upstream must be {L}x{cfg.h}, got {upstream.shape}")
+    if upstream.shape != (L, cfg.h) or upstream.dtype != dtype:
+        raise ValueError(f"upstream must be {L}x{cfg.h} {dtype}, got {upstream.shape} {upstream.dtype}")
 
     d_x = np.zeros((L, cfg.h), dtype=dtype) if input_grad else None
     d_score = np.zeros((L, dims.N), dtype=np.float64)
@@ -162,7 +163,7 @@ def backward(
     tokens = plan.tokens_by_expert
     experts = decision.indices.ravel()[plan.perm]
     u_rows = d_cat.reshape(L, cfg.G_O, dims.h_e)[tokens, expert_component(cfg, experts)]
-    w_rows = decision.score[tokens, experts].astype(dtype)
+    w_rows = decision.score[tokens, experts]
     d_w1, d_wg, d_w2, d_x_rows = _swiglu_backward(
         tape.sparse.x_rows, *model.experts.grouped(plan.offsets), t, u_rows * w_rows[:, None], input_grad
     )
@@ -184,7 +185,7 @@ def backward(
 
     d_model = MoEModel(
         cfg=cfg, shared=d_shared, experts=d_experts, router=d_router, router_cc=d_router_cc, concat_proj=d_proj,
-    ).astype(dtype)
+    )
     return LayerGradients(d_model=d_model, d_x=None if d_x is None else Matrix.wrap(d_x))
 
 
@@ -206,7 +207,7 @@ def mean_squared_output_loss() -> LossFn:
     def grads(x: Matrix, model: MoEModel) -> LayerGradients:
         out = forward(x, model)
         y = out.y.a
-        upstream = Matrix.wrap(np.ascontiguousarray((2.0 / y.size) * y, dtype=x.dtype))
+        upstream = Matrix.wrap((2.0 / y.size) * y)
         return backward(model, upstream, out)
 
     return LossFn(value=value, grads=grads)
@@ -223,7 +224,7 @@ def balance_loss_fn(alpha: float = 0.001) -> LossFn:
         # every other gradient is zero and no expert runs.
         decision = decide(x, model)
         d_score = balance_loss_score_grad(decision, model.cfg, alpha)
-        d_model = MoEModel.zeros(model.cfg).astype(x.dtype)
+        d_model = MoEModel.over(model.cfg, lambda rows, cols: np.zeros((rows, cols), x.dtype))
         d_x = np.zeros((x.rows, model.cfg.h), dtype=x.dtype)
         d_model.router = _router_backward(x, model, decision, d_score, d_x)
         return LayerGradients(d_model=d_model, d_x=Matrix.wrap(d_x))

@@ -8,7 +8,8 @@ of candidate 0's group in the forced bypass), in ascending order, so slot
 a of every token belongs to component a // T. The combine sums each
 component's T slots straight into its h_e columns in ascending expert
 index from zero, so the output is bit-reproducible and equals a naive
-per-token loop exactly. Outputs take the input's dtype, not the model's.
+per-token loop exactly. A call runs in the one dtype of its model and
+input; a mixed pair is refused with ValueError by the first product.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ def combine(out_pairs: np.ndarray, decision: RoutingDecision, plan: DispatchPlan
     T = A // cfg.G_O
     h_e = out_pairs.shape[1]
     out = out_pairs[plan.inverse].reshape(L, cfg.G_O, T, h_e)
-    probs = decision.probs.reshape(L, cfg.G_O, T, 1).astype(out_pairs.dtype)
+    probs = decision.probs.reshape(L, cfg.G_O, T, 1)
     acc = np.zeros((L, cfg.G_O, h_e), dtype=out_pairs.dtype)
     for t in range(T):
         acc += probs[:, :, t] * out[:, :, t]
@@ -219,9 +220,7 @@ def sparse_experts_forward(x: Matrix, model: MoEModel, decision: RoutingDecision
     plan = build_dispatch_plan(decision)
     x_rows = x.a[plan.tokens_by_expert]
     tape = swiglu(Matrix.wrap(x_rows), *model.experts.grouped(plan.offsets))
-    # The sparse output keeps the input's dtype, also for an f64 model.
-    out_pairs = tape.out.a.astype(x.dtype, copy=False)
-    return SparseTape(plan, x_rows, tape, combine(out_pairs, decision, plan, model.cfg))
+    return SparseTape(plan, x_rows, tape, combine(tape.out.a, decision, plan, model.cfg))
 
 
 def decide(x: Matrix, model: MoEModel) -> RoutingDecision:
@@ -251,7 +250,7 @@ def forward(x: Matrix, model: MoEModel) -> LayerOutput:
         y = Matrix.wrap(shared_tape.out.a + sparse.a)
     else:
         y = sparse
-    return LayerOutput(y=y.astype(x.dtype), decision=decision, tape=ForwardTape(x, sparse_tape, shared_tape))
+    return LayerOutput(y=y, decision=decision, tape=ForwardTape(x, sparse_tape, shared_tape))
 
 
 def forward_forced(x: Matrix, model: MoEModel) -> Matrix:
@@ -268,4 +267,4 @@ def forward_forced(x: Matrix, model: MoEModel) -> Matrix:
     out = sparse_experts_forward(x, model, decision).out
     if model.shared is not None:
         out = Matrix.wrap(out.a + shared_forward(x, model.shared).out.a)
-    return out.astype(x.dtype)
+    return out

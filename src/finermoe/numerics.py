@@ -4,7 +4,8 @@ seeded RNG.
 Design constraints that everything downstream leans on:
 
 * float32 storage by default; float64 matrices are supported end-to-end
-  for verification runs.
+  for verification runs. A product runs in the one dtype of its operands
+  and refuses a mixed pair, so a call runs in its model's dtype.
 * Every matmul accumulates each dot product in ascending inner-index
   order, one rounded multiply and one rounded add per term, so results
   are bit-identical from run to run. It runs in the active kernel module
@@ -32,7 +33,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from finermoe import _backend
-from finermoe._kernels_py import GOLDEN, mix, splitmix64
+from finermoe._kernels_py import GOLDEN, mix
 
 _DTYPES = (np.float32, np.float64)
 _MASK64 = (1 << 64) - 1
@@ -164,7 +165,8 @@ def matmul(a: Matrix | Grouped, b: Matrix | Grouped) -> Matrix | Grouped:
     Either operand may be a ``.T`` view. A Grouped right operand gives the
     L x cols Matrix of each row segment times its expert's matrix; a
     Grouped left operand gives the Grouped stack of per-expert products
-    (see ``Grouped``). Output dtype is f64 iff either input is f64.
+    (see ``Grouped``). It runs in its operands' one dtype, f32 or f64; the
+    kernel entry refuses a mixed pair with ValueError before any write.
     """
     if a.cols != b.rows:
         raise ValueError(
@@ -172,21 +174,17 @@ def matmul(a: Matrix | Grouped, b: Matrix | Grouped) -> Matrix | Grouped:
         )
     if _flop_counter is not None:
         _flop_counter.flops += 2 * a.rows * a.cols * b.cols
-    if a.dtype == np.float64 or b.dtype == np.float64:
-        dtype, kernel = np.float64, _backend.active.matmul_f64
-    else:
-        dtype, kernel = np.float32, _backend.active.matmul_f32
-    aa = a.a if a.dtype == dtype else a.a.astype(dtype)
-    bb = b.a if b.dtype == dtype else b.a.astype(dtype)
+    dtype = a.dtype
+    kernel = _backend.active.matmul_f64 if dtype == np.float64 else _backend.active.matmul_f32
     if isinstance(a, Grouped):
         out = np.empty((len(a.offsets) - 1, a.rows, b.cols), dtype=dtype)
-        kernel(aa, bb, out, a.offsets)
+        kernel(a.a, b.a, out, a.offsets)
         return Grouped(out, a.offsets)
     out = np.empty((a.rows, b.cols), dtype=dtype)
     if isinstance(b, Grouped):
-        kernel(aa, bb, out, b.offsets)
+        kernel(a.a, b.a, out, b.offsets)
     else:
-        kernel(aa, bb, out)
+        kernel(a.a, b.a, out)
     return Matrix.wrap(out)
 
 
@@ -252,13 +250,6 @@ class Rng:
         # A Python int, advanced modulo 2^64 as one: it wraps without an
         # overflow warning, also when a caller set it as an np.uint64.
         self.counter = 0
-
-    def _raw(self, n: int) -> np.ndarray:
-        """The next n integer draws: the reference, checked against a
-        scalar loop, for the draws the kernel entries turn into doubles."""
-        z = splitmix64(self.seed, self.counter, n)
-        self.counter = (int(self.counter) + n) & _MASK64
-        return z
 
     def uniform(self, n: int) -> np.ndarray:
         """n float64 samples in [0, 1) with 53-bit resolution:

@@ -74,7 +74,7 @@ def reconstruction_suite(seed: int, cfg: FineRConfig | None = None) -> SuiteResu
     rng = Rng(seed)
     for i, c in enumerate(grid):
         dense = random_dense(c.h, c.H, seed + i).astype(np.float64)
-        model = upcycle(dense, c, seed + i).astype(np.float64)
+        model = upcycle(dense, c, seed + i)
         x = rng.matrix(RECON_INPUTS, c.h, dtype=np.float64)
         got = forward_forced(x, model)
         want = c.R_I * oracle.dense_ffn_forward(x, dense).a

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib
 import io
 import os
@@ -100,26 +101,43 @@ class TestUpcycle:
         assert out_p.read_bytes() == model_file.read_bytes()
 
     def test_drop_mode(self, tmp_path):
-        out_p = tmp_path / "du.frm"
+        cfg_p, out_p = tmp_path / "drop.cfg", tmp_path / "du.frm"
+        cfg_p.write_text("h = 16\nH = 32\nR_I = 8\nT_I = 2\n", encoding="utf-8")
         code, text, _ = _run(
-            ["upcycle", "--dense-seed", "3", "--h", "16", "--H", "32",
-             "--drop-ratio", "0.5", "--n-experts", "8", "--n-active", "2",
+            ["upcycle", "--config", str(cfg_p), "--dense-seed", "3", "--drop-ratio", "0.5",
              "--out", str(out_p), "--seed", "1"]
         )
         assert code == 0
         assert "8 experts, 2 activated" in text
         model = read_model(out_p)
         assert model.cfg.R_I == 8 and model.cfg.T_I == 2
+        # Drop mode's pinned bytes for this donor, config and seed.
+        digest = hashlib.sha256(out_p.read_bytes()).hexdigest()
+        assert digest == "7662cf56e841e7ebbc1b40a22269930f69462ea142b13cc463bc4fe1b5060ef9"
 
-    @pytest.mark.parametrize("h, H", [("-3", "8"), ("-3", "-8"), ("0", "8")])
-    def test_drop_mode_dims_below_one_are_a_config_error(self, tmp_path, h, H):
-        out_p = tmp_path / "du.frm"
-        code, text, err = _run(
-            ["upcycle", "--dense-seed", "5", "--h", h, "--H", H,
-             "--drop-ratio", "0.5", "--n-experts", "2", "--n-active", "1", "--out", str(out_p)]
-        )
+    # Each refusal exits 2 with one error and writes no --out file.
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["--config", "{base}"], "one of the arguments --dense --dense-seed is required"),
+            (["--config", "{base}", "--dense", "{dense}", "--dense-seed", "5"],
+             "argument --dense-seed: not allowed with argument --dense"),
+            (["--dense-seed", "5"], "the following arguments are required: --config"),
+            (["--config", "{h0}", "--dense-seed", "5", "--drop-ratio", "0.5"], "h and H must be >= 1, got h=0, H=8"),
+        ],
+        ids=["no-donor", "two-donors", "no-config", "drop-h-below-1"],
+    )
+    def test_refusals(self, tmp_path, base_cfg, argv, error):
+        from finermoe.checkpoint import write_model
+        from finermoe.upcycle import random_dense
+
+        paths = {"base": base_cfg, "dense": tmp_path / "d.frm", "h0": tmp_path / "h0.cfg"}
+        write_model(random_dense(32, 64, 5), paths["dense"])
+        paths["h0"].write_text("h = 0\nH = 8\n", encoding="utf-8")
+        out_p = tmp_path / "m.frm"
+        code, text, err = _run(["upcycle", *(a.format(**paths) for a in argv), "--out", str(out_p)])
         assert (code, text) == (2, "")
-        assert err == f"error: h and H must be >= 1, got h={h}, H={H}\n"
+        assert err.count("error:") == 1 and err.endswith(f"error: {error}\n")
         assert not out_p.exists()
 
     # A dense checkpoint that does not fit the config is a config fault.
@@ -134,12 +152,6 @@ class TestUpcycle:
         )
         assert (code, text, err) == (2, "", "error: dense FFN dims (16, 64) do not match config (32, 64)\n")
         assert not out_p.exists()
-
-    def test_missing_inputs_rejected(self, tmp_path, base_cfg):
-        code, _, err = _run(
-            ["upcycle", "--config", str(base_cfg), "--out", str(tmp_path / "x.frm")]
-        )
-        assert code != 0 and "dense" in err
 
     def test_missing_file_reports_error(self, tmp_path, base_cfg):
         code, _, err = _run(
@@ -345,6 +357,14 @@ class TestCheck:
         code, text, _ = _run(["check", "--suite", "reconstruction", "--config", str(base_cfg), "--seed", "2"])
         assert code == 0
         assert "reconstruction" in text and "PASS" in text
+
+    # Only reconstruction reads --config; a suite that would ignore it is
+    # refused before any suite runs.
+    @pytest.mark.parametrize("suite", ["router", "roundtrip", "grad"])
+    def test_config_without_reconstruction_exits_3(self, base_cfg, suite):
+        code, text, err = _run(["check", "--suite", suite, "--config", str(base_cfg)])
+        assert (code, text) == (3, "")
+        assert err == f"error: --config applies only to the reconstruction suite, not --suite {suite}\n"
 
 
 class TestTrainDemo:

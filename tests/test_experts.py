@@ -10,13 +10,13 @@ def _toy_expert():
     return (
         Matrix.wrap(np.eye(2, dtype=np.float32)),
         Matrix.wrap(np.eye(2, dtype=np.float32)),
-        Matrix.wrap(np.array([[1.0], [1.0]])),
+        Matrix.wrap(np.array([[1.0], [1.0]], dtype=np.float32)),
     )
 
 
 class TestExpertForward:
     def test_hand_evaluation(self):
-        out = swiglu(Matrix.wrap(np.array([[1.0, 0.0]])), *_toy_expert()).out
+        out = swiglu(Matrix.wrap(np.array([[1.0, 0.0]], dtype=np.float32)), *_toy_expert()).out
         assert out.a[0, 0] == pytest.approx(silu(1.0), rel=1e-6)
 
     def test_zero_input(self):

@@ -225,16 +225,20 @@ class TestInputGradOff:
 @pytest.mark.parametrize("proj", [False, True], ids=["no-proj", "proj"])
 @pytest.mark.parametrize("share", [False, True], ids=["no-shared", "shared"])
 @pytest.mark.parametrize("mode", ["single", "separate"])
-def test_outputs_and_gradients_take_the_input_dtype(mode, share, proj, model_dtype, x_dtype):
-    # A model of the other dtype: every output and gradient takes x's.
+def test_a_mixed_dtype_is_refused_naming_both(mode, share, proj, model_dtype, x_dtype):
+    # A call runs in one dtype: an input of the other dtype than the model,
+    # or an upstream of the other dtype than its forward, is refused by the
+    # first product that meets it, with both dtypes named.
     cfg = with_updates(TOY, router_mode=mode, share_expert=share, concat_proj=proj)
     model = _model(cfg, seed=60).astype(model_dtype)
-    x = Rng(61).matrix(5, cfg.h, dtype=x_dtype)
-    out = forward(x, model)
-    grads = backward(model, Rng(62).matrix(5, cfg.h, dtype=x_dtype), out)
-    got = {"y": out.y.dtype, "forward_forced": forward_forced(x, model).dtype, "d_x": grads.d_x.dtype}
-    got.update((name, g.dtype) for name, g in named_parameters(grads.d_model))
-    assert got == dict.fromkeys(got, np.dtype(x_dtype))
+    both = "float32.*float64|float64.*float32"
+    other = Rng(61).matrix(5, cfg.h, dtype=x_dtype)
+    for run in (forward, forward_forced):
+        with pytest.raises(ValueError, match=both):
+            run(other, model)
+    out = forward(other.astype(model_dtype), model)
+    with pytest.raises(ValueError, match=both):
+        backward(model, Rng(62).matrix(5, cfg.h, dtype=x_dtype), out)
 
 
 class TestConcatProjBackward:

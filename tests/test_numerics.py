@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import finermoe
 from finermoe import _backend, _kernels_py, kernel_backend
+from finermoe._kernels_py import splitmix64
 from finermoe.config import baseline_preset, preset_names, with_updates
 from finermoe.loss_grad import backward, balance_loss_score_grad
 from finermoe.moe_layer import MoEModel, build_dispatch_plan, decide, forward, named_parameters
@@ -203,13 +204,38 @@ class TestMatmul:
         b = Rng(6).matrix(4, 2, dtype=np.float64)
         assert matmul(a, b).dtype == np.float64
 
-    def test_mixed_dtypes_promote_to_f64(self):
-        a = Rng(5).matrix(3, 4)
-        b = Rng(6).matrix(4, 2, dtype=np.float64)
-        out = matmul(a, b)
-        assert out.dtype == np.float64
-        want = matmul(a.astype(np.float64), b)
-        assert out.a.tobytes() == want.a.tobytes()
+    @pytest.mark.parametrize("kernels", ["python", "c"])
+    def test_mixed_dtypes_are_refused_before_any_write(self, request, monkeypatch, kernels):
+        # No promotion: an f32 and an f64 operand, plain or grouped, raise
+        # ValueError naming both dtypes, and the kernel writes nothing.
+        kern = _kernel_module(request, kernels)
+        outs = []
+
+        def sentinel(entry):
+            def fill_then_call(a, b, out, *offsets):
+                out.fill(np.nan)
+                outs.append((out, out.tobytes()))
+                return entry(a, b, out, *offsets)
+
+            return fill_then_call
+
+        x32 = Rng(5).matrix(4, 4)
+        x64 = x32.astype(np.float64)
+        offsets = np.array([0, 1, 4], dtype=np.int64)
+        pairs = [
+            (x32, x64), (x64, x32), (x32, x64.T),
+            (x32, Grouped(np.stack([x64.a, x64.a]), offsets)), (Grouped(x64.a, offsets), x32),
+        ]
+        entries = {name: sentinel(getattr(kern, name)) for name in ("matmul_f32", "matmul_f64")}
+        monkeypatch.setattr(_backend, "active", SimpleNamespace(**entries))
+        for a, b in pairs:
+            before = (a.a.tobytes(), b.a.tobytes())
+            with pytest.raises(ValueError, match="float32.*float64|float64.*float32"):
+                matmul(a, b)
+            out, written = outs[-1]
+            assert out.tobytes() == written
+            assert (a.a.tobytes(), b.a.tobytes()) == before
+        assert len(outs) == len(pairs)
 
     def test_flop_counter(self):
         with count_flops() as c:
@@ -219,11 +245,11 @@ class TestMatmul:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_grouped_and_transposed_operands(self, dtype):
         # One call per grouped product, with the bits and the FLOP count of
-        # one plain product per expert; f32 operands promote as in plain.
+        # one plain product per expert.
         offsets = np.array([0, 2, 2, 7], dtype=np.int64)
         x = Rng(20).matrix(7, 4, dtype=dtype)
-        stack = Rng(21).matrix(3 * 4, 5).a.reshape(3, 4, 5)
-        d = Rng(22).matrix(7, 5)
+        stack = Rng(21).matrix(3 * 4, 5, dtype=dtype).a.reshape(3, 4, 5)
+        d = Rng(22).matrix(7, 5, dtype=dtype)
         with count_flops() as c:
             rows = matmul(x, Grouped(stack, offsets))
             inner = matmul(Grouped(x.a.T, offsets), d)
@@ -1075,12 +1101,12 @@ def _splitmix64_scalar(seed: int, n: int) -> list[int]:
 class TestRng:
     def test_matches_scalar_reference(self):
         for seed in (0, 1, 123456789, 2**64 - 1):
-            got = Rng(seed)._raw(6).tolist()
+            got = splitmix64(seed, 0, 6).tolist()
             assert got == _splitmix64_scalar(seed, 6)
 
     def test_known_vector_seed_zero(self):
         # First outputs of the canonical stream for seed 0.
-        assert Rng(0)._raw(3).tolist() == [
+        assert splitmix64(0, 0, 3).tolist() == [
             0xE220A8397B1DCDAF,
             0x6E789E6AA1B965F4,
             0x06C45D188009454F,
@@ -1163,12 +1189,12 @@ class TestUniformDraws:
         for seed, counter, n in self._cases():
             if n > 1000:
                 continue
-            ref, rng = Rng(seed), Rng(seed)
-            ref.counter = rng.counter = np.uint64(counter)
-            k = (ref._raw(2 * n) >> np.uint64(11)).astype(np.float64)
+            rng = Rng(seed)
+            rng.counter = np.uint64(counter)
+            k = (splitmix64(seed, counter, 2 * n) >> np.uint64(11)).astype(np.float64)
             got = rng.normal(n, std=0.5)
             want = 0.5 * np.sqrt(-2.0 * np.log((k[:n] + 1.0) * 2.0**-53)) * np.cos(k[n:] * 2.0**-53 * (2.0 * np.pi))
-            assert got.tobytes() == want.tobytes() and rng.counter == ref.counter
+            assert got.tobytes() == want.tobytes() and rng.counter == (counter + 2 * n) % self.M
 
     @pytest.mark.parametrize("kernels", ["python", "c"])
     @pytest.mark.parametrize("as_uint64", [False, True], ids=["int", "uint64"])
@@ -1177,13 +1203,13 @@ class TestUniformDraws:
         for seed in (0, self.M - 1, 2028):
             for counter, n in ((self.M - 1, 1), (self.M - 3, 8), (self.M - 100, 257)):
                 start = (seed + counter * 0x9E3779B97F4A7C15) % self.M
-                raw, uni = Rng(seed), Rng(seed)
-                raw.counter = uni.counter = np.uint64(counter) if as_uint64 else counter
+                uni = Rng(seed)
+                uni.counter = np.uint64(counter) if as_uint64 else counter
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    assert raw._raw(n).tolist() == _splitmix64_scalar(start, n)
+                    assert splitmix64(seed, uni.counter, n).tolist() == _splitmix64_scalar(start, n)
                     assert uni.uniform(n).tolist() == _scalar_uniform(seed, counter, n)
-                assert raw.counter == uni.counter == (counter + n) % self.M
+                assert uni.counter == (counter + n) % self.M
 
     def test_rng_draws_are_the_same_under_the_numpy_kernels(self, c_kernels, monkeypatch):
         def draws():

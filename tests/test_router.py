@@ -32,7 +32,7 @@ class TestScore:
         # One input row and a router that reproduces [0, ln2, 0, 0].
         w = np.zeros((1, 4), dtype=np.float32)
         w[0, 1] = np.log(2.0)
-        s = score(Matrix.wrap(np.array([[1.0]])), Matrix.wrap(w))
+        s = score(Matrix.wrap(np.array([[1.0]], dtype=np.float32)), Matrix.wrap(w))
         assert s[0] == pytest.approx([0.2, 0.4, 0.2, 0.2], abs=1e-6)
 
 

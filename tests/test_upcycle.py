@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from finermoe.config import FineRConfig, baseline_preset, derive
-from finermoe.moe_layer import forward_forced
+from finermoe.checkpoint import write_model
+from finermoe.config import FineRConfig, baseline_preset, derive, preset_names, with_updates
+from finermoe.moe_layer import forward, forward_forced, named_parameters
 from finermoe.numerics import Rng
 from finermoe.oracle import dense_ffn_forward
 from finermoe.upcycle import (
@@ -118,7 +119,7 @@ class TestUpcycle:
     def test_reconstruction_identity(self):
         cfg = FineRConfig(h=64, H=128, G_I=32, R_I=1, G_O=2, R_O=2, T_I=1, share_expert=False)
         dense = random_dense(64, 128, 9).astype(np.float64)
-        model = upcycle(dense, cfg, 10).astype(np.float64)
+        model = upcycle(dense, cfg, 10)
         x = Rng(11).matrix(16, 64, dtype=np.float64)
         got = forward_forced(x, model).a
         want = dense_ffn_forward(x, dense).a
@@ -129,7 +130,7 @@ class TestUpcycle:
         # forced path (all weights 1) reproduces twice the dense output.
         cfg = FineRConfig(h=64, H=128, G_I=8, R_I=2, G_O=2, R_O=2, T_I=1, share_expert=False)
         dense = random_dense(64, 128, 35).astype(np.float64)
-        model = upcycle(dense, cfg, 36).astype(np.float64)
+        model = upcycle(dense, cfg, 36)
         x = Rng(37).matrix(12, 64, dtype=np.float64)
         got = forward_forced(x, model).a
         want = 2.0 * dense_ffn_forward(x, dense).a
@@ -157,6 +158,20 @@ class TestUpcycle:
         assert a.router.a.tobytes() != c.router.a.tobytes()
         assert abs(float(a.router.a.std()) - ROUTER_INIT_STD) < 0.002
 
+    # An f64 donor gives a whole f64 model, whose routers are the f32
+    # draws widened: every byte is that of the f32 donor's model in f64.
+    @pytest.mark.parametrize("mode", ["single", "separate"])
+    def test_f64_donor_gives_the_f32_model_in_f64(self, mode):
+        cfg = FineRConfig(h=16, H=32, G_I=2, R_I=2, G_O=2, R_O=2, T_I=1, router_mode=mode, concat_proj=True)
+        dense = random_dense(16, 32, 38)
+        model = upcycle(dense.astype(np.float64), cfg, 39)
+        want = upcycle(dense, cfg, 39).astype(np.float64)
+        assert [(n, p.dtype, p.tobytes()) for n, p in named_parameters(model)] == [
+            (n, p.dtype, p.tobytes()) for n, p in named_parameters(want)
+        ]
+        y = forward(Rng(40).matrix(5, cfg.h, dtype=np.float64), model).y
+        assert y.dtype == np.float64 and np.isfinite(y.a).all()
+
     def test_separate_mode_gets_second_router(self):
         cfg = FineRConfig(h=16, H=16, G_I=2, R_I=1, G_O=2, R_O=2, T_I=1, router_mode="separate")
         model = upcycle(random_dense(16, 16, 17), cfg, 18)
@@ -164,18 +179,35 @@ class TestUpcycle:
         assert model.router_cc.shape == (16, derive(cfg).n_groups)
 
 
+def _replicas(dense, n_experts, n_active):
+    """The replication config of Drop-Upcycling: n_experts copies of the
+    dense FFN, n_active of them activated per token."""
+    return FineRConfig(h=dense.h, H=dense.H, R_I=n_experts, T_I=n_active)
+
+
 class TestDropUpcycle:
     def test_zero_ratio_equals_replication(self):
         dense = random_dense(8, 16, 20)
-        dropped = drop_upcycle(dense, 4, 0.0, 2, seed=21)
+        dropped = drop_upcycle(dense, _replicas(dense, 4, 2), 0.0, seed=21)
         plain = upcycle(dense, FineRConfig(h=8, H=16, G_I=1, R_I=4, T_I=2), seed=21)
         for k in range(4):
             assert dropped.experts.w1[k].tobytes() == plain.experts.w1[k].tobytes()
             assert dropped.experts.w2[k].tobytes() == plain.experts.w2[k].tobytes()
 
+    # Any config, not only a replication one: at ratio 0 every byte of the
+    # FRM1 file is upcycle's.
+    @pytest.mark.parametrize("mode", ["single", "separate"])
+    @pytest.mark.parametrize("name", preset_names())
+    def test_zero_ratio_gives_the_bytes_of_upcycle(self, tmp_path, name, mode):
+        cfg = with_updates(baseline_preset(name, h=32, H=256), router_mode=mode)
+        dense = random_dense(cfg.h, cfg.H, 34)
+        for path, model in (("drop.frm", drop_upcycle(dense, cfg, 0.0, 35)), ("plain.frm", upcycle(dense, cfg, 35))):
+            write_model(model, tmp_path / path)
+        assert (tmp_path / "drop.frm").read_bytes() == (tmp_path / "plain.frm").read_bytes()
+
     def test_full_ratio_replaces_everything(self):
         dense = random_dense(8, 16, 22)
-        model = drop_upcycle(dense, 3, 1.0, 2, seed=23)
+        model = drop_upcycle(dense, _replicas(dense, 3, 2), 1.0, seed=23)
         for k in range(3):
             assert not np.any(model.experts.w1[k] == dense.w1.a)
             assert not np.any(model.experts.w2[k] == dense.w2.a)
@@ -184,31 +216,33 @@ class TestDropUpcycle:
 
     def test_half_ratio_binomial_concentration(self):
         dense = random_dense(64, 256, 24)  # 16384 entries per up/gate matrix
-        model = drop_upcycle(dense, 2, 0.5, 1, seed=25)
+        model = drop_upcycle(dense, _replicas(dense, 2, 1), 0.5, seed=25)
         for w1 in model.experts.w1:
             kept = float(np.mean(w1 == dense.w1.a))
             assert abs(kept - 0.5) < 0.02
 
     def test_redrawn_entries_match_donor_std(self):
         dense = random_dense(64, 256, 26)
-        model = drop_upcycle(dense, 1, 1.0, 1, seed=27)
+        model = drop_upcycle(dense, _replicas(dense, 1, 1), 1.0, seed=27)
         donor_std = float(dense.w1.a.std())
         drawn_std = float(model.experts.w1[0].std())
         assert abs(drawn_std - donor_std) / donor_std < 0.05
 
     def test_experts_draw_independent_masks(self):
         dense = random_dense(16, 64, 28)
-        model = drop_upcycle(dense, 2, 0.5, 1, seed=29)
+        model = drop_upcycle(dense, _replicas(dense, 2, 1), 0.5, seed=29)
         mask0 = model.experts.w1[0] == dense.w1.a
         mask1 = model.experts.w1[1] == dense.w1.a
         assert not np.array_equal(mask0, mask1)
 
     def test_config_shape(self):
-        model = drop_upcycle(random_dense(8, 16, 30), 8, 0.5, 2, seed=31)
+        dense = random_dense(8, 16, 30)
+        model = drop_upcycle(dense, _replicas(dense, 8, 2), 0.5, seed=31)
         cfg = model.cfg
         assert (cfg.G_I, cfg.R_I, cfg.G_O, cfg.R_O, cfg.T_I) == (1, 8, 1, 1, 2)
         assert derive(cfg).n_active == 2
 
     def test_invalid_ratio(self):
+        dense = random_dense(8, 16, 32)
         with pytest.raises(ValueError, match="drop_ratio"):
-            drop_upcycle(random_dense(8, 16, 32), 2, 1.5, 1, seed=33)
+            drop_upcycle(dense, _replicas(dense, 2, 1), 1.5, seed=33)
