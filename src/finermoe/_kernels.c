@@ -51,57 +51,66 @@
  * test in the same priority order as the resolver. Other architectures
  * build the loop once, as "default".
  *
- * Where gemm_isa names avx512f, products of two or more rows run instead
- * on a register tile (the micro-kernel of the two papers above): an MR x
- * 2L block of o, L the 16 f32 or 8 f64 lanes of a 64-byte vector, stays
- * in 2 * MR vector registers while the tile reads 2L columns of b, one row
- * of b at a time. Each term is one broadcast of a[i, p], then a separate
- * multiply and add per vector of b[p, :], so the tile adds the same terms
- * in the same order and gives the same bits. Rows left over run on 4-, 2-
- * and 1-row tiles, the m % 2L columns left over on the i-p-j loop.
+ * Where gemm_isa names avx512f, products run instead on a register tile
+ * (the micro-kernel of the two papers above): an MR x 2L block of o, L
+ * the 16 f32 or 8 f64 lanes of a 64-byte vector, stays in 2 * MR vector
+ * registers while the tile reads 2L columns of b, one row of b at a time.
+ * Each term is one broadcast of a[i, p], then a separate multiply and add
+ * per vector of b[p, :], so the tile adds the same terms in the same
+ * order and gives the same bits. Rows left over run on 4-, 2- and 1-row
+ * tiles, the m % 2L columns left over on the i-p-j loop. The tile walks b
+ * in blocks of rows, starting from +0.0 at the first block and from the
+ * running sums it stored to o after the block before; a sum stored and
+ * reloaded is the same value. It reads each block one of two ways:
  *
- * A plain product runs the tile over a packed copy of b (the papers'
- * packing). For p0 in steps of kc rows, the first mt = m - m % 2L columns
- * of b[p0:p0+kc, :] are copied, one contiguous run per row, into panels of
- * kc x 2L elements in a buffer of WIDE_BUF bytes or less (or of one row,
- * where a row is larger), which stays in L2; a product with fewer than kc
- * rows of b packs them all. The tile runs over each panel, starting from
- * +0.0 at p0 == 0 and from the running sums it stored to o after the block
- * before; a sum stored and reloaded is the same value. Each row of b is
- * read once and each panel is contiguous, where read in place a panel of
- * b would be a walk over rows a whole row of b apart. At 8 rows the
- * reference dims' f32 shared-expert products took 6.3-6.5 ms against
- * 10.7-12.7 on the loop (BENCH_wide_panels.json), and infer-fine's, 64 x
- * 256 @ 256 x 1024 and 64 x 1024 @ 1024 x 256, 0.55 and 0.49 ms against
- * 0.66 and 0.63 with the tile reading b in place (BENCH_one_schedule.json).
+ * - PACKED, for a plain product of more than MR rows: the first
+ *   mt = m - m % 2L columns of each block of kc rows are copied, one
+ *   contiguous run per row, into panels of kc x 2L elements in a buffer of
+ *   WIDE_BUF bytes or less (or of one row, where a row is larger), which
+ *   stays in L2 while the two or more tiles over each panel read it (the
+ *   papers' packing); a product with fewer than kc rows of b packs them
+ *   all. infer-fine's shared-expert products, 64 x 256 @ 256 x 1024 and
+ *   64 x 1024 @ 1024 x 256, took 0.55 and 0.49 ms packed against 0.66 and
+ *   0.63 with the tile reading all of b's rows in place
+ *   (BENCH_one_schedule.json), and 0.49-0.50 ms packed against 0.50-0.52
+ *   read in place in KC-row blocks (BENCH_stream_rows.json).
+ * - IN_PLACE, for every other product: plain products of at most MR
+ *   rows, one-row products included, and every grouped segment. The tile
+ *   reads b where it lies, rows ldb apart, in blocks of KC rows. At most
+ *   MR rows need one tile per panel, so a packed copy would be read once,
+ *   just after it was written: packing pays only where a panel is read
+ *   again. Reading in place keeps KC row streams in flight for the
+ *   prefetcher and overlaps the reads with the arithmetic. On b mapped
+ *   from a reference-dims file, where the 165 MB shared expert comes from
+ *   DRAM, 8 x 1536 @ 1536 x 8960 took 4.7-5.0 ms in place against 7.8-8.1
+ *   packed, 8 x 8960 @ 8960 x 1536 5.1-5.3 against 7.5-7.7, and the
+ *   one-row products 3.0-3.3 against 4.5-4.8 on the i-p-j loop
+ *   (BENCH_stream_rows.json). KC = 16 to 32 were equally fast; KC = 48
+ *   took 9.2-9.7 ms and KC = 64 19-20 ms at 8 x 1536 @ 1536 x 8960.
+ *   BENCH_wide_panels.json's 6.3-6.5 ms for the packed 8-row product was
+ *   measured on a host whose 300 MB L3 held b.
+ *
+ * A grouped segment is read by one tile or a few, and an expert's matrix
+ * stays in L2 while they read it (256 x 128 f32, 128 KB, in
+ * train-coarse). Over the 64 experts x 8 rows of a train-coarse step,
+ * min of 30 calls (BENCH_grouped_tile.json): x @ w1[k] took 0.93 ms
+ * against 1.22 on the loop, x_k^T @ d_up_k 1.06 against 1.63,
+ * h_k^T @ d_out_k 1.11 against 1.77 and d_out @ w2[k]^T 2.05 against
+ * 3.34; on the packed tile the same segments took 0.98, 1.06, 1.15 and
+ * 2.25, each allocating a buffer. Its one-row segments run on the
+ * one-row tile: x @ w1[k] took 0.75-0.77 ms so, against 0.88-0.89 with
+ * them on the loop (BENCH_stream_rows.json).
+ *
  * A transposed b is first gathered into row-major panels of PANEL
- * columns, as for the loop, and each of them is then packed like any
- * other b: gathering it straight into the tile's panels reads it by
- * columns, and in a prototype 8 x 1536 @ (8960 x 1536)^T took 40-105 ms
- * that way, against 36 through the PANEL gather.
+ * columns, as for the loop, and each of them is then read like any other
+ * b: gathering it straight into the tile's panels reads it by columns,
+ * and in a prototype 8 x 1536 @ (8960 x 1536)^T took 40-105 ms that way,
+ * against 36 through the PANEL gather.
  *
- * A grouped product runs the tile over each expert's matrix in place, rows
- * ldb apart, with nothing packed: each grouped-rows segment of two or more
- * rows, and each segment of a grouped-inner-index product of two or more
- * output rows (n >= 2). A segment is read by one tile or a few, so a
- * packed copy would be read about as often as it was written, and an
- * expert's matrix stays in L2 while they read it (256 x 128 f32, 128 KB,
- * in train-coarse). A transposed stack matrix is gathered into its PANEL
- * panels first, as for the loop. Over the 64 experts x 8 rows of a
- * train-coarse step, min of 30 calls (BENCH_grouped_tile.json): x @ w1[k]
- * took 0.93 ms against 1.22 on the loop, x_k^T @ d_up_k 1.06 against 1.63,
- * h_k^T @ d_out_k 1.11 against 1.77 and d_out @ w2[k]^T 2.05 against 3.34;
- * on the packed tile the same segments took 0.98, 1.06, 1.15 and 2.25,
- * each allocating a buffer.
- *
- * Everything else stays on the i-p-j loop:
- *
- * - one-row products and one-row segments, which read b once either way,
- *   so the packing is a copy that nothing repays (1 x 1536 @ 1536 x 8960:
- *   3.0 ms on the loop against 4.2 packed);
- * - AVX2 and SSE2 hosts, where 64-byte vectors do not fit the registers
- *   (built for AVX2, 1.2-1.3 GFLOP/s against 14-19 for the i-p-j loop on
- *   the shared expert's f32 products).
+ * AVX2 and SSE2 hosts keep the i-p-j loop for every product: their
+ * registers do not hold the 64-byte tile (built for AVX2, 1.2-1.3
+ * GFLOP/s against 14-19 for the i-p-j loop on the shared expert's f32
+ * products).
  */
 
 #include <stdint.h>
@@ -110,6 +119,7 @@
 
 #define PANEL 256
 #define MR 8
+#define KC 32
 #define WIDE_BUF (1L << 19)
 #define GATHER 16
 
@@ -247,31 +257,35 @@ __attribute__((constructor)) static void choose_tile(void)
     }                                                                         \
                                                                               \
     /* o[:, 0:m] = a @ b[:, 0:m] for m a multiple of 2L, by blocks of kc      \
-     * rows of b: each block is packed into a buffer of kc * m elements as    \
-     * panels of kc x 2L, each contiguous, which NAME##_rows then reads,      \
-     * carrying the running sums in o from one block to the next. An empty    \
-     * inner index is one empty block, which writes +0.0. Returns 0, or -1    \
-     * when the buffer cannot be allocated. */                                \
-    AVX512F static int NAME##_packed(const T *a, long ars, long acs,          \
-                                     const T *b, long ldb, T *o, long ldo,    \
-                                     long n, long k, long m)                  \
+     * rows of b, which NAME##_rows reads panel by panel of 2L columns,       \
+     * carrying the running sums in o from one block to the next. Where pack  \
+     * is set, each block is first copied into a buffer of WIDE_BUF bytes     \
+     * or less (of one row, where a row is larger) as contiguous panels of    \
+     * kc x 2L; else kc = KC and the tile reads b in place, rows ldb apart.   \
+     * An empty inner index is one empty block, which writes +0.0. Returns    \
+     * 0, or -1 when the buffer cannot be allocated. */                       \
+    AVX512F static int NAME##_tiled(const T *a, long ars, long acs,           \
+                                    const T *b, long ldb, T *o, long ldo,     \
+                                    long n, long k, long m, int pack)         \
     {                                                                         \
         const long nr = 2 * (sizeof(V) / sizeof(T));                          \
         const long q = WIDE_BUF / (sizeof(T) * m), c = q < k ? q : k;         \
-        const long kc = c > 0 ? c : 1;                                        \
-        T *buf = aligned_alloc(64, sizeof(T) * kc * m);                       \
+        const long kc = !pack ? KC : c > 0 ? c : 1;                           \
+        T *buf = NULL;                                                        \
         long p0 = 0, p, j, kb;                                                \
-        if (!buf)                                                             \
+        if (pack && !(buf = aligned_alloc(64, sizeof(T) * kc * m)))           \
             return -1;                                                        \
         do {                                                                  \
             kb = k - p0 < kc ? k - p0 : kc;                                   \
-            for (p = 0; p < kb; p++)                                          \
-                for (j = 0; j < m; j += nr)                                   \
-                    memcpy(buf + j * kb + p * nr, b + (p0 + p) * ldb + j,     \
-                           sizeof(T) * nr);                                   \
+            if (pack)                                                         \
+                for (p = 0; p < kb; p++)                                      \
+                    for (j = 0; j < m; j += nr)                               \
+                        memcpy(buf + j * kb + p * nr,                         \
+                               b + (p0 + p) * ldb + j, sizeof(T) * nr);       \
             for (j = 0; j < m; j += nr)                                       \
-                NAME##_rows(p0 > 0, a + p0 * acs, ars, acs, buf + j * kb, nr, \
-                            o + j, ldo, n, kb);                               \
+                NAME##_rows(p0 > 0, a + p0 * acs, ars, acs,                   \
+                            pack ? buf + j * kb : b + p0 * ldb + j,           \
+                            pack ? nr : ldb, o + j, ldo, n, kb);              \
             p0 += kb;                                                         \
         } while (p0 < k);                                                     \
         free(buf);                                                            \
@@ -280,22 +294,18 @@ __attribute__((constructor)) static void choose_tile(void)
                                                                               \
     /* o = a @ b for b with contiguous rows of ldb: the first mt = m - m % 2L \
      * columns on the register tile, over a packed copy of b (PACKED) or      \
-     * over b in place (IN_PLACE), rows ldb apart, and the other columns on   \
-     * the i-p-j loop, which takes them all on the LOOP path. Returns 0, or   \
-     * -1 when a packing buffer cannot be allocated. */                       \
+     * over b in place (IN_PLACE), and the other columns on the i-p-j loop,   \
+     * which takes them all on the LOOP path. Returns 0, or -1 when a         \
+     * packing buffer cannot be allocated. */                                 \
     static int NAME##_run(const T *a, long ars, long acs, const T *b,         \
                           long ldb, T *o, long ldo, long n, long k, long m,   \
                           int path)                                           \
     {                                                                         \
         const long nr = 2 * (sizeof(V) / sizeof(T));                          \
         const long mt = path == LOOP ? 0 : m - m % nr;                        \
-        long j;                                                               \
-        if (path == PACKED && mt > 0 &&                                       \
-            NAME##_packed(a, ars, acs, b, ldb, o, ldo, n, k, mt))             \
+        if (mt > 0 && NAME##_tiled(a, ars, acs, b, ldb, o, ldo, n, k, mt,     \
+                                   path == PACKED))                           \
             return -1;                                                        \
-        if (path == IN_PLACE)                                                 \
-            for (j = 0; j < mt; j += nr)                                      \
-                NAME##_rows(0, a, ars, acs, b + j, ldb, o + j, ldo, n, k);    \
         if (mt < m)                                                           \
             NAME##_block(a, ars, acs, b + mt, ldb, o + mt, ldo, n, k,         \
                          m - mt);                                             \
@@ -330,36 +340,35 @@ __attribute__((constructor)) static void choose_tile(void)
         return 0;                                                             \
     }                                                                         \
                                                                               \
-    /* Returns 0, or -1 when a packing buffer cannot be allocated. A plain    \
-     * product of two or more rows runs on the packed tile, a grouped         \
-     * segment of two or more output rows on the tile reading b in place,     \
-     * and the rest on the loop. */                                           \
+    /* Returns 0, or -1 when a packing buffer cannot be allocated. On the     \
+     * register tile, a plain product of more than MR rows runs over a packed \
+     * copy of b, and every other product, one-row products and grouped       \
+     * segments included, over b in place; elsewhere all run on the loop. */  \
     int NAME(const T *a, long ars, long acs, const T *b, long brs, long bcs,  \
              long bks, T *o, long oks, const int64_t *off, long nseg,         \
              int inner, long n, long k, long m)                               \
     {                                                                         \
         T *buf = NULL;                                                        \
-        long s, rows, nc = m < PANEL ? m : PANEL;                             \
+        long s, nc = m < PANEL ? m : PANEL;                                   \
+        const int path = !tiled ? LOOP : off == NULL && n > MR ? PACKED       \
+                                                               : IN_PLACE;    \
         int err = 0;                                                          \
         if (bcs != 1 && !(buf = malloc(sizeof(T) * (k > 0 ? k : 1) * nc)))    \
             return -1;                                                        \
         if (off == NULL)                                                      \
             err = NAME##_product(a, ars, acs, b, brs, bcs, o, m, n, k, m,     \
-                                 buf, tiled && n >= 2 ? PACKED : LOOP);       \
+                                 buf, path);                                  \
         else if (!inner)                                                      \
-            for (s = 0; s < nseg && !err; s++) {                              \
-                rows = off[s + 1] - off[s];                                   \
+            for (s = 0; s < nseg && !err; s++)                                \
                 err = NAME##_product(a + off[s] * ars, ars, acs, b + s * bks, \
-                                     brs, bcs, o + off[s] * m, m, rows, k, m, \
-                                     buf,                                     \
-                                     tiled && rows >= 2 ? IN_PLACE : LOOP);   \
-            }                                                                 \
+                                     brs, bcs, o + off[s] * m, m,             \
+                                     off[s + 1] - off[s], k, m, buf, path);   \
         else                                                                  \
             for (s = 0; s < nseg && !err; s++)                                \
                 err = NAME##_product(a + off[s] * acs, ars, acs,              \
                                      b + off[s] * brs, brs, bcs, o + s * oks, \
                                      m, n, off[s + 1] - off[s], m, buf,       \
-                                     tiled && n >= 2 ? IN_PLACE : LOOP);      \
+                                     path);                                   \
         free(buf);                                                            \
         return err;                                                           \
     }

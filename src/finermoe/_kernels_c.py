@@ -18,17 +18,21 @@ IEEE 754 leaves open which operand's NaN an add returns.)
 The library holds each matmul inner loop three times on x86-64, for
 AVX-512F, AVX2 and baseline SSE2, and the dynamic loader keeps the widest
 the CPU supports when the library loads. ``BACKEND`` names that variant, e.g.
-``"c (avx512f)"``. Under AVX-512F, products of two or more output rows run
-on a register tile that keeps an 8-row, 2-vector block of ``out`` in
-registers. A plain product runs it over blocks of ``b``'s rows packed into
-a 512 KB buffer, carrying the running sums in ``out`` from block to block.
-A grouped product runs it over each expert's matrix in place, with nothing
-packed: each grouped-rows segment of two or more rows, and each segment of
-a grouped-inner-index product with two or more rows of ``a``. That made a
-train-coarse step's grouped products 1.2-1.6 times as fast as on the loop
-(``BENCH_grouped_tile.json``). A transposed ``b`` is first gathered into
-row-major panels. One-row products and segments stay on the loop. All
-variants, the tile included, give the same bits, NaN aside as above.
+``"c (avx512f)"``. Under AVX-512F, every product runs on a register tile
+that keeps an 8-row, 2-vector block of ``out`` in registers, walking
+``b`` in blocks of rows and carrying the running sums in ``out`` from
+block to block. A plain product of more than 8 rows reads each block from
+a copy packed into a 512 KB buffer, which its tiles read again. Every
+other product reads ``b`` in place, 32 rows at a time, as a copy would be
+read only once: plain products of at most 8 rows, one-row products
+included, and every grouped segment. In place, cli-ref's 8-row
+shared-expert products took 4.7-5.3 ms against 7.5-8.1 packed
+(``BENCH_stream_rows.json``), and a train-coarse step's grouped products
+ran 1.2-1.6 times as fast as on the loop (``BENCH_grouped_tile.json``).
+A transposed ``b`` is first gathered into row-major panels. The columns
+past the last multiple of the tile's width run on the i-p-j loop, as do
+all products on other hosts. All variants, the tile included, give the
+same bits, NaN aside as above.
 
 Importing this module compiles ``_kernels.c`` with gcc into this package's
 ``__pycache__`` directory, unless a library built from the same source

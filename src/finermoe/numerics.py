@@ -172,20 +172,20 @@ def matmul(a: Matrix | Grouped, b: Matrix | Grouped) -> Matrix | Grouped:
         raise ValueError(
             f"matmul dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}"
         )
-    if _flop_counter is not None:
-        _flop_counter.flops += 2 * a.rows * a.cols * b.cols
     dtype = a.dtype
     kernel = _backend.active.matmul_f64 if dtype == np.float64 else _backend.active.matmul_f32
     if isinstance(a, Grouped):
         out = np.empty((len(a.offsets) - 1, a.rows, b.cols), dtype=dtype)
         kernel(a.a, b.a, out, a.offsets)
-        return Grouped(out, a.offsets)
-    out = np.empty((a.rows, b.cols), dtype=dtype)
-    if isinstance(b, Grouped):
-        kernel(a.a, b.a, out, b.offsets)
+        result = Grouped(out, a.offsets)
     else:
-        kernel(a.a, b.a, out)
-    return Matrix.wrap(out)
+        out = np.empty((a.rows, b.cols), dtype=dtype)
+        kernel(a.a, b.a, out, b.offsets if isinstance(b, Grouped) else None)
+        result = Matrix.wrap(out)
+    # Counted once the kernel has returned, so a refused product adds none.
+    if _flop_counter is not None:
+        _flop_counter.flops += 2 * a.rows * a.cols * b.cols
+    return result
 
 
 def sum_squares(arrays) -> float:

@@ -34,11 +34,11 @@ def _cpu_flags():
 
 # The C kernel's inner-loop variants, widest first, as _kernels.c clones them
 # (CLONES) and names them (gemm_isa); the loader runs the first the CPU
-# supports, and products of two or more rows run on the register tile
-# where that is avx512f. A test builds each variant from a copy of the
-# source without CLONES, with the variant's -m flag and with gemm_isa's CPU
-# tests pinned to the variant (CPU_TESTS), so that it names the variant and
-# tiles only as that variant.
+# supports, and products run on the register tile where that is avx512f
+# (their m % NR columns left over on the i-p-j loop). A test builds each
+# variant from a copy of the source without CLONES, with the variant's -m
+# flag and with gemm_isa's CPU tests pinned to the variant (CPU_TESTS), so
+# that it names the variant and tiles only as that variant.
 ISAS = ("avx512f", "avx2", "default")
 HOST_ISAS = tuple(isa for isa in ISAS if isa == "default" or isa in _cpu_flags())
 C_BACKEND = f"c ({HOST_ISAS[0]})"
@@ -242,6 +242,12 @@ class TestMatmul:
             matmul(Matrix.wrap(np.zeros((3, 4), np.float32)), Matrix.wrap(np.zeros((4, 5), np.float32)))
         assert c.flops == 2 * 3 * 4 * 5
 
+    def test_a_refused_product_counts_no_flops(self):
+        with count_flops() as c:
+            with pytest.raises(ValueError, match="float32.*float64"):
+                matmul(Matrix.wrap(np.zeros((3, 4), np.float32)), Matrix.wrap(np.zeros((4, 5), np.float64)))
+        assert c.flops == 0
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_grouped_and_transposed_operands(self, dtype):
         # One call per grouped product, with the bits and the FLOP count of
@@ -267,12 +273,13 @@ class TestMatmul:
             else:
                 assert inner.a[k].tobytes() == np.zeros((4, 5), inner.dtype).tobytes()
 
-    # Shapes on both sides of the C kernel's schedules, each compared with
-    # the sum of a rank-1 loop: the i-p-j loop (one row, or fewer columns
-    # than the AVX-512F tile's width, with four-row blocks and rows left
-    # over) and the packed tile over one block of b's rows (70 x 40 x 64)
-    # or several, the last one short (4 x 300 x 500, 3 x 1000 x 300 and
-    # 2 x 20 x 8200), with tile rows and columns left over.
+    # Shapes on all three of the C kernel's paths, each compared with the
+    # sum of a rank-1 loop: the i-p-j loop (fewer columns than the AVX-512F
+    # tile's width, with four-row blocks and rows left over), the packed
+    # tile over one block of b's rows (70 x 40 x 64), and the tile reading
+    # b in place over blocks of KC rows, the last one short (4 x 300 x 500,
+    # 3 x 1000 x 300 and 2 x 20 x 8200), with tile rows and columns left
+    # over.
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize(
         "n,k,m",
@@ -558,10 +565,16 @@ def _draw_case(rng, dtype, layout, path):
 
 def _source_constant(name):
     """The value of ``#define name v`` or ``#define name (1L << e)`` in _kernels.c."""
-    from finermoe import _kernels_c
-
-    value = re.search(rf"^#define {name} (?:(\d+)|\(1L << (\d+)\))$", _kernels_c._SRC.read_text(), re.M)
+    source = Path(finermoe.__file__).with_name("_kernels.c").read_text()
+    value = re.search(rf"^#define {name} (?:(\d+)|\(1L << (\d+)\))$", source, re.M)
     return int(value[1]) if value[1] else 1 << int(value[2])
+
+
+# Inner lengths around the blocks of KC rows of b that the register tile
+# reads in place: one short of a block edge, on it, one past it, and one
+# past the second.
+KC = _source_constant("KC")
+KC_EDGES = (KC - 1, KC, KC + 1, 2 * KC + 1)
 
 
 class TestDeterminismContract:
@@ -594,11 +607,12 @@ class TestDeterminismContract:
         assert seen == {"nan", "inf", "zero"}
 
     # (h, H) of the small draws; the wide draw's shared-expert products
-    # read b in more than one WIDE_BUF block of the packed tile, and its
-    # presets hold a shared expert without replicating the whole FFN per
-    # expert. The tile draw's NVShard layer (64 experts, 8 active, H_e =
-    # H / 8) sends two or more tokens to some expert and has h and H_e of
-    # at least NR, so its grouped products run on the tile in place.
+    # have more than MR rows, so they read b in more than one WIDE_BUF
+    # block of the packed tile, and its presets hold a shared expert
+    # without replicating the whole FFN per expert. The tile draw's NVShard
+    # layer (64 experts, 8 active, H_e = H / 8) sends two or more tokens to
+    # some expert and has h and H_e of at least NR, so its grouped products
+    # run on tiles of one row and of more, reading b in place.
     SMALL_DIMS = ((16, 64), (24, 96), (32, 160))
     WIDE_DIMS, WIDE_PRESETS = (128, 2304), ("FineRMoE-base", "NVShard")
     TILE_DIMS, TILE_PRESETS = (40, 320), ("NVShard",)
@@ -611,7 +625,7 @@ class TestDeterminismContract:
         rng = np.random.default_rng(2027)
         kernels = {"python": _kernels_py, "c": c_kernels, **{f"c-{isa}": k for isa, k in isa_kernels.items()}}
         for case in range(11):
-            (h, H), names, least = {0: (self.WIDE_DIMS, self.WIDE_PRESETS, 2),
+            (h, H), names, least = {0: (self.WIDE_DIMS, self.WIDE_PRESETS, _source_constant("MR") + 1),
                                     1: (self.TILE_DIMS, self.TILE_PRESETS, 16)}.get(case) or (
                 self.SMALL_DIMS[rng.integers(len(self.SMALL_DIMS))], preset_names(), 1)
             cfg = with_updates(baseline_preset(str(rng.choice(names)), h=h, H=H),
@@ -622,7 +636,7 @@ class TestDeterminismContract:
             x, upstream = Rng(2 * case).matrix(L, h, dtype=dtype), Rng(2 * case + 1).matrix(L, h, dtype=dtype)
             if case == 0:
                 wide = h * H * np.dtype(dtype).itemsize > _source_constant("WIDE_BUF")
-                assert cfg.share_expert and L >= 2 and wide
+                assert cfg.share_expert and L > _source_constant("MR") and wide
             if case == 1:
                 nr = 2 * 64 // np.dtype(dtype).itemsize
                 rows = np.diff(build_dispatch_plan(decide(x, model)).offsets)
@@ -644,12 +658,13 @@ class TestRegisterTile:
     tiles for the rows left over, the i-p-j block for the m % NR columns
     left over): the active C kernels and every C variant this CPU runs
     give _kernels_py's bytes, NaN by position, and +0.0 for an empty inner
-    index. The tile runs, over packed panels of b, for products of two or
-    more rows in the avx512f variant and, on a CPU with AVX-512F, in the
-    active kernels."""
+    index. The tile runs in the avx512f variant and, on a CPU with
+    AVX-512F, in the active kernels: over packed panels of b for products
+    of more than MR rows, and over b in place, KC rows at a time, for the
+    others, one-row products included."""
 
     ROWS = (*range(1, 10), 15, 16, 17, 64, 65)
-    INNER = (0, 1, 2, 257)
+    INNER = (0, 1, 2, *KC_EDGES, 257)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("layout", ["plain", "a.T", "b.T"])
@@ -675,32 +690,33 @@ class TestRegisterTile:
 
 
 class TestWidePanels:
-    """Plain products around the blocks of the packed tile of _kernels.c.
-    Under AVX-512F, products of two or more rows read b in blocks of kc
-    rows, kc = WIDE_BUF // (mt * itemsize) for the mt = m - m % NR columns
-    the register tile covers; each block is packed into panels of NR
-    columns, and each output element's running sum is stored in out after
-    one block and reloaded for the next. A transposed b is first gathered
-    into panels of PANEL columns, each then packed the same way, so for b^T
-    the blocks follow the width of a PANEL panel. One-row products, and the
-    m % NR columns left over, stay on the i-p-j loop. Each inner length
-    ends on a block edge, one short of it or one past it, or one block
-    later; a few ±0, ±inf and NaN sit in each operand, so most outputs stay
-    finite. The active C kernels and every C variant this CPU runs give
-    _kernels_py's bytes, NaN by position."""
+    """Plain products around the blocks of both register-tile paths of
+    _kernels.c. Under AVX-512F, products of more than MR rows read b in
+    blocks of kc rows, kc = WIDE_BUF // (mt * itemsize) for the mt = m - m
+    % NR columns the register tile covers, each block packed into panels of
+    NR columns; products of at most MR rows read b in place, in blocks of
+    KC rows. On both paths each output element's running sum is stored in
+    out after one block and reloaded for the next. A transposed b is first
+    gathered into panels of PANEL columns, each then read the same way, so
+    for b^T the packed blocks follow the width of a PANEL panel. The m % NR
+    columns left over stay on the i-p-j loop. Each inner length ends on a
+    block edge of either path, one short of it or one past it, or one
+    block later; a few ±0, ±inf and NaN sit in each operand, so most
+    outputs stay finite. The active C kernels and every C variant this CPU
+    runs give _kernels_py's bytes, NaN by position."""
 
-    ROWS = (1, 2, 3, 4, 5, 8, 9, 17)
+    ROWS = (*range(1, 10), 17)
     SPECIALS = (0.0, -0.0, np.inf, -np.inf, np.nan)
 
     def _inner(self, m, nr, itemsize):
-        """Inner lengths around the blocks of m columns, and of the first
-        PANEL panel of a b^T with m columns."""
+        """Inner lengths around the KC-row blocks and the packed blocks of
+        m columns, and of the first PANEL panel of a b^T with m columns."""
         ks = set()
         for w in {m, min(m, _source_constant("PANEL"))}:
             mt = w - w % nr
             if mt:
                 kc = _source_constant("WIDE_BUF") // (mt * itemsize)
-                ks.update((kc - 1, kc, kc + 1, 2 * kc + 1))
+                ks.update((*KC_EDGES, kc - 1, kc, kc + 1, 2 * kc + 1))
         return sorted(ks) or [257]  # no block: all columns on the loop
 
     def _sprinkle(self, rng, x, count):
@@ -753,18 +769,18 @@ class TestWidePanels:
 
 class TestGroupedTile:
     """Grouped products around the AVX-512F register tile of _kernels.c,
-    which reads each expert's matrix in place (NR = 32 f32 or 16 f64
-    columns): a grouped-rows segment of two or more rows runs on 8-, 4-, 2-
+    which reads each expert's matrix in place, KC rows at a time (NR = 32
+    f32 or 16 f64 columns): each grouped-rows segment runs on 8-, 4-, 2-
     and 1-row tiles over its stack matrix, a .T stack first gathered into
-    row-major panels, and a grouped-inner-index product of two or more
-    output rows on the same tiles over each segment of b. One-row segments
-    and the m % NR columns left over stay on the i-p-j loop. The active C
-    kernels and every C variant this CPU runs give _kernels_py's bytes,
-    NaN by position, with a few ±0, ±inf and NaN in each operand; an empty
-    segment of the inner index gives +0.0."""
+    row-major panels, and each segment of a grouped-inner-index product on
+    the same tiles over its rows of b. The m % NR columns left over stay
+    on the i-p-j loop. The active C kernels and every C variant this CPU
+    runs give _kernels_py's bytes, NaN by position, with a few ±0, ±inf
+    and NaN in each operand; an empty segment of the inner index gives
+    +0.0."""
 
     LENGTHS = (*range(10), 15, 16, 17)
-    INNER = (0, 1, 19, 257)
+    INNER = (0, 1, 19, *KC_EDGES, 257)
 
     def _widths(self, dtype):
         nr = 2 * 64 // np.dtype(dtype).itemsize
@@ -802,11 +818,12 @@ class TestGroupedTile:
                         assert got.tobytes() == np.zeros_like(got).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("n", [1, 2, 8, 9, 17])
+    @pytest.mark.parametrize("n", [*range(1, 10), 17])
     def test_grouped_inner_index(self, c_variant, n, dtype):
         nr, widths = self._widths(dtype)
         rng = np.random.default_rng(nr + n)
-        offsets = _offsets((*self.LENGTHS, 0))
+        # Each segment's length is its inner length.
+        offsets = _offsets((*self.LENGTHS, *KC_EDGES, 0))
         for m in widths:
             x = self._operand(rng, (int(offsets[-1]), n), dtype)
             d = self._operand(rng, (int(offsets[-1]), m), dtype)
