@@ -111,8 +111,46 @@
  * registers do not hold the 64-byte tile (built for AVX2, 1.2-1.3
  * GFLOP/s against 14-19 for the i-p-j loop on the shared expert's f32
  * products).
+ *
+ * A product of 2 * PART_MIN multiply-adds or more is split into parts of
+ * PART_MIN or more, one per thread of a worker pool at most. The pool's
+ * threads, the calling thread included, are the CPUs in the process's
+ * affinity mask when the library loads (sched_getaffinity; 1 on other
+ * systems), and gemm_threads returns their number. As Smith et al.,
+ * "Anatomy of High-Performance Many-Threaded Matrix Multiplication"
+ * (IPDPS 2014), split the loops around the micro-kernel and never its
+ * inner index, a plain product splits by output columns, in whole panels
+ * of 2L (the last part takes the m % 2L columns left over), so that the
+ * parts of a few-row product read separate columns of b; a grouped-rows
+ * product splits into runs of whole segments balanced by rows, and a
+ * grouped-inner-index product into runs balanced by inner length. Every
+ * output element is still summed whole, by one thread, from +0.0, in
+ * ascending inner-index order, on the path it takes unsplit, so every
+ * split gives the same bits. Reading b mapped from a reference-dims file,
+ * 8 x 1536 @ 1536 x 8960 took 2.5-3.0 ms on two threads against 4.5-5.2
+ * on one, and infer-fine's 64 x 256 @ 256 x 1024 0.26-0.28 against
+ * 0.51-0.52 (BENCH_threads.json).
+ *
+ * The caller and the workers claim parts in turn, and the caller runs
+ * whatever no worker has claimed, so a product never waits for a worker
+ * that has not woken. Workers sleep on a condition variable between
+ * products and never spin, so a CPU the pool does not use stays free for
+ * the caller's other threads. Each part has its own PANEL gather buffer
+ * and packing buffer, which the caller lends it from one buffer that the
+ * pool keeps from product to product and grows as needed, so a worker
+ * never allocates and no part can fail.
+ * Allocating the parts' buffers and freeing them in every product, up to
+ * 1 MB for two parts, let glibc's heap grow by fragments: perfbench's
+ * peak RSS on train-coarse read 10-13% above the one-thread library's. A
+ * second caller that finds the pool busy runs its product alone, on its
+ * own thread, with buffers of its own; fork waits for a product in
+ * flight, and a forked child starts its own workers.
  */
 
+#define _GNU_SOURCE
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -122,6 +160,18 @@
 #define KC 32
 #define WIDE_BUF (1L << 19)
 #define GATHER 16
+/* The fewest multiply-adds in one part of a split product, so a product of
+ * fewer than 2 * PART_MIN stays on the calling thread. A hand-off (waking
+ * a sleeping worker, then waiting for its part) cost 5-10 us on a 2-CPU
+ * AVX-512F host. With every product of two panels or more split, against
+ * one thread (min of 225 calls): 1 x 512 @ 512 x 1024 (2^19 multiply-adds)
+ * took 84 against 69 us and infer-fine's 128-row grouped h @ w2[k] (2^19)
+ * 52 against 52; at 2^20 its grouped x @ w1[k] took 71 against 120 and
+ * 64 x 128 @ 128 x 128 35 against 37. Over the whole infer-fine forward
+ * (min-median of 200, the builds in turn), PART_MIN = 2^18 ran in
+ * 2.15-2.43 ms, 2^19 in 2.24-2.48 and 2^20 in 2.26-2.60, against
+ * 3.03-3.26 on one thread (BENCH_threads.json). */
+#define PART_MIN (1L << 18)
 
 /* The paths of a product: the i-p-j loop, or the register tile over a
  * packed copy of b or over b in place. */
@@ -154,9 +204,168 @@ const char *gemm_isa(void)
  * avx512f, decided once when the library loads. */
 static int tiled;
 
-__attribute__((constructor)) static void choose_tile(void)
+/* The worker pool: threads - 1 workers and the calling thread, threads
+ * being the CPUs the process may run on when the library loads. The
+ * caller that holds busy posts its product's parts under lock and
+ * broadcasts wake; then every thread, the caller included, claims the next
+ * part until none is left, and the caller waits on done until left, the
+ * parts not yet finished, is 0. So a worker that a busy CPU keeps from
+ * waking delays nothing: the caller runs the parts it leaves. A worker
+ * reads the product only through a part it claimed, so one that wakes
+ * after the product has ended finds none. Workers start on the first
+ * product that splits (again in a forked child, which has none) and
+ * sleep on wake in between. */
+static int threads = 1, started;
+static pthread_mutex_t busy = PTHREAD_MUTEX_INITIALIZER;
+static pthread_mutex_t lock = PTHREAD_MUTEX_INITIALIZER;
+static pthread_cond_t wake = PTHREAD_COND_INITIALIZER;
+static pthread_cond_t done = PTHREAD_COND_INITIALIZER;
+static int parts, next, left;
+static void (*part_fn)(const void *, int);
+static const void *part_job;
+
+int gemm_threads(void)
 {
+    return threads;
+}
+
+static void *worker(void *arg)
+{
+    int i;
+    (void)arg;
+    pthread_mutex_lock(&lock);
+    for (;;) {
+        while (next >= parts)
+            pthread_cond_wait(&wake, &lock);
+        i = next++;
+        pthread_mutex_unlock(&lock);
+        part_fn(part_job, i);
+        pthread_mutex_lock(&lock);
+        if (--left == 0)
+            pthread_cond_signal(&done);
+    }
+    return NULL;
+}
+
+/* Starts the workers, with every signal blocked so that signals reach the
+ * caller's threads; called with busy held. Where a thread cannot be
+ * created, the pool keeps those that were. */
+static void start_workers(void)
+{
+    pthread_attr_t attr;
+    pthread_t id;
+    sigset_t all, old;
+    int i;
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &old);
+    pthread_attr_init(&attr);
+    pthread_attr_setdetachstate(&attr, PTHREAD_CREATE_DETACHED);
+    for (i = 1; i < threads; i++)
+        if (pthread_create(&id, &attr, worker, NULL))
+            threads = i;
+    pthread_attr_destroy(&attr);
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+    started = 1;
+}
+
+/* Runs fn(job, i) once for each i = 0 .. n - 1, on the calling thread,
+ * which holds busy, and on the workers. */
+static void share(void (*fn)(const void *, int), const void *job, int n)
+{
+    int i;
+    pthread_mutex_lock(&lock);
+    part_fn = fn;
+    part_job = job;
+    parts = n;
+    next = 0;
+    left = n;
+    pthread_cond_broadcast(&wake);
+    while (next < parts) {
+        i = next++;
+        pthread_mutex_unlock(&lock);
+        fn(job, i);
+        pthread_mutex_lock(&lock);
+        left--;
+    }
+    while (left > 0)
+        pthread_cond_wait(&done, &lock);
+    pthread_mutex_unlock(&lock);
+}
+
+/* fork waits for a product in flight on the pool; the child, whose copy
+ * of the pool has no workers, starts afresh. */
+static void fork_prepare(void)
+{
+    pthread_mutex_lock(&busy);
+}
+
+static void fork_parent(void)
+{
+    pthread_mutex_unlock(&busy);
+}
+
+static void fork_child(void)
+{
+    pthread_mutex_init(&busy, NULL);
+    pthread_mutex_init(&lock, NULL);
+    pthread_cond_init(&wake, NULL);
+    pthread_cond_init(&done, NULL);
+    started = 0;
+}
+
+__attribute__((constructor)) static void setup(void)
+{
+#if defined(__linux__)
+    cpu_set_t cpus;
+    if (sched_getaffinity(0, sizeof(cpus), &cpus) == 0)
+        threads = CPU_COUNT(&cpus);
+#endif
     tiled = strcmp(gemm_isa(), "avx512f") == 0;
+    pthread_atfork(fork_prepare, fork_parent, fork_child);
+}
+
+/* The buffer the caller that holds busy lends the parts of its product,
+ * kept from product to product and grown as needed. */
+static void *kept;
+static size_t kept_size;
+
+/* size bytes, 64-aligned: the kept buffer where the caller holds busy
+ * (pooled), else a buffer of its own; NULL when none can be allocated. */
+static void *buffer(size_t size, int pooled)
+{
+    if (!pooled)
+        return aligned_alloc(64, size);
+    if (size > kept_size) {
+        free(kept);
+        kept = aligned_alloc(64, size);
+        kept_size = kept ? size : 0;
+    }
+    return kept;
+}
+
+/* One product as an entry received it, and its split: parts, and per
+ * part gather + pack elements of buf, a PANEL gather buffer and then a
+ * packing buffer, each a multiple of 64 bytes. */
+struct job {
+    const void *a, *b;
+    void *o, *buf;
+    long ars, acs, brs, bcs, bks, oks, n, k, m, nseg, gather, pack;
+    const int64_t *off;
+    int inner, path, parts;
+};
+
+/* The first segment of part i: segments go to parts in order, each part
+ * taking those whose offsets start in about 1 / parts of the last
+ * offset's range, so rows (grouped rows) or inner length (grouped inner
+ * index) balance. */
+static long first_segment(const struct job *j, int i)
+{
+    long s = 0;
+    if (i == j->parts)
+        return j->nseg;
+    while (s < j->nseg && j->off[s] * j->parts < j->off[j->nseg] * i)
+        s++;
+    return s;
 }
 
 #define GEMM(NAME, T, V)                                                      \
@@ -259,118 +468,172 @@ __attribute__((constructor)) static void choose_tile(void)
     /* o[:, 0:m] = a @ b[:, 0:m] for m a multiple of 2L, by blocks of kc      \
      * rows of b, which NAME##_rows reads panel by panel of 2L columns,       \
      * carrying the running sums in o from one block to the next. Where pack  \
-     * is set, each block is first copied into a buffer of WIDE_BUF bytes     \
-     * or less (of one row, where a row is larger) as contiguous panels of    \
-     * kc x 2L; else kc = KC and the tile reads b in place, rows ldb apart.   \
-     * An empty inner index is one empty block, which writes +0.0. Returns    \
-     * 0, or -1 when the buffer cannot be allocated. */                       \
-    AVX512F static int NAME##_tiled(const T *a, long ars, long acs,           \
-                                    const T *b, long ldb, T *o, long ldo,     \
-                                    long n, long k, long m, int pack)         \
+     * is not NULL, each block is first copied into it, a buffer of WIDE_BUF  \
+     * bytes or less (of one row, where a row is larger), as contiguous       \
+     * panels of kc x 2L; else kc = KC and the tile reads b in place, rows    \
+     * ldb apart. An empty inner index is one empty block, which writes       \
+     * +0.0. */                                                               \
+    AVX512F static void NAME##_tiled(const T *a, long ars, long acs,          \
+                                     const T *b, long ldb, T *o, long ldo,    \
+                                     long n, long k, long m, T *pack)         \
     {                                                                         \
         const long nr = 2 * (sizeof(V) / sizeof(T));                          \
         const long q = WIDE_BUF / (sizeof(T) * m), c = q < k ? q : k;         \
         const long kc = !pack ? KC : c > 0 ? c : 1;                           \
-        T *buf = NULL;                                                        \
         long p0 = 0, p, j, kb;                                                \
-        if (pack && !(buf = aligned_alloc(64, sizeof(T) * kc * m)))           \
-            return -1;                                                        \
         do {                                                                  \
             kb = k - p0 < kc ? k - p0 : kc;                                   \
             if (pack)                                                         \
                 for (p = 0; p < kb; p++)                                      \
                     for (j = 0; j < m; j += nr)                               \
-                        memcpy(buf + j * kb + p * nr,                         \
+                        memcpy(pack + j * kb + p * nr,                        \
                                b + (p0 + p) * ldb + j, sizeof(T) * nr);       \
             for (j = 0; j < m; j += nr)                                       \
                 NAME##_rows(p0 > 0, a + p0 * acs, ars, acs,                   \
-                            pack ? buf + j * kb : b + p0 * ldb + j,           \
+                            pack ? pack + j * kb : b + p0 * ldb + j,          \
                             pack ? nr : ldb, o + j, ldo, n, kb);              \
             p0 += kb;                                                         \
         } while (p0 < k);                                                     \
-        free(buf);                                                            \
-        return 0;                                                             \
     }                                                                         \
                                                                               \
     /* o = a @ b for b with contiguous rows of ldb: the first mt = m - m % 2L \
-     * columns on the register tile, over a packed copy of b (PACKED) or      \
-     * over b in place (IN_PLACE), and the other columns on the i-p-j loop,   \
-     * which takes them all on the LOOP path. Returns 0, or -1 when a         \
-     * packing buffer cannot be allocated. */                                 \
-    static int NAME##_run(const T *a, long ars, long acs, const T *b,         \
-                          long ldb, T *o, long ldo, long n, long k, long m,   \
-                          int path)                                           \
+     * columns on the register tile, over a packed copy of b in pack          \
+     * (PACKED) or over b in place (IN_PLACE), and the other columns on the   \
+     * i-p-j loop, which takes them all on the LOOP path. */                  \
+    static void NAME##_run(const T *a, long ars, long acs, const T *b,        \
+                           long ldb, T *o, long ldo, long n, long k, long m,  \
+                           T *pack, int path)                                 \
     {                                                                         \
         const long nr = 2 * (sizeof(V) / sizeof(T));                          \
         const long mt = path == LOOP ? 0 : m - m % nr;                        \
-        if (mt > 0 && NAME##_tiled(a, ars, acs, b, ldb, o, ldo, n, k, mt,     \
-                                   path == PACKED))                           \
-            return -1;                                                        \
+        if (mt > 0)                                                           \
+            NAME##_tiled(a, ars, acs, b, ldb, o, ldo, n, k, mt,               \
+                         path == PACKED ? pack : NULL);                       \
         if (mt < m)                                                           \
             NAME##_block(a, ars, acs, b + mt, ldb, o + mt, ldo, n, k,         \
                          m - mt);                                             \
-        return 0;                                                             \
     }                                                                         \
                                                                               \
-    /* o = a @ b for any b strides; buf holds k x PANEL elements, which a     \
+    /* o = a @ b for any b strides; gather holds k x PANEL elements, which a  \
      * b with bcs != 1 is gathered into one panel of columns at a time, in    \
      * blocks of GATHER inner indices so that each read of b is a run of      \
-     * GATHER elements where brs == 1. Returns 0, or -1 when a packing        \
-     * buffer cannot be allocated. */                                         \
-    static int NAME##_product(const T *a, long ars, long acs, const T *b,     \
-                              long brs, long bcs, T *o, long ldo, long n,     \
-                              long k, long m, T *buf, int path)               \
+     * GATHER elements where brs == 1. */                                     \
+    static void NAME##_product(const T *a, long ars, long acs, const T *b,    \
+                               long brs, long bcs, T *o, long ldo, long n,    \
+                               long k, long m, T *gather, T *pack, int path)  \
     {                                                                         \
         long j0, jj, p0, p, w, pe;                                            \
         if (n == 0)                                                           \
-            return 0;                                                         \
-        if (bcs == 1)                                                         \
-            return NAME##_run(a, ars, acs, b, brs, o, ldo, n, k, m, path);    \
+            return;                                                           \
+        if (bcs == 1) {                                                       \
+            NAME##_run(a, ars, acs, b, brs, o, ldo, n, k, m, pack, path);     \
+            return;                                                           \
+        }                                                                     \
         for (j0 = 0; j0 < m; j0 += w) {                                       \
             w = m - j0 < PANEL ? m - j0 : PANEL;                              \
             for (p0 = 0; p0 < k; p0 += GATHER) {                              \
                 pe = k - p0 < GATHER ? k : p0 + GATHER;                       \
                 for (jj = 0; jj < w; jj++)                                    \
                     for (p = p0; p < pe; p++)                                 \
-                        buf[p * w + jj] = b[p * brs + (j0 + jj) * bcs];       \
+                        gather[p * w + jj] = b[p * brs + (j0 + jj) * bcs];    \
             }                                                                 \
-            if (NAME##_run(a, ars, acs, buf, w, o + j0, ldo, n, k, w, path))  \
-                return -1;                                                    \
+            NAME##_run(a, ars, acs, gather, w, o + j0, ldo, n, k, w, pack,    \
+                       path);                                                 \
         }                                                                     \
-        return 0;                                                             \
     }                                                                         \
                                                                               \
-    /* Returns 0, or -1 when a packing buffer cannot be allocated. On the     \
-     * register tile, a plain product of more than MR rows runs over a packed \
-     * copy of b, and every other product, one-row products and grouped       \
-     * segments included, over b in place; elsewhere all run on the loop. */  \
+    /* Part i of a split product, on its own gather and pack buffers: of a    \
+     * plain product, the columns from the i-th to the (i + 1)-th of parts    \
+     * equal shares of the m / 2L panels of 2L columns, the last part         \
+     * taking the m % 2L columns left over; of a grouped one, the segments    \
+     * first_segment gives it. */                                             \
+    static void NAME##_part(const void *job, int i)                           \
+    {                                                                         \
+        const struct job *j = job;                                            \
+        const long nr = 2 * (sizeof(V) / sizeof(T)), panels = j->m / nr;      \
+        const T *a = j->a, *b = j->b;                                         \
+        T *o = j->o, *gather = NULL, *pack = NULL;                            \
+        long s, end, c0, c1;                                                  \
+        if (j->buf) {                                                         \
+            gather = (T *)j->buf + i * (j->gather + j->pack);                 \
+            pack = gather + j->gather;                                        \
+        }                                                                     \
+        if (j->off == NULL) {                                                 \
+            c0 = panels * i / j->parts * nr;                                  \
+            c1 = i + 1 == j->parts ? j->m : panels * (i + 1) / j->parts * nr; \
+            NAME##_product(a, j->ars, j->acs, b + c0 * j->bcs, j->brs, j->bcs,\
+                           o + c0, j->m, j->n, j->k, c1 - c0, gather, pack,   \
+                           j->path);                                          \
+            return;                                                           \
+        }                                                                     \
+        for (s = first_segment(j, i), end = first_segment(j, i + 1); s < end; \
+             s++)                                                             \
+            if (!j->inner)                                                    \
+                NAME##_product(a + j->off[s] * j->ars, j->ars, j->acs,        \
+                               b + s * j->bks, j->brs, j->bcs,                \
+                               o + j->off[s] * j->m, j->m,                    \
+                               j->off[s + 1] - j->off[s], j->k, j->m, gather, \
+                               pack, j->path);                                \
+            else                                                              \
+                NAME##_product(a + j->off[s] * j->acs, j->ars, j->acs,        \
+                               b + j->off[s] * j->brs, j->brs, j->bcs,        \
+                               o + s * j->oks, j->m, j->n,                    \
+                               j->off[s + 1] - j->off[s], j->m, gather, pack, \
+                               j->path);                                      \
+    }                                                                         \
+                                                                              \
+    /* Returns 0, or -1 when the buffers cannot be allocated, before any      \
+     * part runs. On the register tile, a plain product of more than MR rows  \
+     * runs over a packed copy of b, and every other product, one-row         \
+     * products and grouped segments included, over b in place; elsewhere     \
+     * all run on the loop. A product of n * k * m >= 2 * PART_MIN            \
+     * multiply-adds splits into up to threads parts of PART_MIN or more      \
+     * when the pool is free: by columns, in whole panels of 2L, or by        \
+     * segments. */                                                           \
     int NAME(const T *a, long ars, long acs, const T *b, long brs, long bcs,  \
              long bks, T *o, long oks, const int64_t *off, long nseg,         \
              int inner, long n, long k, long m)                               \
     {                                                                         \
-        T *buf = NULL;                                                        \
-        long s, nc = m < PANEL ? m : PANEL;                                   \
-        const int path = !tiled ? LOOP : off == NULL && n > MR ? PACKED       \
-                                                               : IN_PLACE;    \
-        int err = 0;                                                          \
-        if (bcs != 1 && !(buf = malloc(sizeof(T) * (k > 0 ? k : 1) * nc)))    \
+        const long nr = 2 * (sizeof(V) / sizeof(T)), line = 64 / sizeof(T);   \
+        const long w = bcs != 1 && m > PANEL ? PANEL : m;                     \
+        const long fill = k * w < WIDE_BUF / (long)sizeof(T)                  \
+                              ? k * w : WIDE_BUF / (long)sizeof(T);           \
+        const long shares = n * k * m / PART_MIN;                             \
+        long want = off == NULL ? m / nr : nseg;                              \
+        struct job j = {a, b, o, NULL, ars, acs, brs, bcs, bks, oks, n, k,    \
+                        m, nseg, 0, 0, off, inner, 0, 1};                     \
+        int pooled = 0;                                                       \
+        j.path = !tiled ? LOOP : off == NULL && n > MR ? PACKED : IN_PLACE;   \
+        want = want < threads ? want : threads;                               \
+        want = want < shares ? want : shares;                                 \
+        if (bcs != 1)                                                         \
+            j.gather = ((k > 0 ? k : 1) * w + line - 1) / line * line;        \
+        if (j.path == PACKED)                                                 \
+            j.pack = ((fill > w ? fill : w) + line - 1) / line * line;        \
+        if ((want > 1 || j.gather + j.pack > 0) &&                            \
+            pthread_mutex_trylock(&busy) == 0) {                              \
+            pooled = 1;                                                       \
+            j.parts = want > 1 ? (int)want : 1;                               \
+        }                                                                     \
+        if (j.gather + j.pack > 0 &&                                          \
+            !(j.buf = buffer(sizeof(T) * j.parts * (j.gather + j.pack),       \
+                             pooled))) {                                      \
+            if (pooled)                                                       \
+                pthread_mutex_unlock(&busy);                                  \
             return -1;                                                        \
-        if (off == NULL)                                                      \
-            err = NAME##_product(a, ars, acs, b, brs, bcs, o, m, n, k, m,     \
-                                 buf, path);                                  \
-        else if (!inner)                                                      \
-            for (s = 0; s < nseg && !err; s++)                                \
-                err = NAME##_product(a + off[s] * ars, ars, acs, b + s * bks, \
-                                     brs, bcs, o + off[s] * m, m,             \
-                                     off[s + 1] - off[s], k, m, buf, path);   \
+        }                                                                     \
+        if (j.parts > 1) {                                                    \
+            if (!started)                                                     \
+                start_workers();                                              \
+            j.parts = j.parts < threads ? j.parts : threads;                  \
+            share(NAME##_part, &j, j.parts);                                  \
+        } else                                                                \
+            NAME##_part(&j, 0);                                               \
+        if (pooled)                                                           \
+            pthread_mutex_unlock(&busy);                                      \
         else                                                                  \
-            for (s = 0; s < nseg && !err; s++)                                \
-                err = NAME##_product(a + off[s] * acs, ars, acs,              \
-                                     b + off[s] * brs, brs, bcs, o + s * oks, \
-                                     m, n, off[s + 1] - off[s], m, buf,       \
-                                     path);                                   \
-        free(buf);                                                            \
-        return err;                                                           \
+            free(j.buf);                                                      \
+        return 0;                                                             \
     }
 
 GEMM(gemm_f32, float, v16sf)

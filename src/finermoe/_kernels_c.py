@@ -10,10 +10,11 @@ each per train-demo step, over every tensor of the model, where NumPy
 makes a pass or two per tensor. ``matmul_f32(a, b, out, offsets=None)``
 writes a plain, grouped-rows or grouped-inner-index product into ``out``,
 summing every output element over the inner index in ascending order from
-+0.0, on one thread. A transposed operand reaches the C loop as swapped
-strides and a stacked one as a per-matrix stride, so neither is copied
-here. (A NaN result is NaN in both, but its sign and payload may differ:
-IEEE 754 leaves open which operand's NaN an add returns.)
++0.0, each element whole on one thread. A transposed operand reaches the C
+loop as swapped strides and a stacked one as a per-matrix stride, so
+neither is copied here. (A NaN result is NaN in both, but its sign and
+payload may differ: IEEE 754 leaves open which operand's NaN an add
+returns.)
 
 The library holds each matmul inner loop three times on x86-64, for
 AVX-512F, AVX2 and baseline SSE2, and the dynamic loader keeps the widest
@@ -33,6 +34,16 @@ A transposed ``b`` is first gathered into row-major panels. The columns
 past the last multiple of the tile's width run on the i-p-j loop, as do
 all products on other hosts. All variants, the tile included, give the
 same bits, NaN aside as above.
+
+A product of 2**19 multiply-adds or more is split over a pool of
+``threads()`` threads, one per CPU the process could run on when the
+library loaded, the calling thread included: a plain product by columns,
+in whole tile widths, and a grouped one by runs of segments. Each output
+element is still summed whole by one thread, so the split changes no bit.
+ctypes releases the GIL for the call; a second Python thread that calls
+while the pool is busy runs its product on its own thread. On cli-ref's
+mapped shared expert, ``8 x 1536 @ 1536 x 8960`` took 2.5-3.0 ms on two
+threads against 4.5-5.2 on one (``BENCH_threads.json``).
 
 Importing this module compiles ``_kernels.c`` with gcc into this package's
 ``__pycache__`` directory, unless a library built from the same source
@@ -66,7 +77,7 @@ _CACHE = _SRC.parent / "__pycache__"
 # one host's CPU stops with SIGILL on an older CPU that shares the
 # checkout, where the source's target_clones give one library that picks
 # its vector width on each host when it loads.
-_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+_FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC", "-pthread")
 
 
 def _digest(data: bytes) -> str:
@@ -118,6 +129,8 @@ def _load(path) -> ctypes.CDLL:
         fn.restype = ctypes.c_int
     lib.gemm_isa.argtypes = ()
     lib.gemm_isa.restype = ctypes.c_char_p
+    lib.gemm_threads.argtypes = ()
+    lib.gemm_threads.restype = ctypes.c_int
     lib.uniform_f64.argtypes = (ctypes.c_uint64, ctypes.c_uint64, _ptr, _long)
     lib.uniform_f64.restype = None
     lib.sum_squares_f32.argtypes = (_ptr, _ptr, _long)
@@ -187,6 +200,7 @@ def _sub_scaled(fn):
 
 _lib = _load(_library())
 BACKEND = f"c ({_lib.gemm_isa().decode()})"
+threads = _lib.gemm_threads
 matmul_f32 = _entry(_lib.gemm_f32, np.dtype(np.float32))
 matmul_f64 = _entry(_lib.gemm_f64, np.dtype(np.float64))
 uniform_f64 = _draws(_lib.uniform_f64)

@@ -54,6 +54,11 @@ import numpy as np
 BACKEND = "python"
 
 
+def threads() -> int:
+    """The threads a product runs on: this module's run on the caller's."""
+    return 1
+
+
 def _contiguous_or_transposed(x) -> bool:
     flags = x.flags
     return flags.c_contiguous or flags.f_contiguous

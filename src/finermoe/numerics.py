@@ -40,8 +40,11 @@ _MASK64 = (1 << 64) - 1
 
 
 def get_num_threads() -> int:
-    """Threads the matmul kernels use: always 1, they are single-threaded."""
-    return 1
+    """Threads a large product runs on: for the C kernels, the CPUs the
+    process could run on when the library loaded; 1 for the NumPy kernels.
+    Either way every output element is summed by one thread, so the count
+    changes no bit."""
+    return _backend.active.threads()
 
 
 class Matrix:

@@ -767,6 +767,14 @@ class TestWidePanels:
         assert seen == {"nan", "inf", "finite"}
 
 
+def _sprinkled(rng, shape, dtype):
+    """A random operand with a few ±0, ±inf and NaN."""
+    x = _operand(rng, shape, dtype)
+    where = rng.random(shape) < 0.01
+    x[where] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], where.sum())
+    return x
+
+
 class TestGroupedTile:
     """Grouped products around the AVX-512F register tile of _kernels.c,
     which reads each expert's matrix in place, KC rows at a time (NR = 32
@@ -787,10 +795,7 @@ class TestGroupedTile:
         return nr, (nr - 1, nr, nr + 1, 2 * nr + 3)
 
     def _operand(self, rng, shape, dtype):
-        x = _operand(rng, shape, dtype)
-        where = rng.random(shape) < 0.01
-        x[where] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], where.sum())
-        return x
+        return _sprinkled(rng, shape, dtype)
 
     def _check(self, kernels, a, b, offsets):
         with np.errstate(invalid="ignore"):
@@ -827,6 +832,93 @@ class TestGroupedTile:
         for m in widths:
             x = self._operand(rng, (int(offsets[-1]), n), dtype)
             d = self._operand(rng, (int(offsets[-1]), m), dtype)
+            got = self._check(c_variant, x.T, d, offsets)
+            empty = np.diff(offsets) == 0
+            assert got[empty].tobytes() == np.zeros_like(got[empty]).tobytes()
+
+
+class TestSplitProducts:
+    """Products around the split of _kernels.c's worker pool, where this
+    process may run on two CPUs or more: a product of 2 * PART_MIN
+    multiply-adds or more splits plain products by columns, in whole
+    panels of NR = 32 f32 or 16 f64 columns, the last part taking the m %
+    NR left over (no split below 2 NR columns); grouped-rows products into
+    runs of segments balanced by rows, and grouped-inner-index ones by
+    inner length. Each part gathers a b^T into its own PANEL buffer and
+    packs into its own buffer. The active C kernels and every C variant
+    this CPU runs give _kernels_py's bytes, NaN by position, each case
+    over the floor unless its work is 0."""
+
+    PART_MIN = _source_constant("PART_MIN")
+
+    def _check(self, kernels, a, b, offsets=None):
+        work = a.shape[0] * a.shape[1] * b.shape[-1]
+        assert work == 0 or work >= 2 * self.PART_MIN
+        with np.errstate(invalid="ignore"):
+            want = _kernel_matmul(_kernels_py, a, b) if offsets is None else _kernel_grouped(_kernels_py, a, b, offsets)
+        got = _kernel_matmul(kernels, a, b) if offsets is None else _kernel_grouped(kernels, a, b, offsets)
+        nan = np.isnan(want)
+        assert (np.isnan(got) == nan).all()
+        assert np.where(nan, 0, got).tobytes() == np.where(nan, 0, want).tobytes()
+        return got
+
+    def _operand(self, rng, shape, dtype):
+        return _sprinkled(rng, shape, dtype)
+
+    def _inner(self, n, m):
+        """An inner length that puts n x m outputs over the floor."""
+        return -(-2 * self.PART_MIN // (n * m))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["plain", "a.T", "b.T"])
+    def test_plain_column_splits(self, c_variant, layout, dtype):
+        nr = 2 * 64 // np.dtype(dtype).itemsize
+        panel = _source_constant("PANEL")
+        rng = np.random.default_rng(nr)
+        # Under 2 NR columns (no split), on it, a part of leftover columns
+        # only, the leftover in a part of several panels, and parts wider
+        # than a PANEL gather.
+        for m in (2 * nr - 1, 2 * nr, 2 * nr + 5, 7 * nr + 3, 2 * panel + nr + 3):
+            for n in (1, _source_constant("MR"), _source_constant("MR") + 1, 64):
+                k = self._inner(n, m)
+                a = self._operand(rng, (k, n), dtype).T if layout == "a.T" else self._operand(rng, (n, k), dtype)
+                b = self._operand(rng, (m, k), dtype).T if layout == "b.T" else self._operand(rng, (k, m), dtype)
+                self._check(c_variant, a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_an_empty_side(self, c_variant, dtype):
+        rng = np.random.default_rng(1)
+        for n, k, m in ((0, 64, 4096), (64, 0, 4096), (4096, 0, 64)):
+            got = self._check(c_variant, self._operand(rng, (n, k), dtype), self._operand(rng, (k, m), dtype))
+            assert got.tobytes() == np.zeros((n, m), dtype).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_grouped_rows_splits(self, c_variant, transposed, dtype):
+        nr = 2 * 64 // np.dtype(dtype).itemsize
+        rng = np.random.default_rng(nr + transposed)
+        m = 2 * nr + 3
+        for lengths in ((40, 0, 0, 1, 0, 7, 0, 0, 22, 0), (0, 0, 70, 0), (70, 0, 0, 0), (0, 0, 0, 70),
+                        (1,) * 70, (0, 1) * 35):
+            offsets = _offsets(lengths)
+            k = self._inner(int(offsets[-1]), m)
+            a = self._operand(rng, (int(offsets[-1]), k), dtype)
+            shape = (len(lengths), m, k) if transposed else (len(lengths), k, m)
+            stack = self._operand(rng, shape, dtype)
+            self._check(c_variant, a, stack.transpose(0, 2, 1) if transposed else stack, offsets)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_grouped_inner_index_splits(self, c_variant, dtype):
+        nr = 2 * 64 // np.dtype(dtype).itemsize
+        rng = np.random.default_rng(nr)
+        n, m = 9, 2 * nr + 3
+        k = self._inner(n, m)
+        for shares in ((0, 3, 0, 0, 1, 0, 4, 0), (0, 0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (1, 0) * 20):
+            lengths = np.array(shares) * k // sum(shares)
+            lengths[np.flatnonzero(lengths)[-1]] += k - lengths.sum()
+            offsets = _offsets(lengths)
+            x = self._operand(rng, (k, n), dtype)
+            d = self._operand(rng, (k, m), dtype)
             got = self._check(c_variant, x.T, d, offsets)
             empty = np.diff(offsets) == 0
             assert got[empty].tobytes() == np.zeros_like(got[empty]).tobytes()
