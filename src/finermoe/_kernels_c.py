@@ -45,6 +45,11 @@ while the pool is busy runs its product on its own thread. On cli-ref's
 mapped shared expert, ``8 x 1536 @ 1536 x 8960`` took 2.5-3.0 ms on two
 threads against 4.5-5.2 on one (``BENCH_threads.json``).
 
+Loading the library fixes glibc's mmap threshold at 32 MiB and its trim
+threshold at 64 MiB for the whole process, so NumPy's temporaries under
+32 MiB are reused from the heap rather than mapped and faulted in afresh
+on every call (see ``_kernels.c``); ``_kernels_py`` leaves them alone.
+
 Importing this module compiles ``_kernels.c`` with gcc into this package's
 ``__pycache__`` directory, unless a library built from the same source
 with the same flags is already there. The file is named after a digest of

@@ -1,4 +1,5 @@
 import os
+import platform
 import re
 import shutil
 import subprocess
@@ -1107,6 +1108,37 @@ class TestKernelBuild:
                      "--out", str(tmp_path / "numpy.mat")], gcc=False)
         here, numpy = read_matrix(tmp_path / "here.mat"), read_matrix(tmp_path / "numpy.mat")
         assert here.a.tobytes() == numpy.a.tobytes()
+
+
+# Minor page faults per in-process train-demo op at perfbench's train-coarse
+# config (NVShard h=256 H=1024, batch 64, 2 steps), after 2 warm-up ops.
+TRAIN_OP_FAULTS = """
+import contextlib, io, os, resource, sys
+os.chdir(sys.argv[1])
+import finermoe
+from finermoe import cli
+
+assert finermoe.kernel_backend().startswith("c ("), finermoe.kernel_backend()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run(["preset", "NVShard", "--h", "256", "--H", "1024", "--out", "nv.cfg"]) == 0
+    faults = []
+    for op in range(5):
+        assert cli.run(["train-demo", "--config", "nv.cfg", "--steps", "2", "--batch", "64",
+                        "--seed", str(op), "--csv", "loss.csv"]) == 0
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+print((faults[-1] - faults[1]) / 3)
+"""
+
+
+class TestHeapPolicy:
+    @needs_gcc
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="not linked against glibc, whose heap thresholds the C kernels fix")
+    def test_train_demo_reuses_its_heap_from_op_to_op(self, tmp_path):
+        # Under glibc's dynamic mmap threshold every backward got its 8 MB
+        # gradient stacks as fresh pages from the kernel, about 6,000 minor
+        # faults per op; with the thresholds fixed as the C kernels load,
+        # they come back from the heap.
+        assert float(_child(PACKAGE, ["-c", TRAIN_OP_FAULTS, str(tmp_path)])) < 300
 
 
 class TestSilu:
