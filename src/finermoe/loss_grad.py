@@ -3,7 +3,7 @@
 The balance loss follows the usual auxiliary-loss treatment: the load
 factors f are constants (no gradient through the discrete activation
 counts), only the mean scores P are differentiated. The layer backward
-likewise treats every mask/top-k selection as constant and differentiates
+likewise treats every candidate/top-k selection as constant and differentiates
 through the shared expert, the activated experts, the weighted-sum
 weights, and the softmax router scores.
 

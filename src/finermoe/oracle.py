@@ -41,20 +41,28 @@ def dense_ffn_forward(x: Matrix, dense: DenseFfnWeights) -> Matrix:
 def route_reference(arr: np.ndarray, cfg: FineRConfig) -> RoutingDecision:
     """Re-derivation of the routing decision by naive per-token enumeration.
 
-    No masking arithmetic: group winners come from a full sort, candidate
-    selection from a linear scan over each component's group sums, and the
-    survivor set is checked to have exactly n_active members.
+    Independent of the router's candidate-first order: every group's
+    winners come from a full sort, candidate selection from a linear scan
+    over each component's group sums, and the selected groups' winners are
+    collected and checked to number exactly n_active.
     """
+    return _enumerate_routes(arr, None, cfg)
+
+
+def route_separate_reference(score_sum: np.ndarray, score_cc: np.ndarray, cfg: FineRConfig) -> RoutingDecision:
+    """``route_reference`` for the two-router variant: the candidate scan
+    reads score_cc (L x n_groups) instead of the group sums."""
+    return _enumerate_routes(score_sum, score_cc, cfg)
+
+
+def _enumerate_routes(arr: np.ndarray, cc: np.ndarray | None, cfg: FineRConfig) -> RoutingDecision:
     dims = derive(cfg)
     L, N = arr.shape
     if N != dims.N:
         raise ValueError(f"score width {N} does not match expert count {dims.N}")
 
-    group_score = arr.reshape(L, dims.n_groups, dims.group_size)
-    sum_mask = np.zeros((L, dims.n_groups, dims.group_size), dtype=bool)
     cc_score = np.zeros((L, cfg.G_O, cfg.R_O), dtype=np.float64)
     cc_act = np.zeros((L, cfg.G_O), dtype=np.int64)
-    final_mask = np.zeros((L, N), dtype=bool)
     indices = np.zeros((L, dims.n_active), dtype=np.int64)
     probs = np.zeros((L, dims.n_active), dtype=arr.dtype)
 
@@ -65,19 +73,19 @@ def route_reference(arr: np.ndarray, cfg: FineRConfig) -> RoutingDecision:
         for g in range(dims.n_groups):
             members = [(float(arr[t, g * dims.group_size + m]), m) for m in range(dims.group_size)]
             ranked = sorted(members, key=lambda sm: (-sm[0], sm[1]))
-            chosen = {m for _, m in ranked[: cfg.T_I]}
-            winners.append(chosen)
-            for m in chosen:
-                sum_mask[t, g, m] = True
+            winners.append({m for _, m in ranked[: cfg.T_I]})
 
-        # Per-component best candidate by linear scan of the group sums.
+        # Per-component best candidate by linear scan of the candidate scores.
         for i in range(cfg.G_O):
             best_j, best_sum = 0, None
             for j in range(cfg.R_O):
                 g = i * cfg.R_O + j
-                s = 0.0
-                for m in range(dims.group_size):
-                    s += float(arr[t, g * dims.group_size + m])
+                if cc is None:
+                    s = 0.0
+                    for m in range(dims.group_size):
+                        s += float(arr[t, g * dims.group_size + m])
+                else:
+                    s = float(cc[t, g])
                 cc_score[t, i, j] = s
                 if best_sum is None or s > best_sum:
                     best_j, best_sum = j, s
@@ -87,10 +95,7 @@ def route_reference(arr: np.ndarray, cfg: FineRConfig) -> RoutingDecision:
         activated = []
         for i in range(cfg.G_O):
             g = i * cfg.R_O + int(cc_act[t, i])
-            for m in sorted(winners[g]):
-                k = g * dims.group_size + m
-                final_mask[t, k] = True
-                activated.append(k)
+            activated.extend(g * dims.group_size + m for m in winners[g])
         if len(activated) != dims.n_active:
             raise AssertionError(
                 f"token {t}: {len(activated)} survivors, expected {dims.n_active}"
@@ -99,13 +104,4 @@ def route_reference(arr: np.ndarray, cfg: FineRConfig) -> RoutingDecision:
         indices[t] = activated
         probs[t] = [arr[t, k] for k in activated]
 
-    return RoutingDecision(
-        score=arr,
-        group_score=group_score,
-        sum_mask=sum_mask,
-        cc_score=cc_score,
-        cc_act=cc_act,
-        final_mask=final_mask,
-        indices=indices,
-        probs=probs,
-    )
+    return RoutingDecision(score=arr, cc_score=cc_score, cc_act=cc_act, indices=indices, probs=probs)

@@ -101,13 +101,9 @@ ROUTER_SUITE_CONFIGS: tuple[tuple[int, int, int, int, int], ...] = (
 
 
 def decisions_equal(a, b) -> bool:
-    return (
-        np.array_equal(a.sum_mask, b.sum_mask)
-        and np.array_equal(a.cc_score, b.cc_score)
-        and np.array_equal(a.cc_act, b.cc_act)
-        and np.array_equal(a.final_mask, b.final_mask)
-        and np.array_equal(a.indices, b.indices)
-        and np.array_equal(a.probs, b.probs)
+    return all(
+        np.array_equal(getattr(a, f), getattr(b, f))
+        for f in ("score", "cc_score", "cc_act", "indices", "probs")
     )
 
 

@@ -107,8 +107,7 @@ def test_06_balance_loss_fixtures():
     def decision(score, idx):
         idx = np.asarray(idx, dtype=np.int64)
         return RoutingDecision(
-            score=score, group_score=None, sum_mask=None, cc_score=None,
-            cc_act=None, final_mask=None, indices=idx,
+            score=score, cc_score=None, cc_act=None, indices=idx,
             probs=np.take_along_axis(score, idx, axis=1),
         )
 

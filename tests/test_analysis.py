@@ -112,8 +112,7 @@ class TestRouteStats:
         s = np.full((4, dims.N), 1.0 / dims.N)
         idx = np.array([[t % 4, 4 + t % 4] for t in range(4)])
         d = RoutingDecision(
-            score=s, group_score=None, sum_mask=None, cc_score=None,
-            cc_act=None, final_mask=None, indices=idx,
+            score=s, cc_score=None, cc_act=None, indices=idx,
             probs=np.take_along_axis(s, idx, axis=1),
         )
         rep = route_stats(d, cfg)
@@ -127,8 +126,7 @@ class TestRouteStats:
         s = np.full((6, dims.N), 1.0 / dims.N)
         idx = np.tile(np.array([[0, 1]]), (6, 1))
         d = RoutingDecision(
-            score=s, group_score=None, sum_mask=None, cc_score=None,
-            cc_act=None, final_mask=None, indices=idx,
+            score=s, cc_score=None, cc_act=None, indices=idx,
             probs=np.take_along_axis(s, idx, axis=1),
         )
         rep = route_stats(d, cfg)

@@ -30,11 +30,8 @@ def _synthetic_decision(score_arr, indices):
     indices = np.asarray(indices, dtype=np.int64)
     return RoutingDecision(
         score=score_arr,
-        group_score=None,
-        sum_mask=None,
         cc_score=None,
         cc_act=None,
-        final_mask=None,
         indices=indices,
         probs=np.take_along_axis(score_arr, indices, axis=1),
     )

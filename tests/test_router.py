@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from finermoe.config import FineRConfig, baseline_preset, derive, preset_names, with_updates
 from finermoe.numerics import Matrix, Rng
-from finermoe.oracle import route_reference
+from finermoe.oracle import route_reference, route_separate_reference
 from finermoe.router import route, route_separate, score
 from finermoe.verify import decisions_equal, dyadic_scores
 
@@ -48,7 +48,6 @@ class TestRouteHandTraces:
         # Group sums 0.3 vs 0.7: candidate 1 wins; within it the 0.35 tie
         # breaks to the lower index (expert 2).
         assert d.cc_act.tolist() == [[1]]
-        assert d.sum_mask[0].tolist() == [[False, True], [True, False]]
         assert d.indices.tolist() == [[2]]
         assert d.probs[0].tolist() == pytest.approx([0.35], abs=1e-7)
 
@@ -89,7 +88,7 @@ class TestRouteProperties:
                 g = int(k) // dims.group_size
                 assert g in selected_groups
                 # Within the group, the activated set is the group's top-T_I.
-                members = d.group_score[t, g]
+                members = d.score.reshape(12, dims.n_groups, dims.group_size)[t, g]
                 order = np.argsort(-members, kind="stable")[: cfg.T_I]
                 assert int(k) % dims.group_size in set(order.tolist())
 
@@ -102,7 +101,6 @@ class TestRouteProperties:
         d = route(scaled, cfg)
         assert np.array_equal(d.indices, base.indices)
         assert np.array_equal(d.final_mask, base.final_mask)
-        assert np.array_equal(d.sum_mask, base.sum_mask)
         assert np.array_equal(d.probs[2], 2.0 * base.probs[2])
 
     @settings(max_examples=40, deadline=None)
@@ -114,11 +112,21 @@ class TestRouteProperties:
 
     def test_matches_reference_on_random_scores(self):
         rng = Rng(8)
-        for cfg in [_cfg(1, 1, 1, 2, 1), _cfg(2, 1, 1, 2, 1), _cfg(2, 1, 2, 2, 1), _cfg(1, 2, 2, 2, 2)]:
+        tiny = [_cfg(1, 1, 1, 2, 1), _cfg(2, 1, 1, 2, 1), _cfg(2, 1, 2, 2, 1), _cfg(1, 2, 2, 2, 2)]
+        presets = [baseline_preset(name, h=16, H=64) for name in preset_names()]
+        for cfg in tiny + presets:
             n = derive(cfg).N
             for _ in range(50):
                 s = dyadic_scores(rng, 4, n)
                 assert decisions_equal(route(s, cfg), route_reference(s, cfg))
+        # The decision forward_forced builds: every score ties and T_I
+        # covers the whole group.
+        for cfg in presets:
+            dims = derive(cfg)
+            forced = with_updates(cfg, T_I=dims.group_size)
+            for dtype in (np.float32, np.float64):
+                s = np.ones((3, dims.N), dtype)
+                assert decisions_equal(route(s, forced), route_reference(s, forced))
 
 
 def _cfg_id(cfg):
@@ -160,6 +168,15 @@ class TestSlotToComponent:
 
 
 class TestRouteSeparate:
+    @pytest.mark.parametrize("cfg", TestSlotToComponent.CONFIGS, ids=_cfg_id)
+    def test_separate_router_matches_reference(self, cfg):
+        dims = derive(cfg)
+        rng = Rng(12)
+        for _ in range(10):
+            s_sum = dyadic_scores(rng, 4, dims.N)
+            s_cc = dyadic_scores(rng, 4, dims.n_groups)
+            assert decisions_equal(route_separate(s_sum, s_cc, cfg), route_separate_reference(s_sum, s_cc, cfg))
+
     def test_consistent_scores_reproduce_single_router(self):
         cfg = _cfg(2, 1, 2, 2, 1)
         dims = derive(cfg)
@@ -186,7 +203,6 @@ class TestRouteSeparate:
         for cc_vals, want_group in [([0.9, 0.1], 0), ([0.1, 0.9], 1)]:
             cc = np.tile(np.array(cc_vals, dtype=np.float32), (5, 1))
             d = route_separate(s_sum, cc, cfg)
-            assert d.sum_mask.all()
             assert (d.cc_act == want_group).all()
             assert (d.indices == [2 * want_group, 2 * want_group + 1]).all()
 
