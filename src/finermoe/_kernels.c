@@ -690,15 +690,16 @@ void uniform_f64(uint64_t seed, uint64_t counter, double *out, long n)
     }
 }
 
-/* The two passes of a clipped SGD step over a list of count float tensors,
- * tensor t holding sizes[t] elements at arrays[t] (params[t], grads[t]).
+/* The two passes of a clipped SGD step over a model's one flat float array
+ * (params) or its gradients' (grads), laid out by MoEModel.over.
  *
  * sum_squares_f32 returns sq, which starts at 0.0 and takes, per tensor in
- * list order, sq += 0.0 + pairwise(t): the bits of NumPy's
- * sq += float((a.astype(np.float64) ** 2).sum()). pairwise is NumPy's
- * DOUBLE_pairwise_sum over the tensor's squares, each widened to double
- * first, so exact (Higham, SIAM J. Sci. Comput. 14(4), 1993): below 8
- * elements it adds them in order from 0.0; up to PW_BLOCK it seeds eight
+ * order, sq += 0.0 + pairwise(t), tensor t being the next sizes[t]
+ * elements of a: the bits of NumPy's
+ * sq += float((a.astype(np.float64) ** 2).sum()) per tensor. pairwise is
+ * NumPy's DOUBLE_pairwise_sum over the tensor's squares, each widened to
+ * double first, so exact (Higham, SIAM J. Sci. Comput. 14(4), 1993): below
+ * 8 elements it adds them in order from 0.0; up to PW_BLOCK it seeds eight
  * accumulators with the first eight, adds the next eight to them in turn
  * while eight are left, combines ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
  * (r6 + r7)) and adds the rest in order; above PW_BLOCK it is the sum of
@@ -706,18 +707,20 @@ void uniform_f64(uint64_t seed, uint64_t counter, double *out, long n)
  * the others. The eight accumulators are the lanes of one vector, so each
  * lane adds its own terms in NumPy's order.
  *
- * sub_scaled_f32 does p -= scale * g in place, element by element and
- * tensor by tensor in list order, with NumPy's promotion of a scale that
- * is a Python float (wide == 0: p - (float)scale * g, in float) or an
- * np.float64 (wide == 1: (float)((double)p - scale * (double)g)). A
- * tensor's p and g must not overlap; the caller checks that.
+ * sub_scaled_f32 does p -= scale * g in place, element by element, with
+ * NumPy's promotion of a scale that is a Python float (wide == 0:
+ * p - (float)scale * g, in float) or an np.float64 (wide == 1:
+ * (float)((double)p - scale * (double)g)). The update is elementwise, so
+ * one pass over the flat pair has the bits of one pass per tensor. p and g
+ * must not overlap; the caller checks that.
  *
- * pairwise_sq and sub_scaled_f32 are cloned like the matmul loop. Per step
- * over the 196 tensors of NVShard at h=256, H=1024 (7,094,272 values),
- * inside train-demo, the norm took 3.0-3.9 ms against 8.1-9.1 for the
- * NumPy loop, and the update 3.4-4.6 against 4.6-6.2 (min and median,
- * BENCH_sgd_step.json), the two together including about 1 ms of Python
- * that takes the arrays' addresses and checks them. */
+ * pairwise_sq and sub_scaled_f32 are cloned like the matmul loop. On
+ * NVShard at h=256, H=1024 (196 tensors, 7,094,272 values) the norm took
+ * 3.0-3.9 ms against 8.1-9.1 for the NumPy loop (BENCH_sgd_step.json).
+ * Over the flat arrays, the norm took 1.6-2.4 ms and the update 3.3-4.5,
+ * against 2.1-3.8 and 4.4-6.4 when each took a list of the tensors'
+ * addresses (min of 30 calls in each of ten processes per tree,
+ * BENCH_flat_model.json). */
 
 #define PW_BLOCK 128
 
@@ -753,30 +756,24 @@ CLONES static double pairwise_sq(const float *a, long n)
     return pairwise_sq(a, i) + pairwise_sq(a + i, n - i);
 }
 
-double sum_squares_f32(const float *const *arrays, const long *sizes,
-                       long count)
+double sum_squares_f32(const float *a, const int64_t *sizes, long count)
 {
     double sq = 0.;
     long t;
-    for (t = 0; t < count; t++)
-        sq += 0. + pairwise_sq(arrays[t], sizes[t]);
+    for (t = 0; t < count; a += sizes[t++])
+        sq += 0. + pairwise_sq(a, sizes[t]);
     return sq;
 }
 
-CLONES void sub_scaled_f32(float *const *params, const float *const *grads,
-                           const long *sizes, long count, double scale,
+CLONES void sub_scaled_f32(float *p, const float *g, long n, double scale,
                            int wide)
 {
     const float s = (float)scale;
-    long t, i;
-    for (t = 0; t < count; t++) {
-        float *p = params[t];
-        const float *g = grads[t];
-        if (wide)
-            for (i = 0; i < sizes[t]; i++)
-                p[i] = (float)((double)p[i] - scale * (double)g[i]);
-        else
-            for (i = 0; i < sizes[t]; i++)
-                p[i] -= s * g[i];
-    }
+    long i;
+    if (wide)
+        for (i = 0; i < n; i++)
+            p[i] = (float)((double)p[i] - scale * (double)g[i]);
+    else
+        for (i = 0; i < n; i++)
+            p[i] -= s * g[i];
 }

@@ -2,19 +2,19 @@
 
 The entries have the signature, the checks and the bits of
 ``_kernels_py``'s. ``uniform_f64(seed, counter, out)`` writes SplitMix64
-uniform draws into ``out``. ``sum_squares_f32(arrays)`` returns the
-squared global norm of a list of float32 arrays, summed per array in
-NumPy's pairwise order, and ``sub_scaled_f32(params, grads, scale)`` does
-``p -= scale * g`` in place with NumPy's promotion of ``scale``: one call
-each per train-demo step, over every tensor of the model, where NumPy
-makes a pass or two per tensor. ``matmul_f32(a, b, out, offsets=None)``
-writes a plain, grouped-rows or grouped-inner-index product into ``out``,
-summing every output element over the inner index in ascending order from
-+0.0, each element whole on one thread. A transposed operand reaches the C
-loop as swapped strides and a stacked one as a per-matrix stride, so
-neither is copied here. (A NaN result is NaN in both, but its sign and
-payload may differ: IEEE 754 leaves open which operand's NaN an add
-returns.)
+uniform draws into ``out``. ``sum_squares_f32(flat, sizes)`` returns the
+squared global norm of a model's flat float32 gradient, summed per tensor
+of ``sizes`` values in NumPy's pairwise order, and
+``sub_scaled_f32(params, grads, scale)`` does ``params -= scale * grads``
+in place on a flat pair with NumPy's promotion of ``scale``: one call
+each per train-demo step, where NumPy makes a pass or two per tensor.
+``matmul_f32(a, b, out, offsets=None)`` writes a plain, grouped-rows or
+grouped-inner-index product into ``out``, summing every output element
+over the inner index in ascending order from +0.0, each element whole on
+one thread. A transposed operand reaches the C loop as swapped strides
+and a stacked ``b`` or ``out`` as a per-matrix stride, so none is copied
+here. (A NaN result is NaN in both, but its sign and payload may differ:
+IEEE 754 leaves open which operand's NaN an add returns.)
 
 The library holds each matmul inner loop three times on x86-64, for
 AVX-512F, AVX2 and baseline SSE2, and the dynamic loader keeps the widest
@@ -140,7 +140,7 @@ def _load(path) -> ctypes.CDLL:
     lib.uniform_f64.restype = None
     lib.sum_squares_f32.argtypes = (_ptr, _ptr, _long)
     lib.sum_squares_f32.restype = ctypes.c_double
-    lib.sub_scaled_f32.argtypes = (_ptr, _ptr, _ptr, _long, ctypes.c_double, ctypes.c_int)
+    lib.sub_scaled_f32.argtypes = (_ptr, _ptr, _long, ctypes.c_double, ctypes.c_int)
     lib.sub_scaled_f32.restype = None
     return lib
 
@@ -163,7 +163,7 @@ def _entry(fn, dtype):
             off, nseg, bks = offsets.ctypes.data, len(b), b.strides[0] // b.itemsize
         else:
             brs, bcs = _strides(b)
-            off, nseg, oks, inner = offsets.ctypes.data, len(out), n * out.shape[2], 1
+            off, nseg, oks, inner = offsets.ctypes.data, len(out), out.strides[0] // out.itemsize, 1
         m = out.shape[-1]
         if fn(a.ctypes.data, ars, acs, b.ctypes.data, brs, bcs, bks, out.ctypes.data, oks, off, nseg, inner, n, k, m):
             raise MemoryError("no memory for the kernel's packing buffer")
@@ -179,18 +179,10 @@ def _draws(fn):
     return uniform_f64
 
 
-def _addresses(arrays):
-    return (_ptr * len(arrays))(*[a.ctypes.data for a in arrays])
-
-
-def _sizes(arrays):
-    return (_long * len(arrays))(*[a.size for a in arrays])
-
-
 def _sum_squares(fn):
-    def sum_squares_f32(arrays):
-        check_sum_squares(arrays)
-        return fn(_addresses(arrays), _sizes(arrays), len(arrays))
+    def sum_squares_f32(flat, sizes):
+        sizes = check_sum_squares(flat, sizes)
+        return fn(flat.ctypes.data, sizes.ctypes.data, len(sizes))
 
     return sum_squares_f32
 
@@ -198,7 +190,7 @@ def _sum_squares(fn):
 def _sub_scaled(fn):
     def sub_scaled_f32(params, grads, scale):
         wide = check_sub_scaled(params, grads, scale)
-        fn(_addresses(params), _addresses(grads), _sizes(params), len(params), float(scale), wide)
+        fn(params.ctypes.data, grads.ctypes.data, params.size, float(scale), wide)
 
     return sub_scaled_f32
 

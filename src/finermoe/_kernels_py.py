@@ -15,8 +15,10 @@ train-demo's clipped SGD step.
   zero for an empty segment.
 
 ``a``, ``b`` and each matrix of a stack may be C-contiguous or the
-transpose of a C-contiguous array (a no-copy ``.T`` view); ``check``
-refuses anything else before a kernel reads or writes, for both modules.
+transpose of a C-contiguous array (a no-copy ``.T`` view), and a stack
+may be strided by whole elements, as ``MoEModel.over`` lays one out.
+``out`` must not overlap ``a`` or ``b``. ``check`` refuses anything else
+before a kernel reads or writes, for both modules.
 Every output element is the sum over the inner index in ascending order,
 starting from +0.0, with one rounded multiply and one rounded add per
 term, so every output element has a fixed reduction order and the result
@@ -35,15 +37,17 @@ of draws counter + 1 .. counter + len(out) of seed's SplitMix64 stream
 is exact, so the C entry gives the same bits, about 7x faster
 (``BENCH_c_draws.json``).
 
-``sum_squares_f32(arrays)`` and ``sub_scaled_f32(params, grads, scale)``
-are train-demo's per-tensor loops over lists of float32 arrays. The first
-returns ``sq``, which starts at 0.0 and takes
-``sq += float((a.astype(np.float64) ** 2).sum())`` per array in list
-order; NumPy's reduction adds its pairwise sum of the exact squares to the
+``sum_squares_f32(flat, sizes)`` and ``sub_scaled_f32(params, grads,
+scale)`` are the two passes of train-demo's clipped SGD step, over a
+model's or its gradients' one flat float32 array. The first returns
+``sq``, which starts at 0.0 and takes
+``sq += float((a.astype(np.float64) ** 2).sum())`` per tensor ``a``, the
+consecutive runs of ``sizes`` values that make up ``flat``, in order;
+NumPy's reduction adds its pairwise sum of the exact squares to the
 identity 0.0 (Higham, SIAM J. Sci. Comput. 14(4), 1993), an order the C
-entry rebuilds. The second does ``p -= scale * g`` per pair in list order,
-which NumPy computes in float32 with ``float32(scale)`` for a Python float
-``scale``, and in float64, rounded to float32 once, for an ``np.float64``.
+entry rebuilds. The second does ``params -= scale * grads``, which NumPy
+computes in float32 with ``float32(scale)`` for a Python float ``scale``,
+and in float64, rounded to float32 once, for an ``np.float64``.
 ``check_sub_scaled`` tells the C entry which, by
 ``np.result_type(scale, np.float32)``. So both entries give the same bits
 in either module.
@@ -70,16 +74,14 @@ def _mismatch(a, b, out) -> ValueError:
 
 def check(dtype, a, b, out, offsets=None) -> None:
     """Raise ValueError unless an entry can take these operands: one dtype,
-    ``out`` C-contiguous and writeable, shapes that match, and every matrix
-    operand C-contiguous or the transpose of a C-contiguous array. A
-    grouped product (a stack ``b`` or ``out`` of N matrices) needs an
-    int64 ``offsets`` of N+1 entries rising from 0 to the length of the
+    shapes that match, every matrix operand C-contiguous or the transpose
+    of a C-contiguous array, and a writeable ``out`` apart from them, a
+    C-contiguous matrix or a stack of disjoint ones. A grouped product (a
+    stack ``b`` or ``out`` of N matrices, strided by whole elements) needs
+    an int64 ``offsets`` of N+1 entries rising from 0 to the length of the
     axis it splits; a plain one needs none."""
     if not a.dtype == b.dtype == out.dtype == dtype:
         raise ValueError(f"kernel operands must all be {dtype}, got {a.dtype}, {b.dtype}, {out.dtype}")
-    flags = out.flags
-    if not (flags.c_contiguous and flags.writeable):
-        raise ValueError("kernel out must be a writeable C-contiguous array")
     # The product of each segment: a (or its rows or columns) @ y -> o.
     if offsets is None:
         stack, y, o = None, b, out
@@ -89,14 +91,20 @@ def check(dtype, a, b, out, offsets=None) -> None:
         stack, y, o = out, b, out[0]
     else:
         raise _mismatch(a, b, out)
+    if not (out.flags.writeable and o.flags.c_contiguous):
+        raise ValueError("kernel out must be a writeable C-contiguous array or a stack of them")
+    if np.may_share_memory(out, a) or np.may_share_memory(out, b):
+        raise ValueError("kernel out must not share memory with an operand")
     if not (a.ndim == y.ndim == o.ndim == 2 and a.shape[1] == y.shape[0] and o.shape == (a.shape[0], y.shape[1])):
         raise _mismatch(a, b, out)
     if not (_contiguous_or_transposed(a) and _contiguous_or_transposed(y)):
         raise ValueError("kernel operands must be C-contiguous arrays or transposes of them")
     if stack is None:
         return
-    if stack is b and b.strides[0] % b.itemsize:
+    if stack.strides[0] % stack.itemsize:
         raise ValueError("kernel stack stride must be a whole number of elements")
+    if stack is out and len(out) > 1 and abs(out.strides[0]) < o.nbytes:
+        raise ValueError("kernel out stack's matrices must not overlap")
     n = len(stack)
     if not (
         isinstance(offsets, np.ndarray) and offsets.dtype == np.int64 and offsets.shape == (n + 1,)
@@ -178,40 +186,45 @@ def _contiguous_f32(a) -> bool:
     return isinstance(a, np.ndarray) and a.dtype == np.float32 and a.flags.c_contiguous
 
 
-def check_sum_squares(arrays) -> None:
-    """Raise ValueError unless every array is a C-contiguous float32 array."""
-    if not all(map(_contiguous_f32, arrays)):
-        raise ValueError("a sum of squares needs C-contiguous float32 arrays")
+def check_sum_squares(flat, sizes) -> np.ndarray:
+    """Raise ValueError unless ``flat`` is a C-contiguous 1-D float32 array
+    and ``sizes`` a 1-D sequence of integers of at least 0 that add up to
+    its length. Return ``sizes`` as a contiguous int64 array."""
+    if not (_contiguous_f32(flat) and flat.ndim == 1):
+        raise ValueError("a sum of squares needs a C-contiguous 1-D float32 array")
+    counts = np.asarray(sizes)
+    integral = counts.ndim == 1 and (counts.dtype.kind in "iu" or counts.size == 0)
+    if not (integral and min(counts.tolist(), default=0) >= 0 and sum(counts.tolist()) == flat.size):
+        raise ValueError(f"a sum of squares needs tensor sizes of at least 0 adding up to {flat.size}")
+    return counts.astype(np.int64)
 
 
-def sum_squares_f32(arrays) -> float:
-    check_sum_squares(arrays)
+def sum_squares_f32(flat, sizes) -> float:
+    sizes = check_sum_squares(flat, sizes)
     sq = 0.0
-    for a in arrays:
+    for a in np.split(flat, np.cumsum(sizes)[:-1]):
         sq += float((a.astype(np.float64) ** 2).sum())
     return sq
 
 
 def check_sub_scaled(params, grads, scale) -> bool:
     """Raise ValueError unless ``sub_scaled_f32`` can take these operands:
-    as many params as grads, each pair C-contiguous float32 arrays of one
-    shape that do not overlap, each param writeable, and a Python or NumPy
-    float ``scale`` that NumPy multiplies a float32 array by in float32 or
-    float64. Return whether that is float64."""
+    C-contiguous float32 arrays of one shape that do not overlap, the
+    params writeable, and a Python or NumPy float ``scale`` that NumPy
+    multiplies a float32 array by in float32 or float64. Return whether
+    that is float64."""
     wide = np.result_type(scale, np.float32) if isinstance(scale, (float, np.floating)) else None
     if wide not in (np.float32, np.float64):
         raise ValueError(f"an SGD update needs a float32 or float64 scale, got {type(scale).__name__}")
-    if len(params) != len(grads):
-        raise ValueError(f"an SGD update needs as many grads as params, got {len(grads)} and {len(params)}")
-    for p, g in zip(params, grads):
-        if not (_contiguous_f32(p) and _contiguous_f32(g) and p.flags.writeable):
-            raise ValueError("an SGD update needs C-contiguous float32 arrays, its params writeable")
-        if p.shape != g.shape or np.may_share_memory(p, g):
-            raise ValueError(f"an SGD update needs a grad of its param's shape {p.shape} apart from it, got {g.shape}")
+    if not (_contiguous_f32(params) and _contiguous_f32(grads) and params.flags.writeable):
+        raise ValueError("an SGD update needs C-contiguous float32 arrays, its params writeable")
+    if params.shape != grads.shape or np.may_share_memory(params, grads):
+        raise ValueError(
+            f"an SGD update needs grads of its params' shape {params.shape} apart from them, got {grads.shape}"
+        )
     return wide == np.float64
 
 
 def sub_scaled_f32(params, grads, scale) -> None:
     check_sub_scaled(params, grads, scale)
-    for p, g in zip(params, grads):
-        p -= scale * g
+    params -= scale * grads

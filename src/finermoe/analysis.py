@@ -4,13 +4,15 @@ parameter and FLOP accounting. Timing lives in perfbench/, not here."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from finermoe.config import FineRConfig, derive
-from finermoe.moe_layer import MoEModel
 from finermoe.router import RoutingDecision
+
+if TYPE_CHECKING:  # moe_layer lays a model out by cost_report
+    from finermoe.moe_layer import MoEModel
 
 
 @dataclass
@@ -24,19 +26,21 @@ class SimilarityReport:
 def expert_similarity(model: MoEModel) -> SimilarityReport:
     """Mean pairwise cosine similarity over all unordered expert pairs.
 
-    Each expert is flattened to one vector (w1, wg, w2 concatenated);
-    shapes are uniform within a model, so the pairing is well-defined.
-    One square root of the norm product per pair makes identical experts
-    score exactly 1.0 and negated ones exactly -1.0.
+    Each expert is one vector, its row of the experts' block (w1, wg and
+    w2 one after another); shapes are uniform within a model, so the
+    pairing is well-defined. One square root of the norm product per pair
+    makes identical experts score exactly 1.0 and negated ones exactly
+    -1.0. An expert whose norm is zero or not finite has no cosine, so it
+    raises ValueError naming the first such expert.
     """
-    stack = model.experts
-    n = len(stack.w1)
+    n = len(model.experts.block)
     if n < 2:
         raise ValueError(f"similarity needs at least 2 experts, got {n}")
-    vecs = np.concatenate(
-        [a.reshape(n, -1) for a in (stack.w1, stack.wg, stack.w2)], axis=1
-    ).astype(np.float64)
+    vecs = model.experts.block.astype(np.float64)
     ss = (vecs * vecs).sum(axis=1)
+    bad = np.flatnonzero(~(np.isfinite(ss) & (ss > 0)))
+    if bad.size:
+        raise ValueError(f"expert {bad[0]} has a zero or non-finite norm, so no cosine similarity")
     i, j = np.triu_indices(n, 1)
     cross = np.array([(vecs[a] * vecs[b]).sum() for a, b in zip(i, j)])
     per_pair = cross / np.sqrt(ss[i] * ss[j])

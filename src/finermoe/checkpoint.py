@@ -120,7 +120,7 @@ def write_model(model: DenseFfnWeights | MoEModel, path) -> None:
 
 def _layout(kv: dict):
     """The parameter count of the model the manifest's kind and dims
-    describe, and the function that lays it out over ``take``."""
+    describe, and the function that lays it out over the flat payload."""
     kind = kv.get("kind")
     if kind == "dense":
         try:
@@ -129,13 +129,13 @@ def _layout(kv: dict):
             raise CheckpointError(f"bad manifest h/H: {exc}")
         if min(h, H) < 1:
             raise CheckpointError(f"manifest h/H {(h, H)} has a dim below 1")
-        return 3 * h * H, lambda take: DenseFfnWeights.over(h, H, take)
+        return 3 * h * H, lambda flat: DenseFfnWeights.over(h, H, flat)
     if kind == "moe":
         cfg_text = "\n".join(
             f"{name} = {kv[name]}" for name in (f.name for f in fields(FineRConfig)) if name in kv
         )
         cfg = config_mod.parse_config(cfg_text)  # surfaces ConfigError on bad configs
-        return cost_report(cfg).total_params, lambda take: MoEModel.over(cfg, take)
+        return cost_report(cfg).total_params, lambda flat: MoEModel.over(cfg, flat)
     raise CheckpointError(f"unknown kind {kind!r}")
 
 
@@ -206,14 +206,7 @@ def read_model(path) -> DenseFfnWeights | MoEModel:
     flat = np.frombuffer(mapped, dtype="<f4", count=n_params, offset=start)
     if sys.byteorder == "big":  # the payload is little-endian
         flat = flat.astype(np.float32)
-    at = 0  # take hands out consecutive views of the payload, in file order
-
-    def take(rows: int, cols: int) -> np.ndarray:
-        nonlocal at
-        at += rows * cols
-        return flat[at - rows * cols : at].reshape(rows, cols)
-
-    model = lay_out(take)
+    model = lay_out(flat)
 
     # The views sit where write_model puts each tensor, so a manifest equal
     # to the writer's names each tensor's shape and offset. Checked before

@@ -190,6 +190,8 @@ def _cmd_train_demo(args) -> int:
     x = rng.child(2).matrix(args.batch, cfg.h)
     y_star = matmul(x, target)
 
+    # The norm sums per tensor in registry order, which fixes its rounding.
+    sizes = [p.size for _, p in named_parameters(model)]
     rows = []
     for step in range(args.steps):
         try:
@@ -209,10 +211,8 @@ def _cmd_train_demo(args) -> int:
             model, upstream, out, d_score_extra=balance_loss_score_grad(out.decision, cfg, args.alpha),
             input_grad=False,
         )
-        # Clipped SGD keeps the toy run stable at demo learning rates. The
-        # norm sums per tensor in registry order, which fixes its rounding.
-        d_params = [g for _, g in named_parameters(grads.d_model)]
-        sq = sum_squares(d_params)
+        # Clipped SGD keeps the toy run stable at demo learning rates.
+        sq = sum_squares(grads.d_model.flat, sizes)
         # Too large an --lr overflows the loss or the gradient norm before
         # the weights stop being finite.
         if not (np.isfinite(task) and np.isfinite(sq)):
@@ -223,7 +223,8 @@ def _cmd_train_demo(args) -> int:
         # A Python float when the step does not clip, else an np.float64:
         # sub_scaled keeps NumPy's promotion of each.
         scale = args.lr * min(1.0, args.clip / max(np.sqrt(sq), 1e-12))
-        sub_scaled([p for _, p in named_parameters(model)], d_params, scale)
+        sub_scaled(model.flat, grads.d_model.flat, scale)
+        del grads  # so the next step's backward reuses its memory
         rows.append((step, task, bal.loss))
 
     if args.csv:

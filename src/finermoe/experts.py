@@ -9,7 +9,6 @@ operands: a dense FFN's matrices, one expert's slices of an
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +41,11 @@ class DenseFfnWeights:
         return self.w1.cols
 
     @classmethod
-    def over(cls, h: int, H: int, take: Callable[[int, int], np.ndarray]) -> "DenseFfnWeights":
-        """w1, wg, w2 as the next three arrays ``take(rows, cols)`` hands out."""
-        return cls(Matrix.wrap(take(h, H)), Matrix.wrap(take(h, H)), Matrix.wrap(take(H, h)))
+    def over(cls, h: int, H: int, flat: np.ndarray) -> "DenseFfnWeights":
+        """w1, wg and w2 as views of the consecutive thirds of ``flat``, a
+        C-contiguous array of 3 * h * H values."""
+        w1, wg, w2 = flat.reshape(3, h * H)
+        return cls(Matrix.wrap(w1.reshape(h, H)), Matrix.wrap(wg.reshape(h, H)), Matrix.wrap(w2.reshape(H, h)))
 
     def astype(self, dtype) -> "DenseFfnWeights":
         return DenseFfnWeights(self.w1.astype(dtype), self.wg.astype(dtype), self.w2.astype(dtype))
@@ -52,15 +53,16 @@ class DenseFfnWeights:
 
 @dataclass(eq=False)
 class ExpertStack:
-    """All N sparse experts of a layer as three arrays: w1, wg of shape
-    N x h x H_e and w2 of shape N x H_e x h_e. Expert k is ``w1[k]``,
-    ``wg[k]`` and ``w2[k]``, each C-contiguous, so ``Matrix.wrap`` adopts
-    it without copying and writing through it writes the stack. The stacks
-    themselves are C-contiguous, or, as ``MoEModel.over`` lays them out
-    (``read_model``, ``MoEModel.zeros``), views strided by one expert's
-    w1+wg+w2.
+    """All N sparse experts of a layer, as ``MoEModel.over`` lays them out:
+    ``block`` is N x (2*h*H_e + H_e*h_e), row k holding expert k's w1, wg
+    and w2 one after another, and ``w1``, ``wg`` of shape N x h x H_e and
+    ``w2`` of shape N x H_e x h_e are strided views of it, one row apart.
+    Expert k is ``w1[k]``, ``wg[k]`` and ``w2[k]``, each C-contiguous, so
+    ``Matrix.wrap`` adopts it without copying and writing through it
+    writes the block.
     """
 
+    block: np.ndarray
     w1: np.ndarray
     wg: np.ndarray
     w2: np.ndarray
@@ -70,9 +72,6 @@ class ExpertStack:
         of expert-major rows with them runs each expert on its own rows,
         three grouped products in all."""
         return tuple(Grouped(a, offsets) for a in (self.w1, self.wg, self.w2))
-
-    def astype(self, dtype) -> "ExpertStack":
-        return ExpertStack(*(np.ascontiguousarray(a, dtype=dtype) for a in (self.w1, self.wg, self.w2)))
 
 
 @dataclass

@@ -19,9 +19,9 @@ from typing import Callable
 
 import numpy as np
 
-from finermoe.analysis import route_stats
+from finermoe.analysis import cost_report, route_stats
 from finermoe.config import FineRConfig, expert_component
-from finermoe.experts import DenseFfnWeights, ExpertStack, SwiGLUTape
+from finermoe.experts import SwiGLUTape
 from finermoe.moe_layer import LayerOutput, MoEModel, decide, forward, named_parameters
 from finermoe.numerics import Grouped, Matrix, Rng, matmul, sigmoid
 from finermoe.router import RoutingDecision
@@ -61,45 +61,45 @@ class LayerGradients:
     d_x: Matrix | None
 
 
-def _swiglu_backward(x_rows: np.ndarray, w1, wg, w2, t: SwiGLUTape, d_out: np.ndarray, input_grad: bool):
+def _swiglu_backward(x_rows: np.ndarray, w1, wg, w2, t: SwiGLUTape, d_out: np.ndarray, d_w, input_grad: bool):
     """SwiGLU chain rule on a forward tape of ``swiglu(x, w1, wg, w2)``.
-    Returns (dW1, dWg, dW2, d_x_rows), with d_x_rows None unless
-    ``input_grad``.
+    Writes dW1, dWg and dW2 into the three arrays ``d_w`` and returns
+    d_x_rows, None unless ``input_grad``.
 
     With ``ExpertStack.grouped`` operands the rows are expert-major pairs:
     every product is grouped by the operands' offsets, and the weight
-    gradients come back as Grouped stacks, zero for an expert with no pair.
-    Transposed operands are ``.T`` views; nothing is copied to transpose it.
+    gradients are written into gradient stacks, zero for an expert with no
+    pair. Transposed operands are ``.T`` views; nothing is copied to
+    transpose it.
     """
 
     def rows_t(rows):  # rows^T as a left operand, split by expert if grouped
         return Grouped(rows.T, w1.offsets) if isinstance(w1, Grouped) else Matrix.wrap(rows).T
 
     d_out_m = Matrix.wrap(d_out)
-    d_w2 = matmul(rows_t(t.inner.a), d_out_m)
+    matmul(rows_t(t.inner.a), d_out_m, out=d_w[2])
     d_inner = matmul(d_out_m, w2.T).a
     # silu(g) = g * s and silu'(g) = s * (1 + g * (1 - s)): one sigmoid for both.
     s = sigmoid(t.gate)
     d_up = Matrix.wrap(d_inner * (t.gate * s))
     d_gate = Matrix.wrap(d_inner * t.up * (s * (1.0 + t.gate * (1.0 - s))))
-    d_w1 = matmul(rows_t(x_rows), d_up)
-    d_wg = matmul(rows_t(x_rows), d_gate)
-    d_x = None
+    matmul(rows_t(x_rows), d_up, out=d_w[0])
+    matmul(rows_t(x_rows), d_gate, out=d_w[1])
     if input_grad:
-        d_x = matmul(d_up, w1.T).a + matmul(d_gate, wg.T).a
-    return d_w1, d_wg, d_w2, d_x
+        return matmul(d_up, w1.T).a + matmul(d_gate, wg.T).a
+    return None
 
 
-def _router_backward(x: Matrix, model: MoEModel, decision: RoutingDecision, d_score: np.ndarray, d_x):
+def _router_backward(x: Matrix, model: MoEModel, decision: RoutingDecision, d_score: np.ndarray, d_x, d_w):
     """Softmax Jacobian from d_score back to the router logits, then to the
-    router weight, which is returned. Adds the input's share into ``d_x``
-    unless it is None."""
+    router weight, which is written into ``d_w``. Adds the input's share
+    into ``d_x`` unless it is None."""
     s_full = decision.score.astype(np.float64)
     d_logits = s_full * (d_score - (d_score * s_full).sum(axis=1, keepdims=True))
     d_logits_m = Matrix.wrap(d_logits.astype(model.router.dtype))
     if d_x is not None:
         d_x += matmul(d_logits_m, model.router.T).a
-    return matmul(x.T, d_logits_m)
+    matmul(x.T, d_logits_m, out=d_w)
 
 
 def backward(
@@ -115,10 +115,11 @@ def backward(
     the weights last changed.
 
     The input, the dispatch plan and every expert's intermediates come from
-    ``out.tape``, so only the gradient matmuls run. The sparse experts'
-    run as grouped products over all (token, expert) pairs: dW1, dWg and
-    dW2 of every expert come out of one product each as the gradient
-    stacks, and every transposed operand is a no-copy ``.T`` view. Each
+    ``out.tape``, so only the gradient matmuls run, each weight gradient's
+    writing into its view of ``d_model.flat``. The sparse experts' run as
+    grouped products over all (token, expert) pairs: dW1, dWg and dW2 of
+    every expert come out of one product each, into the gradient stacks,
+    and every transposed operand is a no-copy ``.T`` view. Each
     element is summed in the order a per-expert product sums it, and the
     input gradient adds a token's experts in ascending order, so the bytes
     are those of one pass per expert. Discrete selections are
@@ -138,22 +139,22 @@ def backward(
     if upstream.shape != (L, cfg.h) or upstream.dtype != dtype:
         raise ValueError(f"upstream must be {L}x{cfg.h} {dtype}, got {upstream.shape} {upstream.dtype}")
 
+    d_model = MoEModel.over(cfg, np.empty(cost_report(cfg).total_params, dtype))
     d_x = np.zeros((L, cfg.h), dtype=dtype) if input_grad else None
     d_score = np.zeros((L, dims.N), dtype=np.float64)
 
     # Projection (if any) sits between the combine and the output add.
-    d_proj = None
     if model.concat_proj is not None:
         d_cat = matmul(upstream, model.concat_proj.T).a
-        d_proj = matmul(tape.sparse.out.T, upstream)
+        matmul(tape.sparse.out.T, upstream, out=d_model.concat_proj.a)
     else:
         d_cat = upstream.a
 
-    d_shared = None
     if model.shared is not None:
-        sh = model.shared
-        d_w1, d_wg, d_w2, d_x_s = _swiglu_backward(x.a, sh.w1, sh.wg, sh.w2, tape.shared, upstream.a, input_grad)
-        d_shared = DenseFfnWeights(d_w1, d_wg, d_w2)
+        sh, d_sh = model.shared, d_model.shared
+        d_x_s = _swiglu_backward(
+            x.a, sh.w1, sh.wg, sh.w2, tape.shared, upstream.a, (d_sh.w1.a, d_sh.wg.a, d_sh.w2.a), input_grad
+        )
         if d_x is not None:
             d_x += d_x_s
 
@@ -164,10 +165,11 @@ def backward(
     experts = decision.indices.ravel()[plan.perm]
     u_rows = d_cat.reshape(L, cfg.G_O, dims.h_e)[tokens, expert_component(cfg, experts)]
     w_rows = decision.score[tokens, experts]
-    d_w1, d_wg, d_w2, d_x_rows = _swiglu_backward(
-        tape.sparse.x_rows, *model.experts.grouped(plan.offsets), t, u_rows * w_rows[:, None], input_grad
+    d_e = d_model.experts
+    d_x_rows = _swiglu_backward(
+        tape.sparse.x_rows, *model.experts.grouped(plan.offsets), t, u_rows * w_rows[:, None],
+        (d_e.w1, d_e.wg, d_e.w2), input_grad,
     )
-    d_experts = ExpertStack(d_w1.a, d_wg.a, d_w2.a)
     if d_x is not None:
         # Each token's pairs in slot order, which is ascending expert order:
         # the order in which one batch per expert added them.
@@ -179,13 +181,9 @@ def backward(
 
     if d_score_extra is not None:
         d_score = d_score + d_score_extra
-    d_router = _router_backward(x, model, decision, d_score, d_x)
-
-    d_router_cc = None if model.router_cc is None else Matrix.wrap(np.zeros((cfg.h, dims.n_groups), dtype))
-
-    d_model = MoEModel(
-        cfg=cfg, shared=d_shared, experts=d_experts, router=d_router, router_cc=d_router_cc, concat_proj=d_proj,
-    )
+    _router_backward(x, model, decision, d_score, d_x, d_model.router.a)
+    if d_model.router_cc is not None:
+        d_model.router_cc.a.fill(0)
     return LayerGradients(d_model=d_model, d_x=None if d_x is None else Matrix.wrap(d_x))
 
 
@@ -224,9 +222,9 @@ def balance_loss_fn(alpha: float = 0.001) -> LossFn:
         # every other gradient is zero and no expert runs.
         decision = decide(x, model)
         d_score = balance_loss_score_grad(decision, model.cfg, alpha)
-        d_model = MoEModel.over(model.cfg, lambda rows, cols: np.zeros((rows, cols), x.dtype))
+        d_model = MoEModel.over(model.cfg, np.zeros(cost_report(model.cfg).total_params, x.dtype))
         d_x = np.zeros((x.rows, model.cfg.h), dtype=x.dtype)
-        d_model.router = _router_backward(x, model, decision, d_score, d_x)
+        _router_backward(x, model, decision, d_score, d_x, d_model.router.a)
         return LayerGradients(d_model=d_model, d_x=Matrix.wrap(d_x))
 
     return LossFn(value=value, grads=grads)

@@ -14,12 +14,12 @@ input; a mixed pair is refused with ValueError by the first product.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import zip_longest
 
 import numpy as np
 
+from finermoe.analysis import cost_report
 from finermoe.config import FineRConfig, DerivedDims, derive, with_updates
 from finermoe.experts import DenseFfnWeights, ExpertStack, SwiGLUTape, shared_forward, swiglu
 from finermoe.numerics import Matrix, matmul
@@ -28,13 +28,14 @@ from finermoe.router import RoutingDecision, route, route_separate, score
 _SWIGLU = ("w1", "wg", "w2")
 
 
-@dataclass
+@dataclass(eq=False)
 class MoEModel:
-    """One layer's weights; the sparse experts are stored stacked. ``over``
-    is the one layout of a config's tensors: ``zeros``, ``validate`` and
-    ``checkpoint.read_model`` all go through it."""
+    """One layer's weights, all views of the one array ``flat``; the sparse
+    experts are stored stacked. ``over`` is the one layout of a config's
+    tensors, and every model the library makes goes through it."""
 
     cfg: FineRConfig
+    flat: np.ndarray  # every tensor's values, in named_parameters order
     shared: DenseFfnWeights | None
     experts: ExpertStack
     router: Matrix  # h x N
@@ -42,29 +43,37 @@ class MoEModel:
     concat_proj: Matrix | None = None  # optional h x h projection after concat
 
     @classmethod
-    def over(cls, cfg: FineRConfig, take: Callable[[int, int], np.ndarray]) -> "MoEModel":
-        """The model cfg describes, its tensors the consecutive arrays
-        ``take(rows, cols)`` hands out in ``named_parameters`` order. The
-        experts are one ``take(N, 2*h*H_e + H_e*h_e)``, a row per expert
-        holding its w1, wg and w2, so each stack is a strided view whose
-        per-expert slices are C-contiguous."""
+    def over(cls, cfg: FineRConfig, flat: np.ndarray) -> "MoEModel":
+        """The model cfg describes, its tensors consecutive views of
+        ``flat`` in ``named_parameters`` order, the FRM1 payload's. ``flat``
+        must be a C-contiguous 1-D array of ``cost_report(cfg).total_params``
+        values. The experts are one N x (2*h*H_e + H_e*h_e) block, a row per
+        expert holding its w1, wg and w2, so each stack is a strided view
+        whose per-expert slices are C-contiguous."""
+        n = cost_report(cfg).total_params
+        if not (flat.shape == (n,) and flat.flags.c_contiguous):
+            raise ValueError(f"the config lays out a C-contiguous 1-D array of {n} values, got shape {flat.shape}")
         dims = derive(cfg)
         h, N, H_e, h_e = cfg.h, dims.N, dims.H_e, dims.h_e
-        shared = DenseFfnWeights.over(h, cfg.H, take) if cfg.share_expert else None
-        per = take(N, 2 * h * H_e + H_e * h_e)
+        separate = cfg.router_mode == "separate"
+        sizes = (3 * h * cfg.H * cfg.share_expert, N * (2 * h * H_e + H_e * h_e), h * N, h * dims.n_groups * separate)
+        shared, block, router, router_cc, concat_proj = np.split(flat, np.cumsum(sizes))
+        block = block.reshape(N, -1)
         a, b = h * H_e, 2 * h * H_e
-        experts = ExpertStack(
-            per[:, :a].reshape(N, h, H_e), per[:, a:b].reshape(N, h, H_e), per[:, b:].reshape(N, H_e, h_e)
+        stacks = block[:, :a].reshape(N, h, H_e), block[:, a:b].reshape(N, h, H_e), block[:, b:].reshape(N, H_e, h_e)
+        return cls(
+            cfg, flat,
+            shared=DenseFfnWeights.over(h, cfg.H, shared) if cfg.share_expert else None,
+            experts=ExpertStack(block, *stacks),
+            router=Matrix.wrap(router.reshape(h, N)),
+            router_cc=Matrix.wrap(router_cc.reshape(h, dims.n_groups)) if separate else None,
+            concat_proj=Matrix.wrap(concat_proj.reshape(h, h)) if cfg.concat_proj else None,
         )
-        router = Matrix.wrap(take(h, N))
-        router_cc = Matrix.wrap(take(h, dims.n_groups)) if cfg.router_mode == "separate" else None
-        concat_proj = Matrix.wrap(take(h, h)) if cfg.concat_proj else None
-        return cls(cfg, shared, experts, router, router_cc, concat_proj)
 
     @classmethod
     def zeros(cls, cfg: FineRConfig) -> "MoEModel":
         """An all-zero f32 model of the shapes cfg derives."""
-        return cls.over(cfg, lambda rows, cols: np.zeros((rows, cols), np.float32))
+        return cls.over(cfg, np.zeros(cost_report(cfg).total_params, np.float32))
 
     @property
     def dims(self) -> DerivedDims:
@@ -74,7 +83,7 @@ class MoEModel:
         """Raise ValueError naming the first tensor, by name and shape, that
         is not the one ``over`` lays out for the config."""
         # np.empty touches no page of the layout; only its shapes are read.
-        want = MoEModel.over(self.cfg, lambda rows, cols: np.empty((rows, cols), np.float32))
+        want = MoEModel.over(self.cfg, np.empty(cost_report(self.cfg).total_params, np.float32))
         shapes = (
             [f"{name} {'x'.join(map(str, p.shape))}" for name, p in named_parameters(m)] for m in (self, want)
         )
@@ -85,14 +94,9 @@ class MoEModel:
                 )
 
     def astype(self, dtype) -> "MoEModel":
-        return MoEModel(
-            cfg=self.cfg,
-            shared=None if self.shared is None else self.shared.astype(dtype),
-            experts=self.experts.astype(dtype),
-            router=self.router.astype(dtype),
-            router_cc=None if self.router_cc is None else self.router_cc.astype(dtype),
-            concat_proj=None if self.concat_proj is None else self.concat_proj.astype(dtype),
-        )
+        """The model cast to ``dtype`` by one cast of ``flat``; one of that
+        dtype already shares this model's memory."""
+        return MoEModel.over(self.cfg, self.flat.astype(dtype, copy=False))
 
 
 def named_parameters(model: MoEModel | DenseFfnWeights) -> list[tuple[str, np.ndarray]]:

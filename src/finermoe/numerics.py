@@ -21,9 +21,10 @@ Design constraints that everything downstream leans on:
   under either, so normal draws also depend on how NumPy rounds them,
   which can change with the CPU features NumPy dispatches on.
 * ``sum_squares`` and ``sub_scaled``, the two passes of train-demo's
-  clipped SGD step, run in the active kernel module as well, with the bits
-  of NumPy's per-tensor loops: its pairwise summation order and its
-  promotion of the step's scale.
+  clipped SGD step, run in the active kernel module as well, each in one
+  call over a model's flat array, with the bits of NumPy's per-tensor
+  loops: its pairwise summation order and its promotion of the step's
+  scale.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def count_flops():
         _flop_counter = prev
 
 
-def matmul(a: Matrix | Grouped, b: Matrix | Grouped) -> Matrix | Grouped:
+def matmul(a: Matrix | Grouped, b: Matrix | Grouped, out: np.ndarray | None = None) -> Matrix | Grouped:
     """Matrix product with a fixed ascending-index reduction order.
 
     Either operand may be a ``.T`` view. A Grouped right operand gives the
@@ -170,6 +171,8 @@ def matmul(a: Matrix | Grouped, b: Matrix | Grouped) -> Matrix | Grouped:
     Grouped left operand gives the Grouped stack of per-expert products
     (see ``Grouped``). It runs in its operands' one dtype, f32 or f64; the
     kernel entry refuses a mixed pair with ValueError before any write.
+    ``out``, if given, takes the product: a C-contiguous matrix or, for a
+    Grouped left operand, a stack of them strided by whole elements.
     """
     if a.cols != b.rows:
         raise ValueError(
@@ -177,33 +180,30 @@ def matmul(a: Matrix | Grouped, b: Matrix | Grouped) -> Matrix | Grouped:
         )
     dtype = a.dtype
     kernel = _backend.active.matmul_f64 if dtype == np.float64 else _backend.active.matmul_f32
-    if isinstance(a, Grouped):
-        out = np.empty((len(a.offsets) - 1, a.rows, b.cols), dtype=dtype)
-        kernel(a.a, b.a, out, a.offsets)
-        result = Grouped(out, a.offsets)
-    else:
-        out = np.empty((a.rows, b.cols), dtype=dtype)
-        kernel(a.a, b.a, out, b.offsets if isinstance(b, Grouped) else None)
-        result = Matrix.wrap(out)
+    stacked = isinstance(a, Grouped)
+    if out is None:
+        out = np.empty((len(a.offsets) - 1, a.rows, b.cols) if stacked else (a.rows, b.cols), dtype=dtype)
+    kernel(a.a, b.a, out, a.offsets if stacked else b.offsets if isinstance(b, Grouped) else None)
+    result = Grouped(out, a.offsets) if stacked else Matrix.wrap(out)
     # Counted once the kernel has returned, so a refused product adds none.
     if _flop_counter is not None:
         _flop_counter.flops += 2 * a.rows * a.cols * b.cols
     return result
 
 
-def sum_squares(arrays) -> float:
-    """The squared global norm of a list of float32 arrays, from the active
-    kernel module: from 0.0, per array in list order,
-    ``sq += float((a.astype(np.float64) ** 2).sum())``, with the bits of
-    NumPy's pairwise summation."""
-    return _backend.active.sum_squares_f32(arrays)
+def sum_squares(flat: np.ndarray, sizes) -> float:
+    """The squared global norm of a model's flat float32 gradient, from the
+    active kernel module: from 0.0, per tensor ``a`` of ``sizes[t]``
+    values in order, ``sq += float((a.astype(np.float64) ** 2).sum())``,
+    with the bits of NumPy's pairwise summation."""
+    return _backend.active.sum_squares_f32(flat, sizes)
 
 
-def sub_scaled(params, grads, scale) -> None:
-    """``p -= scale * g`` in place for each pair of float32 arrays, in list
-    order, from the active kernel module, with the bits of NumPy's
-    promotion: in float32 for a Python float ``scale``, in float64 and
-    rounded to float32 for an ``np.float64``."""
+def sub_scaled(params: np.ndarray, grads: np.ndarray, scale) -> None:
+    """``params -= scale * grads`` in place for a pair of float32 arrays, a
+    model's flat array and its gradients', from the active kernel module,
+    with the bits of NumPy's promotion: in float32 for a Python float
+    ``scale``, in float64 and rounded to float32 for an ``np.float64``."""
     _backend.active.sub_scaled_f32(params, grads, scale)
 
 

@@ -18,9 +18,10 @@ from __future__ import annotations
 import numpy as np
 
 from finermoe.config import ConfigError, FineRConfig, derive, expert_component, validate
-from finermoe.experts import DenseFfnWeights, ExpertStack
+from finermoe.analysis import cost_report
+from finermoe.experts import DenseFfnWeights
 from finermoe.moe_layer import MoEModel, named_parameters
-from finermoe.numerics import Matrix, Rng
+from finermoe.numerics import Rng
 
 ROUTER_INIT_STD = 0.02
 
@@ -43,38 +44,34 @@ def expert_slice_indices(cfg: FineRConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def upcycle(dense: DenseFfnWeights, cfg: FineRConfig, seed: int) -> MoEModel:
     """Slice/replicate the dense FFN into a full MoE model in the dense
-    FFN's dtype. Each expert stack is one gather from a view of the dense
-    matrix that puts the slices on a leading axis, so the stacks are
-    C-contiguous and own their storage. The routers are drawn in f32 and
-    then cast, so an f64 donor's routers are an f32 donor's, widened."""
+    FFN's dtype, laid out by ``MoEModel.over`` and filled in place, each
+    expert stack by one broadcast copy from a view of the dense matrix.
+    The routers are drawn in f32 and then cast, so an f64 donor's routers
+    are an f32 donor's, widened."""
     validate(cfg)
     dims = derive(cfg)
     if (dense.h, dense.H) != (cfg.h, cfg.H):
         raise ConfigError(f"dense FFN dims {(dense.h, dense.H)} do not match config {(cfg.h, cfg.H)}")
     rng = Rng(seed)
     dtype = dense.w1.dtype
-    i, j = expert_slice_indices(cfg)
-    # Views with the slices on leading axes: W1/Wg as G_I column blocks
-    # (G_I x h x H_e), W2 as G_I x G_O blocks (G_I x G_O x H_e x h_e).
-    w1, wg = (w.a.reshape(cfg.h, cfg.G_I, dims.H_e).transpose(1, 0, 2) for w in (dense.w1, dense.wg))
-    w2 = dense.w2.a.reshape(cfg.G_I, dims.H_e, cfg.G_O, dims.h_e).transpose(0, 2, 1, 3)
-    experts = ExpertStack(w1[i], wg[i], w2[i, j])
-    router = rng.child(_STREAM_ROUTER).matrix(cfg.h, dims.N, std=ROUTER_INIT_STD).astype(dtype)
-    router_cc = None
-    if cfg.router_mode == "separate":
-        router_cc = rng.child(_STREAM_ROUTER_CC).matrix(cfg.h, dims.n_groups, std=ROUTER_INIT_STD).astype(dtype)
-    shared = None
-    if cfg.share_expert:  # a verbatim copy
-        shared = DenseFfnWeights(*(Matrix.wrap(w.copy()) for _, w in named_parameters(dense)))
-    model = MoEModel(
-        cfg=cfg,
-        shared=shared,
-        experts=experts,
-        router=router,
-        router_cc=router_cc,
-        concat_proj=Matrix.wrap(np.eye(cfg.h, dtype=dtype)) if cfg.concat_proj else None,
-    )
-    model.validate()
+    model = MoEModel.over(cfg, np.empty(cost_report(cfg).total_params, dtype))
+    # Expert k = (j * R_O * R_I + r) * G_I + i takes slices (i, j) for each
+    # r (expert_slice_indices), so each stack, split into G_O x R x G_I, is
+    # one broadcast copy from a view of the dense matrix that puts the
+    # slices on leading axes.
+    ex, R = model.experts, cfg.R_O * cfg.R_I
+    for stack, w in ((ex.w1, dense.w1), (ex.wg, dense.wg)):
+        stack.reshape(cfg.G_O, R, cfg.G_I, cfg.h, -1)[...] = w.a.reshape(cfg.h, cfg.G_I, -1).transpose(1, 0, 2)
+    w2 = dense.w2.a.reshape(cfg.G_I, dims.H_e, cfg.G_O, -1).transpose(2, 0, 1, 3)
+    ex.w2.reshape(cfg.G_O, R, cfg.G_I, dims.H_e, -1)[...] = w2[:, None]
+    model.router.a[...] = rng.child(_STREAM_ROUTER).matrix(cfg.h, dims.N, std=ROUTER_INIT_STD).a
+    if model.router_cc is not None:
+        model.router_cc.a[...] = rng.child(_STREAM_ROUTER_CC).matrix(cfg.h, dims.n_groups, std=ROUTER_INIT_STD).a
+    if model.shared is not None:  # a verbatim copy
+        for (_, w), (_, d) in zip(named_parameters(model.shared), named_parameters(dense)):
+            w[...] = d
+    if model.concat_proj is not None:
+        model.concat_proj.a[...] = np.eye(cfg.h)
     return model
 
 

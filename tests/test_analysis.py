@@ -11,7 +11,6 @@ from finermoe.analysis import (
     scaled_params,
 )
 from finermoe.config import FineRConfig, baseline_preset, derive, with_updates
-from finermoe.experts import ExpertStack
 from finermoe.moe_layer import MoEModel, decide, sparse_experts_forward
 from finermoe.numerics import Matrix, Rng, count_flops
 from finermoe.router import RoutingDecision, route, score
@@ -30,18 +29,12 @@ PARAM_TABLE_B = {
 def _two_expert_model(u: np.ndarray, v: np.ndarray) -> MoEModel:
     """A 2-expert model whose flattened experts are exactly u and v
     (each of length 2 * h * H_e + H_e * h_e at h=2, H_e=h_e=2: 12)."""
-    cfg = FineRConfig(h=2, H=4, G_I=2, R_I=1, G_O=1, R_O=1, T_I=1)
-    w = np.stack([u, v]).astype(np.float32)
-    return MoEModel(
-        cfg=cfg,
-        shared=random_dense(2, 4, 1),
-        experts=ExpertStack(
-            w[:, 0:4].reshape(2, 2, 2).copy(),
-            w[:, 4:8].reshape(2, 2, 2).copy(),
-            w[:, 8:12].reshape(2, 2, 2).copy(),
-        ),
-        router=Matrix.wrap(np.zeros((2, 2), np.float32)),
-    )
+    model = MoEModel.zeros(FineRConfig(h=2, H=4, G_I=2, R_I=1, G_O=1, R_O=1, T_I=1))
+    for k, w in enumerate((u, v)):
+        model.experts.w1[k].flat = w[0:4]
+        model.experts.wg[k].flat = w[4:8]
+        model.experts.w2[k].flat = w[8:12]
+    return model
 
 
 class TestCosine:
@@ -81,15 +74,21 @@ class TestExpertSimilarity:
         pos = np.zeros((4, 2, 2), dtype=np.float32)
         for k in range(4):
             pos[k, k % 2, (k // 2) % 2] = 1.0
-        zeros = np.zeros((4, 2, 2), dtype=np.float32)
-        model = MoEModel(
-            cfg=cfg,
-            shared=random_dense(2, 8, 4),
-            experts=ExpertStack(pos, zeros, zeros.copy()),
-            router=Matrix.wrap(np.zeros((2, 4), np.float32)),
-        )
+        model = MoEModel.zeros(cfg)
+        model.experts.w1[:] = pos
         rep = expert_similarity(model)
         assert rep.mean == 0.0
+
+    def test_a_zero_or_non_finite_expert_is_refused_by_name(self):
+        cfg = baseline_preset("C32A2", h=16, H=32)
+        with pytest.raises(ValueError, match="expert 0 has a zero or non-finite norm"):
+            expert_similarity(MoEModel.zeros(cfg))
+        model = upcycle(random_dense(16, 32, 8), cfg, 8)
+        for bad in (0.0, np.nan, np.inf):
+            model.experts.block[5] = bad
+            with pytest.raises(ValueError, match="expert 5 has a zero or non-finite norm"):
+                expert_similarity(model)
+
 
     def test_disjoint_slices_of_random_ffn_are_near_orthogonal(self):
         cfg = baseline_preset("S16A4", h=32, H=1024)

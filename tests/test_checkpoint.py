@@ -25,7 +25,6 @@ from finermoe.checkpoint import (
 )
 from finermoe.cli import read_matrix, run, write_matrix
 from finermoe.config import ConfigError, FineRConfig, baseline_preset, preset_names, with_updates
-from finermoe.experts import ExpertStack
 from finermoe.moe_layer import MoEModel, forward, named_parameters
 from finermoe.numerics import Matrix, Rng, matmul
 from finermoe.upcycle import random_dense, upcycle
@@ -347,9 +346,8 @@ _FAULTS = {
     "shared-missing": lambda m: replace(m, shared=None),
     "shared-extra": lambda m: replace(m, cfg=with_updates(m.cfg, share_expert=False)),
     "shared-dims": lambda m: replace(m, shared=random_dense(16, 32, 1)),
-    "experts-shape": lambda m: replace(
-        m, experts=ExpertStack(*(np.zeros(s, np.float32) for s in ((128, 16, 4), (128, 16, 4), (128, 4, 8))))
-    ),
+    # 128 experts of H_e = 4, where the config lays out H_e = 2.
+    "experts-shape": lambda m: replace(m, experts=MoEModel.zeros(with_updates(m.cfg, G_I=16, R_I=2)).experts),
     "router-shape": lambda m: replace(m, router=Matrix.wrap(np.zeros((16, 64), np.float32))),
     "router_cc-missing": lambda m: replace(m, router_cc=None),
     "router_cc-in-single-mode": lambda m: replace(m, cfg=with_updates(m.cfg, router_mode="single")),

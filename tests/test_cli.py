@@ -300,6 +300,13 @@ class TestSimilarity:
         assert code == 0
         assert "pairs = 8128" in text
 
+    def test_a_zero_expert_exits_3(self, tmp_path):
+        p = tmp_path / "zero.frm"
+        finermoe.write_model(finermoe.MoEModel.zeros(finermoe.baseline_preset("C32A2", h=16, H=32)), p)
+        code, text, err = _run(["similarity", "--model", str(p)])
+        assert (code, text) == (3, "")
+        assert err == "error: expert 0 has a zero or non-finite norm, so no cosine similarity\n"
+
     def test_per_pair_csv(self, tmp_path, model_file):
         csv_p = tmp_path / "sim.csv"
         code, _, _ = _run(["similarity", "--model", str(model_file), "--csv", str(csv_p)])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from finermoe.config import FineRConfig, baseline_preset, derive, preset_names, with_updates
-from finermoe.experts import ExpertStack, shared_forward, swiglu
+from finermoe.experts import shared_forward, swiglu
 from finermoe.moe_layer import (
     MoEModel,
     build_dispatch_plan,
@@ -92,12 +92,7 @@ class TestSparseForward:
         d = _decision(x, model)
         base = sparse_experts_forward(x, model, d).out
         dims = model.dims
-        zeroed = MoEModel(
-            cfg=model.cfg,
-            shared=model.shared,
-            experts=ExpertStack(*(a.copy() for a in (model.experts.w1, model.experts.wg, model.experts.w2))),
-            router=model.router,
-        )
+        zeroed = MoEModel.over(model.cfg, model.flat.copy())
         selected = set()
         for t in range(6):
             for i in range(TOY.G_O):
@@ -157,12 +152,10 @@ class TestForward:
         cfg = with_updates(TOY, concat_proj=True)
         model = _model(cfg, seed=21)
         assert model.concat_proj is not None
-        plain = MoEModel(
-            cfg=with_updates(cfg, concat_proj=False),
-            shared=model.shared,
-            experts=model.experts,
-            router=model.router,
-        )
+        plain = MoEModel.zeros(with_updates(cfg, concat_proj=False))
+        # The same tensors, the projection aside.
+        for (_, p), (_, w) in zip(named_parameters(plain), named_parameters(model)):
+            p[...] = w
         x = Rng(22).matrix(4, cfg.h)
         assert forward(x, model).y.a.tobytes() == forward(x, plain).y.a.tobytes()
 

@@ -837,6 +837,30 @@ class TestGroupedTile:
             empty = np.diff(offsets) == 0
             assert got[empty].tobytes() == np.zeros_like(got[empty]).tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", ["python", "c", *(f"c-{isa}" for isa in ISAS)])
+    def test_a_strided_out_stack_gives_the_contiguous_bytes(self, request, name, dtype):
+        # Each matrix of out is a row of a wider block, as MoEModel.over
+        # lays out a gradient stack; the second table is split over the
+        # worker pool. Nothing outside the matrices is written.
+        kernels = _kernel_module(request, name)
+        nr, widths = self._widths(dtype)
+        rng = np.random.default_rng(nr)
+        n = 9
+        k = -(-2 * _source_constant("PART_MIN") // (n * widths[-1]))
+        for lengths in ((*self.LENGTHS, 0), (0, k // 3, 0, k - k // 3)):
+            offsets = _offsets(lengths)
+            for m in widths:
+                x = self._operand(rng, (int(offsets[-1]), n), dtype)
+                d = self._operand(rng, (int(offsets[-1]), m), dtype)
+                block = np.full((len(lengths), n * m + 5), 7.0, dtype)
+                out = block[:, 3 : 3 + n * m].reshape(len(lengths), n, m)
+                with np.errstate(invalid="ignore"):
+                    want = _kernel_grouped(kernels, x.T, d, offsets)
+                    (kernels.matmul_f32 if dtype == np.float32 else kernels.matmul_f64)(x.T, d, out, offsets)
+                assert out.tobytes() == want.tobytes()
+                assert (block[:, :3] == 7.0).all() and (block[:, 3 + n * m :] == 7.0).all()
+
 
 class TestSplitProducts:
     """Products around the split of _kernels.c's worker pool, where this
@@ -967,6 +991,15 @@ def _refusal_operands(case):
         offsets = None
     elif defect == "list offsets":
         offsets = offsets.tolist()
+    elif defect == "out over a":
+        buf = np.full(out.size, 7.0, f32)
+        a, out = buf[:24].reshape(6, 4), buf.reshape(out.shape)
+        a = a.T if case.startswith("inner") else a
+    elif defect == "out over b":
+        buf = np.full(60, 7.0, f32)
+        b, out = buf[: b.size].reshape(b.shape), buf[: out.size].reshape(out.shape)
+    elif defect == "overlapping out matrices":
+        out = np.lib.stride_tricks.as_strided(np.full(40, 7.0, f32), out.shape, (40, 20, 4))
     return a, b, out, offsets
 
 
@@ -976,6 +1009,7 @@ REFUSALS = [
     "strided a", "f64 operand", "read-only out", "no offsets", "list offsets",
     "inner: int32 offsets", "inner: N+2 offsets", "inner: decreasing offsets", "inner: offsets past the rows",
     "inner: out N", "inner: strided a", "inner: read-only out",
+    "out over a", "out over b", "inner: out over a", "inner: out over b", "inner: overlapping out matrices",
 ]
 
 
@@ -1378,8 +1412,8 @@ def _signed_magnitudes(rng, shape):
 
 class TestOptimizerEntries:
     """The sum_squares_f32 and sub_scaled_f32 entries of train-demo's SGD
-    step: every C build gives the bytes of _kernels_py's, which are NumPy's
-    per-tensor loops."""
+    step, over one flat array of tensors: every C build gives the bytes of
+    _kernels_py's, which are NumPy's per-tensor loops."""
 
     SIZES = (*range(1, 10), 127, 128, 129, 255, 256, 257, 8191, 8192, 8193, (1 << 20) - 1, (1 << 20) + 1)
     SCALES = (0.1, 1 / 3, 0.0, np.float64(0.1), np.float64(1 / 3), np.float64(0.0))
@@ -1399,79 +1433,93 @@ class TestOptimizerEntries:
         yield [_signed_magnitudes(rng, shape) for shape in shapes]
         yield [(1e-3 * rng.standard_normal(shape)).astype(np.float32) for shape in shapes]
 
+    @staticmethod
+    def _flat(tensors):
+        return np.concatenate([t.ravel() for t in tensors]), [t.size for t in tensors]
+
     def test_every_c_build_gives_the_numpy_entrys_bytes(self, c_kernels, isa_kernels):
         builds = (c_kernels, *isa_kernels.values())
         rng = np.random.default_rng(2030)
         for tensors in self._tensor_sets():
-            want = _kernels_py.sum_squares_f32(tensors).hex()
-            assert all(kern.sum_squares_f32(tensors).hex() == want for kern in builds), [t.shape for t in tensors]
-            grads = [_signed_magnitudes(rng, t.shape) for t in tensors]
+            flat, sizes = self._flat(tensors)
+            want = _kernels_py.sum_squares_f32(flat, sizes).hex()
+            assert all(kern.sum_squares_f32(flat, sizes).hex() == want for kern in builds), sizes
+            grads = _signed_magnitudes(rng, flat.shape)
             for scale in self.SCALES:
-                want = [t.copy() for t in tensors]
+                want = flat.copy()
                 _kernels_py.sub_scaled_f32(want, grads, scale)
                 for kern in builds:
-                    got = [t.copy() for t in tensors]
+                    got = flat.copy()
                     kern.sub_scaled_f32(got, grads, scale)
-                    assert [g.tobytes() for g in got] == [w.tobytes() for w in want], (type(scale), scale)
+                    assert got.tobytes() == want.tobytes(), (type(scale), scale)
 
     def test_the_numpy_entries_are_the_per_tensor_loops(self):
         # The sum of squares is NumPy's pairwise sum of each widened tensor,
-        # which adds in another order than a running sum; the update
-        # follows NumPy's promotion of a Python float and of an np.float64,
-        # which give other bits. So the cases above tell each apart.
+        # which adds in another order than a running sum, or than one
+        # pairwise sum over the flat array; the update follows NumPy's
+        # promotion of a Python float and of an np.float64, which give
+        # other bits. So the cases above tell each apart.
         rng = np.random.default_rng(2031)
-        g, p0 = rng.standard_normal(1000).astype(np.float32), rng.standard_normal(1000).astype(np.float32)
-        squares = g.astype(np.float64) ** 2
+        tensors = [rng.standard_normal(shape).astype(np.float32) for shape in ((1000,), (37, 5), (3, 129))]
+        flat, sizes = self._flat(tensors)
+        per_tensor = 0.0
+        for t in tensors:
+            per_tensor += float((t.astype(np.float64) ** 2).sum())
         running = 0.0
-        for x in squares:
+        for x in flat.astype(np.float64) ** 2:
             running += x
-        assert _kernels_py.sum_squares_f32([g, g]) == 2 * float(squares.sum()) != 2 * running
+        got = _kernels_py.sum_squares_f32(flat, sizes)
+        assert got == per_tensor != running
+        assert got != float((flat.astype(np.float64) ** 2).sum())
+        g, p0 = flat[::-1].copy(), flat
         narrow, wide = p0.copy(), p0.copy()
-        _kernels_py.sub_scaled_f32([narrow], [g], 1 / 3)
-        _kernels_py.sub_scaled_f32([wide], [g], np.float64(1 / 3))
+        _kernels_py.sub_scaled_f32(narrow, g, 1 / 3)
+        _kernels_py.sub_scaled_f32(wide, g, np.float64(1 / 3))
         assert narrow.tobytes() == (p0 - np.float32(1 / 3) * g).tobytes()
         assert wide.tobytes() == (p0 - (1 / 3) * g.astype(np.float64)).astype(np.float32).tobytes()
         assert narrow.tobytes() != wide.tobytes()
 
     def _refusals(self):
-        """(params, grads, scale) that sub_scaled_f32 refuses; the first
-        pair of each is valid, so a refusal after it would have written."""
+        """(params, grads, scale) that sub_scaled_f32 refuses."""
         p = np.full((4, 6), 7.0, np.float32)
         g = np.ones((4, 6), np.float32)
         frozen = p.copy()
         frozen.flags.writeable = False
         wide = np.full((4, 12), 7.0, np.float32)
-        yield [p, p.astype(np.float64)], [g, g], 0.1
-        yield [p, p.copy()], [g, g.astype(np.float64)], 0.1
-        yield [p, wide[:, ::2]], [g, g], 0.1
-        yield [p, p.copy()], [g, np.ones((6, 8), np.float32)[:4, :6]], 0.1
-        yield [p, p.copy().T], [g, g.T], 0.1
-        yield [p, frozen], [g, g], 0.1
-        yield [p, p.copy()], [g, np.ones((6, 4), np.float32)], 0.1
-        yield [p, p.copy()], [g], 0.1
+        yield p.astype(np.float64), g, 0.1
+        yield p, g.astype(np.float64), 0.1
+        yield wide[:, ::2], g, 0.1
+        yield p, np.ones((6, 8), np.float32)[:4, :6], 0.1
+        yield p.copy().T, g.T, 0.1
+        yield frozen, g, 0.1
+        yield p, np.ones((6, 4), np.float32), 0.1
+        yield p, g.ravel(), 0.1
         flat = np.ones(30, np.float32)
-        yield [p, flat[:24].reshape(4, 6)], [g, flat[6:].reshape(4, 6)], 0.1
-        q = p.copy()
-        yield [p, q], [g, q], 0.1
-        yield [p], [g], 1
-        yield [p], [g], np.longdouble(0.1)
-        yield [p], [g], "0.1"
+        yield flat[:24].reshape(4, 6), flat[6:].reshape(4, 6), 0.1
+        yield p, p, 0.1
+        yield p, g, 1
+        yield p, g, np.longdouble(0.1)
+        yield p, g, "0.1"
 
     def test_refused_before_any_write(self, kernels):
         for params, grads, scale in self._refusals():
-            before = [x.copy() for x in params]
+            before = params.copy()
             with pytest.raises(ValueError, match="an SGD update needs"):
                 kernels.sub_scaled_f32(params, grads, scale)
-            assert [x.tobytes() for x in params] == [x.tobytes() for x in before]
-        for arrays in ([np.ones(4), np.ones(4, np.float32)], [np.ones((4, 8), np.float32)[:, ::2]], [[1.0, 2.0]]):
+            assert params.tobytes() == before.tobytes()
+        flat = np.ones(12, np.float32)
+        for arrays, sizes in (
+            (np.ones(4), [4]), (np.ones(8, np.float32)[::2], [4]), ([1.0, 2.0], [2]), (flat.reshape(3, 4), [12]),
+            (flat, [5, 6]), (flat, [13, -1]), (flat, [12.0]), (flat, [[12]]), (flat, 12), (flat, []),
+        ):
             with pytest.raises(ValueError, match="a sum of squares needs"):
-                kernels.sum_squares_f32(arrays)
+                kernels.sum_squares_f32(arrays, sizes)
 
     def test_read_only_and_empty_tensors_are_summed(self, kernels):
-        a = np.arange(12, dtype=np.float32).reshape(3, 4)
+        a = np.arange(12, dtype=np.float32)
         a.flags.writeable = False
-        assert kernels.sum_squares_f32([a, np.empty((0, 4), np.float32)]) == 506.0
-        assert kernels.sum_squares_f32([]) == 0.0
+        assert kernels.sum_squares_f32(a, [0, 12, 0]) == kernels.sum_squares_f32(a, np.array([12])) == 506.0
+        assert kernels.sum_squares_f32(np.empty(0, np.float32), []) == 0.0
 
 
 class TestMatrix:

@@ -1,15 +1,19 @@
 """The one tensor registry, moe_layer.named_parameters: FRM1 order, the
-pairing of a model with its gradients, and views into the expert stacks."""
+pairing of a model with its gradients, views into the expert stacks, and
+the one layout every model maker shares: each entry a view of the model's
+flat array, where the one before it ends."""
 
 import numpy as np
 import pytest
 
-from finermoe.checkpoint import write_model
+from finermoe import loss_grad
+from finermoe.analysis import cost_report
+from finermoe.checkpoint import read_model, write_model
 from finermoe.config import FineRConfig
-from finermoe.loss_grad import backward
-from finermoe.moe_layer import forward, named_parameters
-from finermoe.numerics import Rng
-from finermoe.upcycle import random_dense, upcycle
+from finermoe.loss_grad import backward, balance_loss_fn
+from finermoe.moe_layer import MoEModel, forward, named_parameters
+from finermoe.numerics import Rng, matmul
+from finermoe.upcycle import drop_upcycle, random_dense, upcycle
 
 VARIANTS = {
     "single": {},
@@ -19,9 +23,12 @@ VARIANTS = {
 }
 
 
+def _cfg(variant):
+    return FineRConfig(h=16, H=32, G_I=4, R_I=1, G_O=2, R_O=2, T_I=1, **VARIANTS[variant])
+
+
 def _model(variant, seed=0):
-    cfg = FineRConfig(h=16, H=32, G_I=4, R_I=1, G_O=2, R_O=2, T_I=1, **VARIANTS[variant])
-    return upcycle(random_dense(16, 32, seed), cfg, seed)
+    return upcycle(random_dense(16, 32, seed), _cfg(variant), seed)
 
 
 def _manifest_names(path):
@@ -70,3 +77,71 @@ def test_update_through_registry_writes_the_stack():
     assert np.array_equal(model.experts.w2[5], before[5] - 1.0)
     assert np.array_equal(np.delete(model.experts.w2, 5, axis=0), np.delete(before, 5, axis=0))
     assert model.experts.w1[2, 0, 0] == 7.0
+
+
+def _assert_tiles_flat(model):
+    """Every registry entry is a C-contiguous view of ``model.flat`` that
+    starts where the one before it ends, and together they cover it."""
+    flat = model.flat
+    assert flat.ndim == 1 and flat.flags.c_contiguous
+    at = 0
+    for name, p in named_parameters(model):
+        assert p.flags.c_contiguous and p.dtype == flat.dtype, name
+        assert p.ctypes.data == flat.ctypes.data + at * flat.itemsize, name
+        at += p.size
+    assert at == flat.size == cost_report(model.cfg).total_params
+
+
+def _read_back(variant, tmp):
+    write_model(_model(variant), tmp / "m.frm")
+    return read_model(tmp / "m.frm")
+
+
+_MAKERS = {
+    "zeros": lambda variant, tmp: MoEModel.zeros(_cfg(variant)),
+    "astype": lambda variant, tmp: _model(variant).astype(np.float64),
+    "upcycle": lambda variant, tmp: _model(variant),
+    "drop_upcycle": lambda variant, tmp: drop_upcycle(random_dense(16, 32, 8), _cfg(variant), 0.5, 9),
+    "read_model": _read_back,
+    "backward": lambda variant, tmp: backward(
+        _model(variant), Rng(3).matrix(5, 16), forward(Rng(2).matrix(5, 16), _model(variant))
+    ).d_model,
+    "balance_loss_fn": lambda variant, tmp: balance_loss_fn(0.01).grads(Rng(2).matrix(5, 16), _model(variant)).d_model,
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("maker", sorted(_MAKERS))
+def test_every_maker_lays_the_registry_over_one_flat_array(tmp_path, maker, variant):
+    _assert_tiles_flat(_MAKERS[maker](variant, tmp_path))
+
+
+def test_over_refuses_an_array_it_cannot_lay_out():
+    cfg = _cfg("separate")
+    n = cost_report(cfg).total_params
+    for flat in (np.zeros(n - 1, np.float32), np.zeros(n + 1, np.float32), np.zeros((1, n), np.float32),
+                 np.zeros(2 * n, np.float32)[::2]):
+        with pytest.raises(ValueError, match=f"C-contiguous 1-D array of {n} values"):
+            MoEModel.over(cfg, flat)
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_backward_writes_each_weight_gradient_in_place(monkeypatch, variant):
+    # Each weight-gradient product writes straight into the registry's
+    # view of d_model.flat, so no gradient is copied there afterwards.
+    model = _model(variant, seed=5)
+    out = forward(Rng(6).matrix(5, 16), model)
+    results = []
+
+    def recording(a, b, out=None):
+        results.append(matmul(a, b, out=out))
+        return results[-1]
+
+    monkeypatch.setattr(loss_grad, "matmul", recording)
+    d = backward(model, Rng(7).matrix(5, 16), out, input_grad=False).d_model
+    written = [r.a for r in results if np.shares_memory(r.a, d.flat)]
+    want = [d.experts.w1, d.experts.wg, d.experts.w2, d.router.a]
+    want += [] if d.shared is None else [d.shared.w1.a, d.shared.wg.a, d.shared.w2.a]
+    want += [] if d.concat_proj is None else [d.concat_proj.a]
+    key = lambda a: (a.ctypes.data, a.shape, a.strides)
+    assert sorted(map(key, written)) == sorted(map(key, want))

@@ -4,8 +4,9 @@ library module or test file imports a name it never uses, so a deletion
 cannot leave one behind; no library module outside the oracle computes a
 product but through ``numerics.matmul``, so none escapes its kernels;
 every CLI example in the README parses, so a stale flag cannot
-linger there; and the README's Python examples run, so a stale call cannot
-either."""
+linger there; the README's Python examples run, so a stale call cannot
+either; and no library module builds a ``MoEModel`` but through
+``MoEModel.over``, so its layout has one home."""
 
 import ast
 import shutil
@@ -85,6 +86,37 @@ def test_every_product_goes_through_numerics_matmul():
         path.name: products
         for path in sorted((ROOT / "src" / "finermoe").glob("*.py"))
         if path.name != "oracle.py" and (products := _products(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def _model_builds(source: str) -> list[str]:
+    """Calls that build a ``MoEModel`` but through ``MoEModel.over``: any
+    call of ``MoEModel``, and a call of ``cls`` in its other methods."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == "MoEModel":
+            found += [
+                n.lineno for fn in node.body if isinstance(fn, ast.FunctionDef) and fn.name != "over"
+                for n in ast.walk(fn) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "cls"
+            ]
+        elif isinstance(node, ast.Call) and "MoEModel" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.append(node.lineno)
+    return [f"line {line}" for line in sorted(found)]
+
+
+def test_every_model_is_laid_out_by_moe_model_over():
+    # over is the one layout of a model's tensors over its flat array, so a
+    # hand-built model cannot bring a second one back.
+    assert _model_builds(
+        "class MoEModel:\n    def over(cls, cfg, flat):\n        return cls(cfg, flat)\n"
+        "    def zeros(cls, cfg):\n        return cls.over(cfg, z) or cls(cfg)\n"
+        "m = MoEModel(cfg)\nn = moe_layer.MoEModel.over(cfg, flat)\nk = moe_layer.MoEModel(cfg)\n"
+    ) == ["line 5", "line 6", "line 8"]
+    found = {
+        path.name: builds
+        for path in sorted((ROOT / "src" / "finermoe").glob("*.py"))
+        if (builds := _model_builds(path.read_text(encoding="utf-8")))
     }
     assert found == {}
 

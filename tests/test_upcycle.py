@@ -66,9 +66,9 @@ def test_stacks_are_the_per_expert_slices_byte_for_byte(g_i, r_i, g_o, r_o, dtyp
     experts = upcycle(dense, cfg, 41).experts
     for got, want in zip((experts.w1, experts.wg, experts.w2), _expert_slices(dense, cfg)):
         assert got.dtype == dtype
-        # So each expert's matrix is C-contiguous, as the grouped kernel's
-        # operand check requires.
-        assert got.flags.c_contiguous
+        # Each expert's matrix is C-contiguous, as the grouped kernel's
+        # operand check requires; the stack is a strided view of the block.
+        assert all(m.flags.c_contiguous for m in got)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
